@@ -19,6 +19,10 @@ enumeration, and a transfer-matrix pass that carries a linear combination of
 planar matchings (the Temperley-Lieb basis) across the braid word, one
 letter at a time.  They are checked against each other in the tests and can
 be cross-asserted at runtime.
+
+Every readout of a diagram is derived from its one raw sum: the normal form,
+:func:`ambient_from_raw`, :func:`circle_variant`, and the classical bracket
+(:func:`.classical.bracket_from_raw`).
 """
 
 from __future__ import annotations
@@ -69,28 +73,33 @@ def bracket3(d: Diagram, cap: int = ENUMERATION_CAP) -> Polynomial:
     return normal_form(bracket3_raw(d, cap))
 
 
-def ambient3(d: Diagram, cap: int = ENUMERATION_CAP) -> Polynomial:
-    """Ambient-isotopy invariant: pad with |w| opposite curls, then reduce.
+def ambient_from_raw(raw: Polynomial, w: int) -> Polynomial:
+    """Ambient-isotopy invariant from the raw sum of a writhe-w diagram.
 
-    A diagram of writhe w > 0 is multiplied by CURL_MINUS^w (w < 0 by
-    CURL_PLUS^-w) before taking the normal form, exactly the effect of
-    normalizing the writhe to zero with opposite-sign curls.
+    The raw sum is multiplied by CURL_MINUS^w for w > 0 (CURL_PLUS^-w for
+    w < 0) before taking the normal form, exactly the effect of normalizing
+    the writhe to zero with opposite-sign curls.
     """
-    w = writhe(d)
-    raw = bracket3_raw(d, cap)
     factor = CURL_MINUS if w > 0 else CURL_PLUS
     return normal_form(factor ** abs(w) * raw)
 
 
-def ambient3_with_circle_factors(d: Diagram, cap: int = ENUMERATION_CAP) -> Polynomial:
+def circle_variant(amb: Polynomial, w: int) -> Polynomial:
     """Variant normalization whose curl factors keep their circle: d*(a*d+b)
-    and d*(a+b*d).  Differs from :func:`ambient3` by a factor d^|w| inside
-    the normal form; reported alongside it, since the two only agree for
-    writhe-zero diagrams."""
-    w = writhe(d)
-    raw = bracket3_raw(d, cap)
-    factor = (CURL_MINUS if w > 0 else CURL_PLUS) * DELTA
-    return normal_form(factor ** abs(w) * raw)
+    and d*(a+b*d).  Normal form is a ring map onto the quotient, so this is
+    the normal form of d^|w| times the ambient invariant ``amb``; reported
+    alongside it, since the two only agree for writhe-zero diagrams."""
+    return normal_form(DELTA ** abs(w) * amb)
+
+
+def ambient3(d: Diagram, cap: int = ENUMERATION_CAP) -> Polynomial:
+    """:func:`ambient_from_raw` of the naive raw sum."""
+    return ambient_from_raw(bracket3_raw(d, cap), writhe(d))
+
+
+def ambient3_with_circle_factors(d: Diagram, cap: int = ENUMERATION_CAP) -> Polynomial:
+    """:func:`circle_variant` of :func:`ambient3`."""
+    return circle_variant(ambient3(d, cap), writhe(d))
 
 
 # -- transfer-matrix evaluation --------------------------------------------------
@@ -182,6 +191,10 @@ def tl_evaluate(b: BraidWord, strand_cap: int = TL_STRAND_CAP) -> Polynomial:
     return total
 
 
+class EngineMismatchError(AssertionError):
+    """The naive and transfer-matrix engines gave different raw sums."""
+
+
 def raw_bracket(source: BraidWord | Diagram, engine: str = "naive") -> Polynomial:
     """Raw bracket through a named engine: ``naive``, ``tl``, or ``both``.
 
@@ -202,7 +215,7 @@ def raw_bracket(source: BraidWord | Diagram, engine: str = "naive") -> Polynomia
     if engine == "both":
         tl = tl_evaluate(word)
         if tl != naive:
-            raise AssertionError(
+            raise EngineMismatchError(
                 f"engine disagreement on {word.text}: naive={naive} tl={tl}"
             )
     return naive

@@ -16,10 +16,12 @@ moves.
 
 from __future__ import annotations
 
+import functools
 import re
 from typing import Mapping
 
 from .diagram import Diagram, resolve_state, state_from_index, writhe
+from .multipoly import Polynomial
 
 
 class CapacityError(RuntimeError):
@@ -207,18 +209,16 @@ def parse_laurent(text: str) -> LaurentPolynomial:
 #: Value of one extra disjoint circle: -a^-2 - a^2.
 CIRCLE = LaurentPolynomial({-2: -1, 2: -1})
 
-_circle_powers: dict[int, LaurentPolynomial] = {0: LaurentPolynomial.one()}
 
-
-def _circle_power(k: int) -> LaurentPolynomial:
-    while k not in _circle_powers:
-        nxt = max(_circle_powers) + 1
-        _circle_powers[nxt] = _circle_powers[nxt - 1] * CIRCLE
-    return _circle_powers[k]
+@functools.cache
+def circle_power(k: int) -> LaurentPolynomial:
+    """CIRCLE^k, the value of k extra disjoint circles."""
+    return CIRCLE**k
 
 
 def kauffman_bracket(d: Diagram, cap: int = ENUMERATION_CAP) -> LaurentPolynomial:
-    """The bracket via the full 2^n state sum.
+    """The bracket via its own 2^n state sum: the independent oracle that
+    :func:`bracket_from_raw` is tested against.
 
     Each state contributes a^(#A - #B) * (-a^-2 - a^2)^(circles - 1); a
     crossing-free k-circle diagram therefore evaluates to the (k-1)-st power
@@ -241,12 +241,26 @@ def kauffman_bracket(d: Diagram, cap: int = ENUMERATION_CAP) -> LaurentPolynomia
         groups[key] = groups.get(key, 0) + 1
     total = LaurentPolynomial.zero()
     for (exp, loops), mult in sorted(groups.items()):
-        total = total + _circle_power(loops - 1).shift(exp) * mult
+        total = total + circle_power(loops - 1).shift(exp) * mult
     return total
+
+
+def bracket_from_raw(raw: Polynomial) -> LaurentPolynomial:
+    """The bracket folded out of the raw three-variable state sum: b -> a^-1
+    and one circle fewer, so each raw term c*a^i*b^j*d^k (k >= 1, as every
+    state has a circle) becomes c*a^(i-j)*CIRCLE^(k-1)."""
+    total = LaurentPolynomial.zero()
+    for (i, j, k), coeff in raw.terms.items():
+        total = total + circle_power(k - 1).shift(i - j) * coeff
+    return total
+
+
+def writhe_normalize(bracket: LaurentPolynomial, w: int) -> LaurentPolynomial:
+    """(-a^3)^(-w) times the bracket of a writhe-w diagram: the f-invariant."""
+    sign = -1 if w % 2 else 1
+    return bracket.shift(-3 * w) * sign
 
 
 def f_invariant(d: Diagram, cap: int = ENUMERATION_CAP) -> LaurentPolynomial:
     """(-a^3)^(-w) <D>: unchanged by all three Reidemeister moves."""
-    w = writhe(d)
-    sign = -1 if w % 2 else 1
-    return kauffman_bracket(d, cap).shift(-3 * w) * sign
+    return writhe_normalize(kauffman_bracket(d, cap), writhe(d))

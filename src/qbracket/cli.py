@@ -18,14 +18,14 @@ import sys
 
 from .bracket3 import (
     CONVENTION,
-    ambient3,
-    ambient3_with_circle_factors,
-    bracket3,
+    EngineMismatchError,
+    ambient_from_raw,
+    circle_variant,
     raw_bracket,
 )
-from .classical import CapacityError, f_invariant, format_laurent, kauffman_bracket
+from .classical import CapacityError, bracket_from_raw, format_laurent, writhe_normalize
 from .diagram import DiagramError, conjugate, parse_braid, rewrite_moves, writhe
-from .multipoly import format_poly
+from .multipoly import TermLimitError, format_poly
 from .quotient import (
     DEFAULT_TOL,
     FREE_SAMPLES,
@@ -113,11 +113,13 @@ def _emit(obj: dict, as_json: bool) -> None:
 
 def cmd_bracket(args: argparse.Namespace) -> int:
     _, diagram = parse_presentation(args.input)
+    w = writhe(diagram)
+    bracket = bracket_from_raw(raw_bracket(diagram))
     payload = {
         "input": args.input.strip(),
-        "writhe": writhe(diagram),
-        "bracket": format_laurent(kauffman_bracket(diagram)),
-        "f": format_laurent(f_invariant(diagram)),
+        "writhe": w,
+        "bracket": format_laurent(bracket),
+        "f": format_laurent(writhe_normalize(bracket, w)),
     }
     _emit(payload, args.json)
     return 0
@@ -126,15 +128,17 @@ def cmd_bracket(args: argparse.Namespace) -> int:
 def cmd_bracket3(args: argparse.Namespace) -> int:
     word, diagram = parse_presentation(args.input)
     raw = raw_bracket(word if word is not None and args.engine != "naive" else diagram, args.engine)
+    w = writhe(diagram)
+    amb = ambient_from_raw(raw, w)
     payload = {
         "input": args.input.strip(),
         "engine": args.engine,
         "convention": CONVENTION,
-        "writhe": writhe(diagram),
+        "writhe": w,
         "raw": format_poly(raw),
         "normal_form": format_poly(normal_form(raw)),
-        "ambient3": format_poly(ambient3(diagram)),
-        "ambient3_circle_variant": format_poly(ambient3_with_circle_factors(diagram)),
+        "ambient3": format_poly(amb),
+        "ambient3_circle_variant": format_poly(circle_variant(amb, w)),
     }
     _emit(payload, args.json)
     return 0
@@ -286,9 +290,12 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_verify_moves(args)
         if args.command == "search":
             return cmd_search(args)
-    except (DiagramError, CapacityError, ValueError, OSError) as exc:
+    except (DiagramError, CapacityError, TermLimitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except EngineMismatchError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     raise AssertionError("unreachable")
 
 

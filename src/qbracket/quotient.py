@@ -25,7 +25,7 @@ import cmath
 import itertools
 from dataclasses import dataclass, field
 
-from .classical import LaurentPolynomial
+from .classical import LaurentPolynomial, circle_power
 from .multipoly import (
     LEX_ABD,
     Polynomial,
@@ -436,19 +436,6 @@ def verify_all_branches(samples: int = len(FREE_SAMPLES), tol: float = DEFAULT_T
 
 # -- classical specialization -------------------------------------------------
 
-#: d-value of the classical bracket: -a^-2 - a^2.
-CLASSICAL_CIRCLE = LaurentPolynomial({-2: -1, 2: -1})
-
-_circle_powers: dict[int, LaurentPolynomial] = {0: LaurentPolynomial.one()}
-
-
-def _circle_power(k: int) -> LaurentPolynomial:
-    while k not in _circle_powers:
-        n = max(_circle_powers) + 1
-        _circle_powers[n] = _circle_powers[n - 1] * CLASSICAL_CIRCLE
-    return _circle_powers[k]
-
-
 def specialize_classical(p: Polynomial) -> LaurentPolynomial:
     """Substitute b -> a^-1 and d -> -a^-2 - a^2, exactly.
 
@@ -457,5 +444,5 @@ def specialize_classical(p: Polynomial) -> LaurentPolynomial:
     """
     out = LaurentPolynomial.zero()
     for (ea, eb, ed), coeff in p.terms.items():
-        out = out + _circle_power(ed).shift(ea - eb) * coeff
+        out = out + circle_power(ed).shift(ea - eb) * coeff
     return out

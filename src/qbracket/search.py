@@ -14,16 +14,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .bracket3 import CONVENTION, CURL_MINUS, CURL_PLUS, ambient3, raw_bracket
-from .classical import f_invariant, format_laurent
+from .bracket3 import CONVENTION, ambient_from_raw, raw_bracket
+from .classical import bracket_from_raw, format_laurent, writhe_normalize
 from .diagram import BraidWord, Diagram, DiagramError, closure, parse_braid, parse_pd, writhe
 from .multipoly import format_poly
-from .quotient import normal_form
 
 
 @dataclass(frozen=True)
@@ -118,18 +115,15 @@ def fingerprint() -> str:
 
 
 def compute_record(entry: TableEntry, engine: str = "naive") -> InvariantRecord:
-    """Both invariants of one entry, via the named engine for the raw sum."""
-    d = entry.diagram
-    w = writhe(d)
-    f_text = format_laurent(f_invariant(d))
-    if engine == "naive" or entry.word is None:
-        amb = ambient3(d)
-        used = "naive"
-    else:
-        raw = raw_bracket(entry.word, engine)
-        factor = CURL_MINUS if w > 0 else CURL_PLUS
-        amb = normal_form(factor ** abs(w) * raw)
-        used = engine
+    """Both invariants of one entry, from one raw sum via the named engine.
+
+    PD-only entries always use the naive engine.
+    """
+    used = "naive" if entry.word is None else engine
+    raw = raw_bracket(entry.diagram if used == "naive" else entry.word, used)
+    w = writhe(entry.diagram)
+    f_text = format_laurent(writhe_normalize(bracket_from_raw(raw), w))
+    amb = ambient_from_raw(raw, w)
     return InvariantRecord(
         entry.name, entry.presentation, w, f_text, format_poly(amb), used, fingerprint()
     )
@@ -179,44 +173,21 @@ class RecordCache:
                 fh.write(json.dumps(rec.to_json(), sort_keys=True) + "\n")
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("QBRACKET_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def compute_records(
     entries: list[TableEntry],
     engine: str = "naive",
     cache: RecordCache | None = None,
 ) -> list[InvariantRecord]:
-    """Records for all entries, cache-first, sorted by name.
-
-    Parallel fan-out honors QBRACKET_THREADS; results are keyed per entry so
-    the output is schedule-independent, and cache writes stay in one thread.
-    """
-    entries = sorted(entries, key=lambda e: e.name)
-    records: dict[str, InvariantRecord] = {}
-    missing: list[TableEntry] = []
-    for entry in entries:
-        hit = cache.lookup(entry) if cache else None
-        if hit:
-            records[entry.name] = hit
-        else:
-            missing.append(entry)
-    threads = _thread_count()
-    if threads > 1 and len(missing) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            fresh = list(pool.map(lambda e: compute_record(e, engine), missing))
-    else:
-        fresh = [compute_record(e, engine) for e in missing]
-    for rec in fresh:
-        records[rec.name] = rec
-        if cache:
-            cache.store(rec)
-    return [records[e.name] for e in entries]
+    """Records for all entries, cache-first, sorted by name."""
+    records: list[InvariantRecord] = []
+    for entry in sorted(entries, key=lambda e: e.name):
+        rec = cache.lookup(entry) if cache else None
+        if rec is None:
+            rec = compute_record(entry, engine)
+            if cache:
+                cache.store(rec)
+        records.append(rec)
+    return records
 
 
 # -- bucketing and the scan ------------------------------------------------------

@@ -16,7 +16,14 @@ from qbracket.bracket3 import (
     tl_transfer,
     _identity_matching,
 )
-from qbracket.classical import CIRCLE, CapacityError, kauffman_bracket
+from qbracket.classical import (
+    CIRCLE,
+    CapacityError,
+    bracket_from_raw,
+    f_invariant,
+    kauffman_bracket,
+    writhe_normalize,
+)
 from qbracket.diagram import (
     BraidWord,
     Diagram,
@@ -25,9 +32,11 @@ from qbracket.diagram import (
     conjugate,
     parse_braid,
     rewrite_moves,
+    writhe,
 )
 from qbracket.multipoly import Polynomial, parse_poly
 from qbracket.quotient import normal_form, specialize_classical
+from qbracket.search import bundled_table_path, load_table
 
 
 @st.composite
@@ -234,6 +243,7 @@ def test_circle_factor_variant_reported_separately():
     plain = ambient3(d)
     variant = ambient3_with_circle_factors(d)
     assert variant == normal_form(DELTA**3 * plain)
+    assert variant == normal_form((CURL_MINUS * DELTA) ** 3 * bracket3_raw(d))  # curls with circles
     assert variant != plain  # the variant keeps one circle factor per curl
     unknot = closure(parse_braid("braid:1:"))
     assert ambient3_with_circle_factors(unknot) == ambient3(unknot)  # writhe 0
@@ -255,6 +265,27 @@ def test_specialization_bridge(text):
 def test_specialization_bridge_random(word):
     d = closure(word)
     assert specialize_classical(bracket3(d)) == CIRCLE * kauffman_bracket(d)
+
+
+# -- classical readouts from the raw sum ------------------------------------------------------
+
+def assert_classical_readouts_from_raw(d: Diagram) -> None:
+    bracket = bracket_from_raw(bracket3_raw(d))
+    assert bracket == kauffman_bracket(d)
+    assert writhe_normalize(bracket, writhe(d)) == f_invariant(d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(braid_words(max_strands=3, max_letters=8))
+def test_classical_readouts_fold_out_of_the_raw_sum(word):
+    assert_classical_readouts_from_raw(closure(word))
+
+
+def test_classical_readouts_fold_out_of_the_raw_sum_on_table_pd_entries():
+    pd_entries = [e for e in load_table(bundled_table_path()).entries if e.word is None]
+    assert pd_entries
+    for e in pd_entries:
+        assert_classical_readouts_from_raw(e.diagram)
 
 
 # -- interleaved reduction --------------------------------------------------------------------

@@ -1,10 +1,16 @@
 """Command dispatch, output stability, and exit codes."""
 
+import importlib
 import json
 
 import pytest
 
+import qbracket.multipoly as multipoly
+from qbracket.bracket3 import CURL_MINUS, tl_evaluate
 from qbracket.cli import main
+from qbracket.diagram import parse_braid
+from qbracket.multipoly import format_poly
+from qbracket.quotient import normal_form
 
 
 def run(capsys, *argv):
@@ -65,6 +71,17 @@ def test_bracket3_unknot_text(capsys):
     assert code == 0
     assert "normal_form: +d\n" in out
     assert "ambient3: +d\n" in out
+
+
+def test_bracket3_tl_engine_runs_past_the_enumeration_cap(capsys):
+    # 26 crossings, over the naive cap of 24: every readout comes from the tl raw sum
+    text = "braid:3:" + ",".join(["1,-2"] * 12 + ["1,1"])
+    code, out, err = run(capsys, "bracket3", text, "--engine", "tl", "--json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["writhe"] == 2
+    padded = CURL_MINUS**2 * tl_evaluate(parse_braid(text))
+    assert payload["ambient3"] == format_poly(normal_form(padded))
 
 
 def test_bracket3_tl_engine_rejects_pd(capsys):
@@ -184,6 +201,22 @@ def test_bad_input_exits_1(capsys):
 def test_missing_table_exits_1(capsys):
     code, _, err = run(capsys, "search", "--table", "/nonexistent.tsv")
     assert code == 1
+
+
+def test_term_limit_exits_1_with_one_error_line(capsys, monkeypatch):
+    monkeypatch.setattr(multipoly, "TERM_LIMIT", 3)  # the trefoil's raw sum has 4 terms
+    code, out, err = run(capsys, "bracket3", "braid:2:1,1,1")
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_engine_disagreement_exits_2_with_one_error_line(capsys, monkeypatch):
+    bracket3_module = importlib.import_module("qbracket.bracket3")
+    real = bracket3_module.tl_evaluate
+    monkeypatch.setattr(bracket3_module, "tl_evaluate", lambda word, *args: real(word, *args) + 1)
+    code, out, err = run(capsys, "bracket3", "braid:2:1,1,1", "--engine", "both")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: engine disagreement")
 
 
 def test_deterministic_output_same_invocation(capsys):

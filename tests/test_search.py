@@ -1,9 +1,11 @@
 """Table ingestion, caching, bucketing, and the conjecture scan."""
 
+import importlib
 import json
 
 import pytest
 
+import qbracket.classical as classical
 import qbracket.search as search
 from qbracket.diagram import closure, parse_braid
 from qbracket.search import (
@@ -19,6 +21,10 @@ from qbracket.search import (
     load_table,
     parse_presentation,
 )
+
+
+# the package re-exports a function named bracket3, which shadows the submodule
+bracket3_module = importlib.import_module("qbracket.bracket3")
 
 
 def entry(name: str, presentation: str) -> TableEntry:
@@ -150,11 +156,33 @@ def test_partial_cache_only_recomputes_missing(tmp_path, monkeypatch):
     assert [r.name for r in records] == ["f", "t"]
 
 
-def test_thread_pool_path_matches_serial(monkeypatch):
-    entries = [entry("t", "braid:2:1,1,1"), entry("f", "braid:3:1,-2,1,-2"), entry("h", "braid:2:1,1")]
-    serial = compute_records(entries)
-    monkeypatch.setenv("QBRACKET_THREADS", "3")
-    assert compute_records(entries) == serial
+def _forbid(name):
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+
+    return forbidden
+
+
+def test_tl_record_runs_no_enumeration(monkeypatch):
+    monkeypatch.setattr(bracket3_module, "bracket3_raw", _forbid("bracket3_raw"))
+    monkeypatch.setattr(classical, "kauffman_bracket", _forbid("kauffman_bracket"))
+    rec = compute_record(entry("trefoil", "braid:2:1,1,1"), "tl")
+    assert rec.engine == "tl"
+    assert rec.f_text == "+1*a^-4 +1*a^-12 -1*a^-16"
+
+
+def test_naive_record_enumerates_once(monkeypatch):
+    calls: list[int] = []
+    real = bracket3_module.bracket3_raw
+
+    def counting(d, *args, **kwargs):
+        calls.append(d.n)
+        return real(d, *args, **kwargs)
+
+    monkeypatch.setattr(bracket3_module, "bracket3_raw", counting)
+    monkeypatch.setattr(classical, "kauffman_bracket", _forbid("kauffman_bracket"))
+    compute_record(entry("fig8", "braid:3:1,-2,1,-2"), "naive")
+    assert calls == [4]
 
 
 # -- bucketing -----------------------------------------------------------------------
