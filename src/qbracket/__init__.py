@@ -44,14 +44,11 @@ from .diagram import (
     writhe,
 )
 from .multipoly import (
-    LEX_ABD,
-    MonomialOrder,
     Polynomial,
     TermLimitError,
     buchberger,
     divide,
     format_poly,
-    mono_cmp,
     parse_poly,
     reduce_basis,
     s_poly,

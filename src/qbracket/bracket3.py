@@ -54,7 +54,8 @@ def bracket3_raw(d: Diagram, cap: int = ENUMERATION_CAP) -> Polynomial:
     n = d.n
     if n > cap:
         raise CapacityError(
-            f"{n} crossings exceeds the enumeration cap {cap}; use the transfer-matrix engine"
+            f"{n} crossings exceeds the enumeration cap {cap}; only the transfer-matrix pass "
+            f"over a braid word on at most {TL_STRAND_CAP} strands goes past it"
         )
     if n == 0 and d.free_loops == 0:
         raise ValueError("bracket of the empty diagram is undefined")

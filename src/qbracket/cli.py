@@ -18,6 +18,7 @@ import sys
 
 from .bracket3 import (
     CONVENTION,
+    TL_STRAND_CAP,
     EngineMismatchError,
     ambient_from_raw,
     circle_variant,
@@ -112,9 +113,14 @@ def _emit(obj: dict, as_json: bool) -> None:
 
 
 def cmd_bracket(args: argparse.Namespace) -> int:
-    _, diagram = parse_presentation(args.input)
+    word, diagram = parse_presentation(args.input)
     w = writhe(diagram)
-    bracket = bracket_from_raw(raw_bracket(diagram))
+    # the transfer pass for braid words it can hold, enumeration for the rest
+    if word is not None and word.strands <= TL_STRAND_CAP:
+        raw = raw_bracket(word, "tl")
+    else:
+        raw = raw_bracket(diagram)
+    bracket = bracket_from_raw(raw)
     payload = {
         "input": args.input.strip(),
         "writhe": w,
@@ -190,6 +196,8 @@ def cmd_verify_variety(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_moves(args: argparse.Namespace) -> int:
+    if args.cases < 1:
+        raise ValueError("cases must be >= 1")
     header = {
         "check": "moves_config",
         "seed": args.seed,
@@ -199,9 +207,11 @@ def cmd_verify_moves(args: argparse.Namespace) -> int:
     }
     print(json.dumps(header, sort_keys=True) if args.json else header)
     all_ok = True
+    references = []
     for name, text in MOVE_BASE_WORDS:
         base = parse_braid(text)
         reference = normal_form(raw_bracket(base, args.engine))
+        references.append((name, base, reference))
         failures = 0
         for case in range(args.cases):
             variant = rewrite_moves(base, seed=args.seed + case, count=MOVES_PER_CASE)
@@ -212,9 +222,7 @@ def cmd_verify_moves(args: argparse.Namespace) -> int:
         obj = {"check": f"moves_{name}", "pass": ok, "cases": args.cases, "failures": failures}
         print(json.dumps(obj, sort_keys=True) if args.json else obj)
     # conjugation-based cases are a different move family; reported separately
-    for name, text in MOVE_BASE_WORDS:
-        base = parse_braid(text)
-        reference = normal_form(raw_bracket(base, args.engine))
+    for name, base, reference in references:
         failures = sum(
             1
             for g in range(1, base.strands)

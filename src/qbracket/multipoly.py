@@ -1,8 +1,10 @@
 """Exact sparse polynomial arithmetic over the integers in the variables a, b, d.
 
-The ring is Z[a, b, d] with a fixed lexicographic term order (a > b > d by
-default).  Everything is exact: coefficients are arbitrary-precision ints,
-monomials are exponent triples, and equality is equality of the term maps.
+The ring is Z[a, b, d] with the fixed lexicographic term order a > b > d.
+Everything is exact: coefficients are arbitrary-precision ints, monomials
+are exponent triples, and equality is equality of the term maps.  Lex
+a > b > d on exponent triples is Python's own tuple order, so ``max`` and
+``sorted`` on monomials need no key.
 
 Besides ring arithmetic the module provides the Groebner toolkit needed to
 work in quotients of this ring: multivariate division with remainder,
@@ -31,36 +33,6 @@ TERM_LIMIT = 10**6
 
 class TermLimitError(RuntimeError):
     """A polynomial operation produced more than TERM_LIMIT terms."""
-
-
-@dataclass(frozen=True)
-class MonomialOrder:
-    """A lexicographic order given by a precedence permutation of (a, b, d).
-
-    ``precedence`` lists variable indices most-significant first, so the
-    default (0, 1, 2) is lex with a > b > d.  The order is total,
-    multiplicative, and has 1 as its minimum, as any term order must.
-    """
-
-    precedence: tuple[int, int, int] = (0, 1, 2)
-
-    def __post_init__(self) -> None:
-        if sorted(self.precedence) != [0, 1, 2]:
-            raise ValueError(f"precedence must permute (0, 1, 2), got {self.precedence}")
-
-    def key(self, m: Monomial) -> tuple[int, int, int]:
-        p = self.precedence
-        return (m[p[0]], m[p[1]], m[p[2]])
-
-
-#: The order used everywhere in this package: lex with a > b > d.
-LEX_ABD = MonomialOrder((0, 1, 2))
-
-
-def mono_cmp(m1: Monomial, m2: Monomial, order: MonomialOrder = LEX_ABD) -> int:
-    """Compare two monomials; returns -1, 0, or 1."""
-    k1, k2 = order.key(m1), order.key(m2)
-    return (k1 > k2) - (k1 < k2)
 
 
 def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
@@ -151,11 +123,11 @@ class Polynomial:
     def __iter__(self) -> Iterator[tuple[Monomial, int]]:
         return iter(self._terms.items())
 
-    def leading(self, order: MonomialOrder = LEX_ABD) -> tuple[Monomial, int]:
-        """Leading (monomial, coefficient) under the order; error on zero."""
+    def leading(self) -> tuple[Monomial, int]:
+        """Leading (monomial, coefficient) under lex a > b > d; error on zero."""
         if not self._terms:
             raise ValueError("zero polynomial has no leading term")
-        m = max(self._terms, key=order.key)
+        m = max(self._terms)
         return m, self._terms[m]
 
     def coefficient(self, mono: Monomial) -> int:
@@ -170,12 +142,12 @@ class Polynomial:
                 break
         return g
 
-    def primitive_part(self, order: MonomialOrder = LEX_ABD) -> "Polynomial":
+    def primitive_part(self) -> "Polynomial":
         """Divide out the content and make the leading coefficient positive."""
         if not self._terms:
             return self
         g = self.content()
-        _, lc = self.leading(order)
+        _, lc = self.leading()
         if lc < 0:
             g = -g
         return Polynomial({m: c // g for m, c in self._terms.items()})
@@ -285,7 +257,7 @@ def _gcd(x: int, y: int) -> int:
 
 # -- canonical text form ----------------------------------------------------
 
-def format_poly(p: Polynomial, order: MonomialOrder = LEX_ABD) -> str:
+def format_poly(p: Polynomial) -> str:
     """Canonical text: terms lex-descending, every coefficient carries a sign.
 
     Magnitude 1 is elided unless the term is constant; exponent 1 is elided;
@@ -294,7 +266,7 @@ def format_poly(p: Polynomial, order: MonomialOrder = LEX_ABD) -> str:
     if p.is_zero:
         return "0"
     chunks = []
-    for mono in sorted(p.terms, key=order.key, reverse=True):
+    for mono in sorted(p.terms, reverse=True):
         coeff = p.terms[mono]
         sign = "+" if coeff > 0 else "-"
         mag = abs(coeff)
@@ -367,11 +339,7 @@ class DivisionResult(NamedTuple):
     remainder: Polynomial
 
 
-def divide(
-    p: Polynomial,
-    basis: list[Polynomial],
-    order: MonomialOrder = LEX_ABD,
-) -> DivisionResult:
+def divide(p: Polynomial, basis: list[Polynomial]) -> DivisionResult:
     """Multivariate division: p = sum(q_i * basis_i) + r, exactly over Z.
 
     The largest reducible monomial is rewritten first, by the earliest basis
@@ -379,22 +347,23 @@ def divide(
     divides its coefficient -- automatic for the monic-leading bases used
     here).  The identity above always holds exactly; remainders against a
     Groebner basis with unit leading coefficients are the canonical normal
-    forms.
+    forms.  Quotient terms are collected in plain dicts and become
+    polynomials once, when the loop ends.
     """
     if any(g.is_zero for g in basis):
         raise ValueError("division by a basis containing zero")
-    leads = [g.leading(order) for g in basis]
-    quotients = [Polynomial.zero() for _ in basis]
+    leads = [g.leading() for g in basis]
+    quotient_terms: list[dict[Monomial, int]] = [{} for _ in basis]
     remainder_terms: dict[Monomial, int] = {}
     work = dict(p.terms)
     while work:
-        mono = max(work, key=order.key)
+        mono = max(work)
         coeff = work.pop(mono)
         for i, (lm, lc) in enumerate(leads):
             if mono_divides(lm, mono) and coeff % lc == 0:
                 qm = mono_div(mono, lm)
                 qc = coeff // lc
-                quotients[i] = quotients[i] + Polynomial.term(qc, qm)
+                quotient_terms[i][qm] = qc  # mono falls every step, so qm is new
                 # subtract qc * qm * basis_i from the working tail
                 for m2, c2 in basis[i].terms.items():
                     if m2 == lm:
@@ -408,16 +377,16 @@ def divide(
                 break
         else:
             remainder_terms[mono] = coeff
-    return DivisionResult(quotients, Polynomial(remainder_terms))
+    return DivisionResult([Polynomial(q) for q in quotient_terms], Polynomial(remainder_terms))
 
 
-def s_poly(p: Polynomial, q: Polynomial, order: MonomialOrder = LEX_ABD) -> Polynomial:
+def s_poly(p: Polynomial, q: Polynomial) -> Polynomial:
     """S-polynomial over Z: leading terms cancelled after scaling by the
     integer lcm of the leading coefficients, so no rationals appear."""
     if p.is_zero or q.is_zero:
         raise ValueError("S-polynomial of a zero polynomial is undefined")
-    (mp, cp) = p.leading(order)
-    (mq, cq) = q.leading(order)
+    (mp, cp) = p.leading()
+    (mq, cq) = q.leading()
     lcm_m = mono_lcm(mp, mq)
     lcm_c = abs(cp * cq) // _gcd(abs(cp), abs(cq))
     return p.mul_term(lcm_c // cp, mono_div(lcm_m, mp)) - q.mul_term(lcm_c // cq, mono_div(lcm_m, mq))
@@ -438,7 +407,7 @@ class BuchbergerRun:
 MAX_BASIS = 500
 
 
-def buchberger_run(gens: list[Polynomial], order: MonomialOrder = LEX_ABD) -> BuchbergerRun:
+def buchberger_run(gens: list[Polynomial]) -> BuchbergerRun:
     """Buchberger completion with the coprime-leading-monomial criterion.
 
     Nonzero S-polynomial remainders are adjoined as sign-normalized primitive
@@ -453,15 +422,15 @@ def buchberger_run(gens: list[Polynomial], order: MonomialOrder = LEX_ABD) -> Bu
     while pairs:
         i, j = pairs.pop(0)
         run.pairs_processed += 1
-        lm_i, _ = basis[i].leading(order)
-        lm_j, _ = basis[j].leading(order)
+        lm_i, _ = basis[i].leading()
+        lm_j, _ = basis[j].leading()
         if mono_lcm(lm_i, lm_j) == mono_mul(lm_i, lm_j):
             continue  # coprime leading monomials: S-poly reduces to 0
-        rem = divide(s_poly(basis[i], basis[j], order), basis, order).remainder
+        rem = divide(s_poly(basis[i], basis[j]), basis).remainder
         if rem.is_zero:
             continue
         content = rem.content()
-        prim = rem.primitive_part(order)
+        prim = rem.primitive_part()
         if content > 1:
             run.content_events.append((format_poly(rem), content))
         basis.append(prim)
@@ -471,30 +440,26 @@ def buchberger_run(gens: list[Polynomial], order: MonomialOrder = LEX_ABD) -> Bu
     return run
 
 
-def buchberger(gens: list[Polynomial], order: MonomialOrder = LEX_ABD) -> list[Polynomial]:
+def buchberger(gens: list[Polynomial]) -> list[Polynomial]:
     """Groebner basis of the ideal generated by gens (empty input gives [])."""
     if not gens:
         return []
-    return buchberger_run(gens, order).basis
+    return buchberger_run(gens).basis
 
 
-def reduce_basis(
-    basis: list[Polynomial],
-    order: MonomialOrder = LEX_ABD,
-    primitive: bool = False,
-) -> list[Polynomial]:
+def reduce_basis(basis: list[Polynomial]) -> list[Polynomial]:
     """Minimal, inter-reduced form of a Groebner basis.
 
     Elements whose leading monomial is divisible by another's are dropped,
-    the survivors are fully reduced against each other, leading coefficients
-    are made positive, and the result is sorted by leading monomial.  Integer
-    content is kept as-is unless ``primitive`` is set (then each element is
-    divided by its content).  The input must already be a Groebner basis.
+    the survivors are fully reduced against each other, each is replaced by
+    its primitive part (content divided out, leading coefficient positive),
+    and the result is sorted by leading monomial.  The input must already be
+    a Groebner basis.
     """
     work = [g for g in basis if not g.is_zero]
     # minimality: drop redundant leading monomials (keep the earliest)
     kept: list[Polynomial] = []
-    leads = [g.leading(order)[0] for g in work]
+    leads = [g.leading()[0] for g in work]
     for i, g in enumerate(work):
         lm = leads[i]
         redundant = any(
@@ -511,7 +476,7 @@ def reduce_basis(
             others = kept[:i] + kept[i + 1:]
             if not others:
                 continue
-            rem = divide(kept[i], others, order).remainder
+            rem = divide(kept[i], others).remainder
             if rem.is_zero:
                 kept.pop(i)
                 changed = True
@@ -519,14 +484,4 @@ def reduce_basis(
             if rem != kept[i]:
                 kept[i] = rem
                 changed = True
-    out = []
-    for g in kept:
-        if primitive:
-            g = g.primitive_part(order)
-        else:
-            _, lc = g.leading(order)
-            if lc < 0:
-                g = -g
-        out.append(g)
-    out.sort(key=lambda g: order.key(g.leading(order)[0]))
-    return out
+    return sorted((g.primitive_part() for g in kept), key=lambda g: g.leading()[0])

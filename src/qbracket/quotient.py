@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .classical import LaurentPolynomial, circle_power
 from .multipoly import (
-    LEX_ABD,
     Polynomial,
     buchberger_run,
     divide,
@@ -52,8 +52,6 @@ GROEBNER_BASIS: tuple[Polynomial, Polynomial, Polynomial] = (
     parse_poly("+a^2*d +2*a*b*d^2 +b^2*d -d^2"),
 )
 
-ORDER = LEX_ABD
-
 
 def normal_form(p: Polynomial) -> Polynomial:
     """Canonical representative of p + I: the remainder against the basis.
@@ -61,12 +59,12 @@ def normal_form(p: Polynomial) -> Polynomial:
     No monomial of the result is divisible by b^4*d^3, a*d^3, or a^2*d (the
     basis leading monomials), and the map is idempotent and linear.
     """
-    return divide(p, list(GROEBNER_BASIS), ORDER).remainder
+    return divide(p, list(GROEBNER_BASIS)).remainder
 
 
 def is_normal(p: Polynomial) -> bool:
     """True when no term of p is reducible by the basis leading monomials."""
-    leads = [g.leading(ORDER)[0] for g in GROEBNER_BASIS]
+    leads = [g.leading()[0] for g in GROEBNER_BASIS]
     return all(not mono_divides(lm, m) for m in p.terms for lm in leads)
 
 
@@ -113,7 +111,7 @@ def verify_groebner() -> GroebnerReport:
     bad: str | None = None
     for i in range(len(basis)):
         for j in range(i, len(basis)):
-            rem = divide(s_poly(basis[i], basis[j], ORDER), basis, ORDER).remainder
+            rem = divide(s_poly(basis[i], basis[j]), basis).remainder
             if not rem.is_zero:
                 bad = f"S(g{i + 1},g{j + 1}) -> {format_poly(rem)}"
                 break
@@ -133,13 +131,13 @@ def verify_groebner() -> GroebnerReport:
         Check("generators_reduce_to_zero", bad is None, "ideal generators against stored basis", bad)
     )
 
-    run = buchberger_run(list(IDEAL_GENERATORS), ORDER)
-    report.computed_basis = reduce_basis(run.basis, ORDER, primitive=True)
+    run = buchberger_run(list(IDEAL_GENERATORS))
+    report.computed_basis = reduce_basis(run.basis)
     report.content_events = list(run.content_events)
 
     bad = None
     for k, g in enumerate(basis, start=1):
-        rem = divide(g, run.basis, ORDER).remainder
+        rem = divide(g, run.basis).remainder
         if not rem.is_zero:
             bad = f"basis element {k} -> {format_poly(rem)}"
             break
@@ -386,8 +384,8 @@ def verify_branch(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     free = sorted(branch.free)
     assigned = dict(branch.assignments)
     combos = itertools.islice(

@@ -1,5 +1,7 @@
 """Three-variable bracket: state sum, normal form, curl algebra, engines."""
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +11,7 @@ from qbracket.bracket3 import (
     DELTA,
     ambient3,
     ambient3_with_circle_factors,
+    ambient_from_raw,
     bracket3,
     bracket3_raw,
     raw_bracket,
@@ -35,7 +38,7 @@ from qbracket.diagram import (
     writhe,
 )
 from qbracket.multipoly import Polynomial, parse_poly
-from qbracket.quotient import normal_form, specialize_classical
+from qbracket.quotient import is_normal, normal_form, specialize_classical
 from qbracket.search import bundled_table_path, load_table
 
 
@@ -301,3 +304,16 @@ def test_chunked_reduction_equals_reduce_at_end(word, chunk):
     for start in range(0, len(terms), chunk):
         partial = normal_form(partial + Polynomial(dict(terms[start:start + chunk])))
     assert partial == normal_form(raw)
+
+
+def test_padded_torus_30_normal_form_is_fast():
+    # the padded input of T(2,30) is 31 raw terms times (a + b*d)^30; normal
+    # form once took over a minute here, because division rebuilt a whole
+    # quotient polynomial on every step
+    raw = tl_evaluate(parse_braid("braid:2:" + ",".join(["1"] * 30)))
+    start = time.perf_counter()
+    amb = ambient_from_raw(raw, 30)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0, f"padded T(2,30) normal form took {elapsed:.2f}s"
+    assert is_normal(amb)
+    assert specialize_classical(amb) == CIRCLE * writhe_normalize(bracket_from_raw(raw), 30)

@@ -1,14 +1,18 @@
 """Command dispatch, output stability, and exit codes."""
 
 import importlib
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
+import qbracket.cli as cli
 import qbracket.multipoly as multipoly
 from qbracket.bracket3 import CURL_MINUS, tl_evaluate
+from qbracket.classical import bracket_from_raw, format_laurent, kauffman_bracket
 from qbracket.cli import main
-from qbracket.diagram import parse_braid
+from qbracket.diagram import closure, parse_braid, pd_text
 from qbracket.multipoly import format_poly
 from qbracket.quotient import normal_form
 
@@ -48,6 +52,33 @@ def test_bracket_accepts_pd_input(capsys):
     code, out, _ = run(capsys, "bracket", "PD[X(1,4,2,5),X(3,6,4,1),X(5,2,6,3)]", "--json")
     assert code == 0
     assert json.loads(out)["writhe"] == -3
+
+
+TORUS_26 = "braid:2:" + ",".join(["1"] * 26)
+
+
+def test_bracket_braid_past_the_enumeration_cap_uses_the_transfer_pass(capsys):
+    code, out, err = run(capsys, "bracket", TORUS_26, "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["bracket"] == format_laurent(
+        bracket_from_raw(tl_evaluate(parse_braid(TORUS_26)))
+    )
+
+
+def test_bracket_braid_wider_than_the_transfer_cap_still_enumerates(capsys):
+    text = "braid:13:1,-12"  # 13 strands, over the transfer pass's cap of 12
+    code, out, err = run(capsys, "bracket", text, "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["bracket"] == format_laurent(kauffman_bracket(closure(parse_braid(text))))
+
+
+def test_bracket_pd_past_the_enumeration_cap_exits_1_with_one_error_line(capsys):
+    pd = pd_text(closure(parse_braid(TORUS_26)))
+    code, out, err = run(capsys, "bracket", pd)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: 26 crossings")
+    # `bracket` has no engine option, so the message must not point to one
+    assert "engine" not in err and "--" not in err
 
 
 # -- bracket3 -----------------------------------------------------------------------
@@ -121,6 +152,29 @@ def test_verify_variety_respects_tolerance_flag(capsys):
     assert code == 2
     lines = [json.loads(line) for line in out.splitlines()]
     assert any(not obj["pass"] for obj in lines[1:])
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_verify_variety_rejects_non_finite_tolerance(capsys, tol):
+    code, out, err = run(capsys, "verify", "variety", "--tol", tol)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: tolerance")
+
+
+@pytest.mark.parametrize("cases", ["0", "-1"])
+def test_verify_moves_rejects_fewer_than_one_case(capsys, cases):
+    code, out, err = run(capsys, "verify", "moves", "--cases", cases)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: cases")
+
+
+def test_verify_moves_reduces_each_base_word_once(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "normal_form", lambda p: calls.append(p) or normal_form(p))
+    code, _, _ = run(capsys, "verify", "moves", "--cases", "1")
+    assert code == 0
+    # 4 base words, 4 one-case variants, and 12 conjugations (2 per extra strand)
+    assert len(calls) == 4 + 4 + 12
 
 
 def test_verify_moves_small_run(capsys):
@@ -223,3 +277,22 @@ def test_deterministic_output_same_invocation(capsys):
     first = run(capsys, "bracket3", "braid:3:1,-2,1,-2", "--json")
     second = run(capsys, "bracket3", "braid:3:1,-2,1,-2", "--json")
     assert first == second
+
+
+def test_traced_bench_names_resolve():
+    # the traced benchmark wraps these names from outside the library; a
+    # renamed or deleted one would only surface when a traced run starts
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for layer, names in tracing.WRAPPED.items():
+        module = importlib.import_module(f"qbracket.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"qbracket.{layer}.{name}"
+    for layer, classes in tracing.WRAPPED_METHODS.items():
+        module = importlib.import_module(f"qbracket.{layer}")
+        for cls_name, methods in classes.items():
+            for attr in methods:
+                assert attr in vars(getattr(module, cls_name)), f"qbracket.{layer}.{cls_name}.{attr}"

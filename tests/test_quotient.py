@@ -199,6 +199,9 @@ def test_verify_branch_argument_validation():
         verify_branch(BRANCHES[0], samples=0)
     with pytest.raises(ValueError):
         verify_branch(BRANCHES[0], tol=0.0)
+    for tol in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            verify_branch(BRANCHES[0], tol=tol)
 
 
 def test_all_distinct_branches_satisfy_both_relations():
