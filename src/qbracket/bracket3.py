@@ -27,9 +27,9 @@ Every readout of a diagram is derived from its one raw sum: the normal form,
 
 from __future__ import annotations
 
-from .classical import CapacityError, ENUMERATION_CAP
+from .classical import TL_STRAND_CAP, CapacityError, check_enumerable
 from .diagram import BraidWord, Diagram, closure, resolve_state, state_from_index, writhe
-from .multipoly import Polynomial, parse_poly
+from .multipoly import Monomial, Polynomial, mono_mul, parse_poly
 from .quotient import normal_form
 
 #: Closed-diagram multiplier of one positive / negative curl on the raw sum.
@@ -41,25 +41,16 @@ DELTA: Polynomial = Polynomial.variable("d")
 #: Everything that pins the state-sum conventions, for cache keys and reports.
 CONVENTION = "order:a>b>d;A(positive)=vertical;circles:d^k;curl+:+a*d +b;curl-:+a +b*d"
 
-#: Strand cap for the transfer-matrix engine (basis size is Catalan(n)).
-TL_STRAND_CAP = 12
 
-
-def bracket3_raw(d: Diagram, cap: int = ENUMERATION_CAP) -> Polynomial:
+def bracket3_raw(d: Diagram) -> Polynomial:
     """Raw three-variable state sum over all 2^n smoothing choices.
 
     A crossing-free k-circle diagram gives d^k; every state of a nonempty
     diagram carries at least one circle, so d divides the result.
     """
+    check_enumerable(d)
     n = d.n
-    if n > cap:
-        raise CapacityError(
-            f"{n} crossings exceeds the enumeration cap {cap}; only the transfer-matrix pass "
-            f"over a braid word on at most {TL_STRAND_CAP} strands goes past it"
-        )
-    if n == 0 and d.free_loops == 0:
-        raise ValueError("bracket of the empty diagram is undefined")
-    counts: dict[tuple[int, int, int], int] = {}
+    counts: dict[Monomial, int] = {}
     for index in range(1 << n):
         state = state_from_index(index, n)
         b_count = sum(state)
@@ -69,9 +60,9 @@ def bracket3_raw(d: Diagram, cap: int = ENUMERATION_CAP) -> Polynomial:
     return Polynomial(counts)
 
 
-def bracket3(d: Diagram, cap: int = ENUMERATION_CAP) -> Polynomial:
+def bracket3(d: Diagram) -> Polynomial:
     """Normal form of the raw sum: the regular-isotopy invariant."""
-    return normal_form(bracket3_raw(d, cap))
+    return normal_form(bracket3_raw(d))
 
 
 def ambient_from_raw(raw: Polynomial, w: int) -> Polynomial:
@@ -93,14 +84,14 @@ def circle_variant(amb: Polynomial, w: int) -> Polynomial:
     return normal_form(DELTA ** abs(w) * amb)
 
 
-def ambient3(d: Diagram, cap: int = ENUMERATION_CAP) -> Polynomial:
+def ambient3(d: Diagram) -> Polynomial:
     """:func:`ambient_from_raw` of the naive raw sum."""
-    return ambient_from_raw(bracket3_raw(d, cap), writhe(d))
+    return ambient_from_raw(bracket3_raw(d), writhe(d))
 
 
-def ambient3_with_circle_factors(d: Diagram, cap: int = ENUMERATION_CAP) -> Polynomial:
+def ambient3_with_circle_factors(d: Diagram) -> Polynomial:
     """:func:`circle_variant` of :func:`ambient3`."""
-    return circle_variant(ambient3(d, cap), writhe(d))
+    return circle_variant(ambient3(d), writhe(d))
 
 
 # -- transfer-matrix evaluation --------------------------------------------------
@@ -147,49 +138,49 @@ def _close_trace(m: Matching, n: int) -> int:
     return circles
 
 
-def tl_transfer(b: BraidWord, strand_cap: int = TL_STRAND_CAP) -> dict[Matching, Polynomial]:
+def tl_transfer(b: BraidWord) -> dict[Matching, Polynomial]:
     """The braid word as a combination of planar matchings, before closure.
 
     Each letter maps the running element T to weight_vert * T plus
     weight_cup * T e_i, where e_i is the cup-cap generator at the letter's
     position; a circle split off during composition contributes a factor d.
+    Every state has weight +1, so each matching carries a table of state
+    counts per monomial, and the counts only ever grow.
     """
     n = b.strands
-    if n > strand_cap:
-        raise CapacityError(f"{n} strands exceeds the transfer-matrix cap {strand_cap}")
-    alpha = Polynomial.variable("a")
-    beta = Polynomial.variable("b")
-    table: dict[Matching, Polynomial] = {_identity_matching(n): Polynomial.one()}
+    if n > TL_STRAND_CAP:
+        raise CapacityError(f"{n} strands exceeds the transfer-matrix cap {TL_STRAND_CAP}")
+    table: dict[Matching, dict[Monomial, int]] = {_identity_matching(n): {(0, 0, 0): 1}}
     for letter in b.letters:
         i = abs(letter)
         u, v = n + i - 1, n + i
-        vert, cup = (alpha, beta) if letter > 0 else (beta, alpha)
-        nxt: dict[Matching, Polynomial] = {}
-        for m, coeff in table.items():
-            prev = nxt.get(m)
-            gain = coeff * vert
-            nxt[m] = gain if prev is None else prev + gain
+        vert, cup = ((1, 0, 0), (0, 1, 0)) if letter > 0 else ((0, 1, 0), (1, 0, 0))
+        cup_circle = mono_mul(cup, (0, 0, 1))
+        nxt: dict[Matching, dict[Monomial, int]] = {}
+        for m, counts in table.items():
             m2, circle = _apply_cupcap(m, u, v)
-            gain = coeff * cup
-            if circle:
-                gain = gain * DELTA
-            prev = nxt.get(m2)
-            nxt[m2] = gain if prev is None else prev + gain
-        table = {m: c for m, c in nxt.items() if not c.is_zero}
-    return table
+            for target, step in ((m, vert), (m2, cup_circle if circle else cup)):
+                acc = nxt.setdefault(target, {})
+                for mono, c in counts.items():
+                    key = mono_mul(mono, step)
+                    acc[key] = acc.get(key, 0) + c
+        table = nxt
+    return {m: Polynomial(counts) for m, counts in table.items()}
 
 
-def tl_evaluate(b: BraidWord, strand_cap: int = TL_STRAND_CAP) -> Polynomial:
+def tl_evaluate(b: BraidWord) -> Polynomial:
     """Raw three-variable bracket of the closure via the transfer pass.
 
     Runs :func:`tl_transfer` and then joins top to bottom, collecting a
     factor d per closure circle.  Equals bracket3_raw(closure(b)) exactly.
     """
-    table = tl_transfer(b, strand_cap)
-    total = Polynomial.zero()
-    for m, coeff in table.items():
-        total = total + coeff * DELTA ** _close_trace(m, b.strands)
-    return total
+    counts: dict[Monomial, int] = {}
+    for m, coeff in tl_transfer(b).items():
+        circles = (0, 0, _close_trace(m, b.strands))
+        for mono, c in coeff:
+            key = mono_mul(mono, circles)
+            counts[key] = counts.get(key, 0) + c
+    return Polynomial(counts)
 
 
 class EngineMismatchError(AssertionError):

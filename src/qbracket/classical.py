@@ -28,8 +28,23 @@ class CapacityError(RuntimeError):
     """Input too large for the exhaustive state enumeration."""
 
 
-#: Crossing cap for 2^n enumeration; beyond this use the transfer-matrix path.
+#: Crossing cap for the 2^n state enumeration.
 ENUMERATION_CAP = 24
+
+#: Strand cap for the transfer-matrix pass (its basis size is Catalan(n)).
+TL_STRAND_CAP = 12
+
+
+def check_enumerable(d: Diagram) -> None:
+    """Raise unless the 2^n state enumeration can take ``d``: too many
+    crossings is a :class:`CapacityError`, the empty diagram a ValueError."""
+    if d.n > ENUMERATION_CAP:
+        raise CapacityError(
+            f"{d.n} crossings exceeds the enumeration cap {ENUMERATION_CAP}; only the "
+            f"transfer-matrix pass over a braid word on at most {TL_STRAND_CAP} strands goes past it"
+        )
+    if d.n == 0 and d.free_loops == 0:
+        raise ValueError("bracket of the empty diagram is undefined")
 
 
 class LaurentPolynomial:
@@ -216,7 +231,7 @@ def circle_power(k: int) -> LaurentPolynomial:
     return CIRCLE**k
 
 
-def kauffman_bracket(d: Diagram, cap: int = ENUMERATION_CAP) -> LaurentPolynomial:
+def kauffman_bracket(d: Diagram) -> LaurentPolynomial:
     """The bracket via its own 2^n state sum: the independent oracle that
     :func:`bracket_from_raw` is tested against.
 
@@ -224,13 +239,8 @@ def kauffman_bracket(d: Diagram, cap: int = ENUMERATION_CAP) -> LaurentPolynomia
     crossing-free k-circle diagram therefore evaluates to the (k-1)-st power
     of the circle factor, and the unknot to 1.
     """
+    check_enumerable(d)
     n = d.n
-    if n > cap:
-        raise CapacityError(
-            f"{n} crossings exceeds the enumeration cap {cap}; use the transfer-matrix engine"
-        )
-    if n == 0 and d.free_loops == 0:
-        raise ValueError("bracket of the empty diagram is undefined")
     # group states by (exponent, circle count); expand powers only once per group
     groups: dict[tuple[int, int], int] = {}
     for index in range(1 << n):
@@ -261,6 +271,6 @@ def writhe_normalize(bracket: LaurentPolynomial, w: int) -> LaurentPolynomial:
     return bracket.shift(-3 * w) * sign
 
 
-def f_invariant(d: Diagram, cap: int = ENUMERATION_CAP) -> LaurentPolynomial:
+def f_invariant(d: Diagram) -> LaurentPolynomial:
     """(-a^3)^(-w) <D>: unchanged by all three Reidemeister moves."""
-    return writhe_normalize(kauffman_bracket(d, cap), writhe(d))
+    return writhe_normalize(kauffman_bracket(d), writhe(d))

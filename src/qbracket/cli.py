@@ -18,13 +18,12 @@ import sys
 
 from .bracket3 import (
     CONVENTION,
-    TL_STRAND_CAP,
     EngineMismatchError,
     ambient_from_raw,
     circle_variant,
     raw_bracket,
 )
-from .classical import CapacityError, bracket_from_raw, format_laurent, writhe_normalize
+from .classical import TL_STRAND_CAP, CapacityError, bracket_from_raw, format_laurent, writhe_normalize
 from .diagram import DiagramError, conjugate, parse_braid, rewrite_moves, writhe
 from .multipoly import TermLimitError, format_poly
 from .quotient import (
@@ -104,9 +103,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_line(obj: dict, as_json: bool) -> None:
+    """One output line: sorted-key JSON, or the dict's repr."""
+    print(json.dumps(obj, sort_keys=True) if as_json else obj)
+
+
 def _emit(obj: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(obj, sort_keys=True))
+        _print_line(obj, as_json)
     else:
         for key, value in obj.items():
             print(f"{key}: {value}")
@@ -168,7 +172,7 @@ def cmd_verify_groebner(args: argparse.Namespace) -> int:
         }
     )
     for obj in lines:
-        print(json.dumps(obj, sort_keys=True) if args.json else obj)
+        _print_line(obj, args.json)
     return 0 if report.all_passed else 2
 
 
@@ -181,7 +185,7 @@ def cmd_verify_variety(args: argparse.Namespace) -> int:
         "tol": args.tol,
         "samples": args.samples,
     }
-    print(json.dumps(header, sort_keys=True) if args.json else header)
+    _print_line(header, args.json)
     for chk in report.checks:
         obj: dict = {
             "check": f"branch_{chk.ordinal}_{chk.label}",
@@ -191,7 +195,7 @@ def cmd_verify_variety(args: argparse.Namespace) -> int:
         }
         if chk.skipped:
             obj["skipped"] = chk.skipped
-        print(json.dumps(obj, sort_keys=True) if args.json else obj)
+        _print_line(obj, args.json)
     return 0 if report.all_passed else 2
 
 
@@ -205,7 +209,7 @@ def cmd_verify_moves(args: argparse.Namespace) -> int:
         "moves_per_case": MOVES_PER_CASE,
         "engine": args.engine,
     }
-    print(json.dumps(header, sort_keys=True) if args.json else header)
+    _print_line(header, args.json)
     all_ok = True
     references = []
     for name, text in MOVE_BASE_WORDS:
@@ -220,7 +224,7 @@ def cmd_verify_moves(args: argparse.Namespace) -> int:
         ok = failures == 0
         all_ok = all_ok and ok
         obj = {"check": f"moves_{name}", "pass": ok, "cases": args.cases, "failures": failures}
-        print(json.dumps(obj, sort_keys=True) if args.json else obj)
+        _print_line(obj, args.json)
     # conjugation-based cases are a different move family; reported separately
     for name, base, reference in references:
         failures = sum(
@@ -232,7 +236,7 @@ def cmd_verify_moves(args: argparse.Namespace) -> int:
         ok = failures == 0
         all_ok = all_ok and ok
         obj = {"check": f"conjugation_{name}", "pass": ok, "failures": failures}
-        print(json.dumps(obj, sort_keys=True) if args.json else obj)
+        _print_line(obj, args.json)
     return 0 if all_ok else 2
 
 
@@ -260,7 +264,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         "load_errors": report.load_errors,
         "cache_warnings": report.cache_warnings,
     }
-    print(json.dumps(header, sort_keys=True) if args.json else header)
+    _print_line(header, args.json)
     for p in report.pairs:
         obj = {
             "name1": p.name1,
@@ -269,7 +273,7 @@ def cmd_search(args: argparse.Namespace) -> int:
             "verdict": p.verdict,
             "engines": p.engines,
         }
-        print(json.dumps(obj, sort_keys=True) if args.json else obj)
+        _print_line(obj, args.json)
     summary = {
         "comparisons": len(report.pairs),
         "witness_candidates": len(report.witnesses),
@@ -278,7 +282,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         summary["WITNESS_CANDIDATES"] = [  # type: ignore[assignment]
             f"{p.name1} vs {p.name2}" for p in report.witnesses
         ]
-    print(json.dumps(summary, sort_keys=True) if args.json else summary)
+    _print_line(summary, args.json)
     return 0
 
 

@@ -130,9 +130,6 @@ class Polynomial:
         m = max(self._terms)
         return m, self._terms[m]
 
-    def coefficient(self, mono: Monomial) -> int:
-        return self._terms.get(mono, 0)
-
     def content(self) -> int:
         """Positive gcd of the coefficients (0 for the zero polynomial)."""
         g = 0
@@ -151,9 +148,6 @@ class Polynomial:
         if lc < 0:
             g = -g
         return Polynomial({m: c // g for m, c in self._terms.items()})
-
-    def total_degree(self) -> int:
-        return max((sum(m) for m in self._terms), default=0)
 
     # -- arithmetic --------------------------------------------------------
 

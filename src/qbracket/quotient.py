@@ -250,12 +250,6 @@ class BranchSubstitution:
     def canonical_key(self) -> tuple:
         return tuple(sorted((v, val.canonical()) for v, val in self.assignments))
 
-    def describe(self) -> str:
-        parts = [f"{v} -> {val.text}" for v, val in self.assignments]
-        if self.free:
-            parts.append("free: " + ",".join(sorted(self.free)))
-        return "; ".join(parts)
-
 
 def _branch(ordinal: int, label: str, **vals: BranchValue) -> BranchSubstitution:
     return BranchSubstitution(ordinal, label, tuple(sorted(vals.items())))

@@ -4,9 +4,10 @@ for pairs the quotient-ring invariant separates anyway.
 Only entries with identical classical f-invariants are candidates, so the
 table is first partitioned by the canonical f text.  Inside each bucket all
 pairs are compared on their writhe-normalized quotient invariant; a pair
-that differs is a *witness candidate* and is recomputed with the second
-evaluation engine before being reported, so an engine bug cannot masquerade
-as a mathematical finding.  The report states findings only; it never claims
+that differs is recomputed with the second evaluation engine, and it is a
+*witness candidate* only when a genuinely different engine reproduces the
+difference for both members, so an engine bug cannot masquerade as a
+mathematical finding.  The report states findings only; it never claims
 anything about pairs outside the table.
 """
 
@@ -209,7 +210,9 @@ class PairVerdict:
     name1: str
     name2: str
     digest: str
-    verdict: str            # SAME | DIFFERENT | ENGINE_MISMATCH
+    # SAME | DIFFERENT (each member confirmed by a second engine) |
+    # UNCONFIRMED (differs, but a member had no second engine) | ENGINE_MISMATCH
+    verdict: str
     engines: str            # engines that contributed, comma separated
 
 
@@ -231,10 +234,12 @@ def conjecture_scan(
 ) -> ScanReport:
     """Compare the quotient invariant inside every classical-equal bucket.
 
-    SAME pairs are ordinary; a DIFFERENT pair is recomputed for both members
-    with the other engine (where a braid word is available) and only kept as
-    a witness candidate when the difference reproduces.  The scan is fully
-    deterministic for a fixed table.
+    SAME pairs are ordinary; a pair that differs is recomputed for both
+    members with the other engine (where a braid word is available).  It is
+    a DIFFERENT witness candidate only when the difference reproduces and
+    each member's recompute ran a different engine from its first record;
+    a PD-only member re-runs the naive engine, so its pair is UNCONFIRMED.
+    The scan is fully deterministic for a fixed table.
     """
     records = compute_records(entries, engine, cache)
     by_name = {e.name: e for e in entries}
@@ -258,11 +263,12 @@ def conjecture_scan(
                 engines = ",".join(sorted({r1.engine, r2.engine, redo1.engine, redo2.engine}))
                 if redo1.ambient3_text != r1.ambient3_text or redo2.ambient3_text != r2.ambient3_text:
                     verdict = PairVerdict(r1.name, r2.name, digest, "ENGINE_MISMATCH", engines)
-                elif redo1.ambient3_text != redo2.ambient3_text:
+                elif redo1.engine == r1.engine or redo2.engine == r2.engine:
+                    # a PD entry re-runs naive: the same engine twice confirms nothing
+                    verdict = PairVerdict(r1.name, r2.name, digest, "UNCONFIRMED", engines)
+                else:
                     verdict = PairVerdict(r1.name, r2.name, digest, "DIFFERENT", engines)
                     witnesses.append(verdict)
-                else:
-                    verdict = PairVerdict(r1.name, r2.name, digest, "ENGINE_MISMATCH", engines)
                 pairs.append(verdict)
     pairs.sort(key=lambda p: (p.name1, p.name2))
     return ScanReport(

@@ -2,7 +2,9 @@
 
 import importlib
 import importlib.util
+import inspect
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -296,3 +298,14 @@ def test_traced_bench_names_resolve():
         for cls_name, methods in classes.items():
             for attr in methods:
                 assert attr in vars(getattr(module, cls_name)), f"qbracket.{layer}.{cls_name}.{attr}"
+    # its count hooks also read some arguments by parameter name
+    layer_of = {name: layer for layer, names in tracing.WRAPPED.items() for name in names}
+    read = {
+        attr[len("_after_"):]: param
+        for attr, hook in vars(tracing.Tracer).items() if attr.startswith("_after_")
+        for param in re.findall(r'_first\(args, kwargs, "(\w+)"\)', inspect.getsource(hook))
+    }
+    assert read.items() >= {("bracket3_raw", "d"), ("kauffman_bracket", "d"), ("normal_form", "p")}
+    for op, param in read.items():
+        fn = getattr(importlib.import_module(f"qbracket.{layer_of[op]}"), op)
+        assert param in inspect.signature(fn).parameters, f"qbracket.{layer_of[op]}.{op}({param}=)"

@@ -231,10 +231,12 @@ def test_scan_deterministic_over_bundled_subset():
 
 def _stub_records(table):
     def stub(entry_, engine="naive"):
+        # like compute_record, a PD-only entry always runs the naive engine
+        used = "naive" if entry_.word is None else engine
         f_text, ambient_by_engine = table[entry_.name]
         return InvariantRecord(
             entry_.name, entry_.presentation, 0, f_text,
-            ambient_by_engine[engine], engine, fingerprint(),
+            ambient_by_engine[used], used, fingerprint(),
         )
 
     return stub
@@ -255,6 +257,25 @@ def test_scan_double_confirms_witness_candidates(monkeypatch):
     assert [p.verdict for p in report.pairs] == ["DIFFERENT"]
     assert len(report.witnesses) == 1
     assert "naive" in report.pairs[0].engines and "tl" in report.pairs[0].engines
+
+
+@pytest.mark.parametrize("engine", ["naive", "tl"])
+def test_scan_reports_unconfirmed_when_a_recompute_keeps_its_engine(monkeypatch, engine):
+    # k2 is PD-only, so its recompute runs naive again: the two engines agree
+    # on k1, but nothing double-checks k2, so the pair is no witness
+    e1 = entry("k1", "braid:2:1,1,1")
+    e2 = entry("k2", "PD[X(1,5,2,4),X(3,1,4,6),X(5,3,6,2)]")
+    monkeypatch.setattr(
+        search,
+        "compute_record",
+        _stub_records({
+            "k1": ("F", {"naive": "+d", "tl": "+d"}),
+            "k2": ("F", {"naive": "+d^2"}),
+        }),
+    )
+    report = search.conjecture_scan([e1, e2], engine=engine)
+    assert [p.verdict for p in report.pairs] == ["UNCONFIRMED"]
+    assert report.witnesses == []
 
 
 def test_scan_flags_engine_mismatch_instead_of_witness(monkeypatch):
