@@ -15,10 +15,12 @@ d*((a*d + b)*(a + b*d) - 1) is the second ideal generator).  Padding with
 of the ambient isotopy class.
 
 Two evaluation engines compute the same raw polynomial: the naive 2^n state
-enumeration, and a transfer-matrix pass that carries a linear combination of
-planar matchings (the Temperley-Lieb basis) across the braid word, one
-letter at a time.  They are checked against each other in the tests and can
-be cross-asserted at runtime.
+enumeration, which walks the states depth-first over the crossings and
+shares each crossing prefix, and a transfer-matrix pass that carries a
+linear combination of planar matchings (the Temperley-Lieb basis) across the
+braid word, one letter at a time.  They are checked against each other in
+the tests and can be cross-asserted at runtime; the per-state enumeration of
+:func:`.classical.kauffman_bracket` is the oracle for both.
 
 Every readout of a diagram is derived from its one raw sum: the normal form,
 :func:`ambient_from_raw`, :func:`circle_variant`, and the classical bracket
@@ -28,7 +30,7 @@ Every readout of a diagram is derived from its one raw sum: the normal form,
 from __future__ import annotations
 
 from .classical import TL_STRAND_CAP, CapacityError, check_enumerable
-from .diagram import BraidWord, Diagram, closure, resolve_state, state_from_index, writhe
+from .diagram import BraidWord, Diagram, closure, writhe
 from .multipoly import Monomial, Polynomial, mono_mul, parse_poly
 from .quotient import normal_form
 
@@ -45,18 +47,39 @@ CONVENTION = "order:a>b>d;A(positive)=vertical;circles:d^k;curl+:+a*d +b;curl-:+
 def bracket3_raw(d: Diagram) -> Polynomial:
     """Raw three-variable state sum over all 2^n smoothing choices.
 
+    The states are walked depth-first over the crossings, so states that
+    agree on a prefix of smoothings share the arc forest built for it: each
+    stack frame holds the next crossing, a parent list over the arc labels
+    1..2n, its component count and the B-smoothings so far.  The A branch
+    joins its two arc pairs on a copy of the list, the B branch on the
+    frame's own; a join of two different roots is one component fewer.
+
     A crossing-free k-circle diagram gives d^k; every state of a nonempty
     diagram carries at least one circle, so d divides the result.
     """
     check_enumerable(d)
     n = d.n
+    joins = [(((a, b), (c, e)), ((a, e), (b, c))) for a, b, c, e in d.crossings]
     counts: dict[Monomial, int] = {}
-    for index in range(1 << n):
-        state = state_from_index(index, n)
-        b_count = sum(state)
-        loops = resolve_state(d, state)
-        mono = (n - b_count, b_count, loops)
-        counts[mono] = counts.get(mono, 0) + 1
+    stack = [(0, list(range(2 * n + 1)), 2 * n, 0)]
+    while stack:
+        k, parent, components, b_count = stack.pop()
+        if k == n:
+            mono = (n - b_count, b_count, components + d.free_loops)
+            counts[mono] = counts.get(mono, 0) + 1
+            continue
+        for choice, pairs in enumerate(joins[k]):
+            p = parent if choice else parent[:]  # A copies before B reuses the list
+            left = components
+            for x, y in pairs:
+                while p[x] != x:
+                    x = p[x]
+                while p[y] != y:
+                    y = p[y]
+                if x != y:
+                    p[y] = x
+                    left -= 1
+            stack.append((k + 1, p, left, b_count + choice))
     return Polynomial(counts)
 
 
@@ -68,12 +91,18 @@ def bracket3(d: Diagram) -> Polynomial:
 def ambient_from_raw(raw: Polynomial, w: int) -> Polynomial:
     """Ambient-isotopy invariant from the raw sum of a writhe-w diagram.
 
-    The raw sum is multiplied by CURL_MINUS^w for w > 0 (CURL_PLUS^-w for
-    w < 0) before taking the normal form, exactly the effect of normalizing
-    the writhe to zero with opposite-sign curls.
+    The value is the normal form of CURL_MINUS^w times the raw sum for w > 0
+    (CURL_PLUS^-w for w < 0), exactly the effect of normalizing the writhe to
+    zero with opposite-sign curls.  Normal form is a ring map onto the
+    quotient, so the raw sum is reduced first and again after each curl
+    factor: every product stays a small multiple of a normal form, instead
+    of one |w|-fold product reduced at the end.
     """
     factor = CURL_MINUS if w > 0 else CURL_PLUS
-    return normal_form(factor ** abs(w) * raw)
+    amb = normal_form(raw)
+    for _ in range(abs(w)):
+        amb = normal_form(factor * amb)
+    return amb
 
 
 def circle_variant(amb: Polynomial, w: int) -> Polynomial:

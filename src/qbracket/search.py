@@ -238,7 +238,8 @@ def conjecture_scan(
     members with the other engine (where a braid word is available).  It is
     a DIFFERENT witness candidate only when the difference reproduces and
     each member's recompute ran a different engine from its first record;
-    a PD-only member re-runs the naive engine, so its pair is UNCONFIRMED.
+    a PD-only member has no second engine and is not recomputed, so its
+    pair is UNCONFIRMED.
     The scan is fully deterministic for a fixed table.
     """
     records = compute_records(entries, engine, cache)
@@ -256,15 +257,15 @@ def conjecture_scan(
                 if r1.ambient3_text == r2.ambient3_text:
                     pairs.append(PairVerdict(r1.name, r2.name, digest, "SAME", f"{r1.engine},{r2.engine}"))
                     continue
-                # witness candidate: double-check with the alternate engine
+                # witness candidate: double-check with the alternate engine; a
+                # PD-only member would re-run naive, which confirms nothing
                 alternate = "tl" if engine == "naive" else "naive"
-                redo1 = compute_record(by_name[r1.name], alternate)
-                redo2 = compute_record(by_name[r2.name], alternate)
-                engines = ",".join(sorted({r1.engine, r2.engine, redo1.engine, redo2.engine}))
-                if redo1.ambient3_text != r1.ambient3_text or redo2.ambient3_text != r2.ambient3_text:
+                redos = [(r, compute_record(by_name[r.name], alternate))
+                         for r in (r1, r2) if by_name[r.name].word is not None]
+                engines = ",".join(sorted({r1.engine, r2.engine} | {redo.engine for _, redo in redos}))
+                if any(redo.ambient3_text != r.ambient3_text for r, redo in redos):
                     verdict = PairVerdict(r1.name, r2.name, digest, "ENGINE_MISMATCH", engines)
-                elif redo1.engine == r1.engine or redo2.engine == r2.engine:
-                    # a PD entry re-runs naive: the same engine twice confirms nothing
+                elif len(redos) < 2 or any(redo.engine == r.engine for r, redo in redos):
                     verdict = PairVerdict(r1.name, r2.name, digest, "UNCONFIRMED", engines)
                 else:
                     verdict = PairVerdict(r1.name, r2.name, digest, "DIFFERENT", engines)

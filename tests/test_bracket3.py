@@ -1,5 +1,6 @@
 """Three-variable bracket: state sum, normal form, curl algebra, engines."""
 
+import itertools
 import time
 
 import pytest
@@ -34,6 +35,7 @@ from qbracket.diagram import (
     closure,
     conjugate,
     parse_braid,
+    resolve_state_walk,
     rewrite_moves,
     writhe,
 )
@@ -85,6 +87,43 @@ def test_every_raw_monomial_carries_delta():
     for text in ("braid:2:1,1,1", "braid:3:1,-2,1,-2", "braid:2:1,1"):
         raw = raw_of(text)
         assert all(mono[2] >= 1 for mono in raw.terms)
+
+
+def raw_state_by_state(d: Diagram) -> Polynomial:
+    """The raw sum from an independent circle count of each state on its own."""
+    counts: dict = {}
+    for state in itertools.product((0, 1), repeat=d.n):
+        b = sum(state)
+        mono = (d.n - b, b, resolve_state_walk(d, state))
+        counts[mono] = counts.get(mono, 0) + 1
+    return Polynomial(counts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(braid_words(max_strands=4, max_letters=8))
+def test_depth_first_walk_equals_state_by_state_count(word):
+    # exact in all three exponents, unlike the classical fold (only i - j)
+    d = closure(word)
+    assert bracket3_raw(d) == raw_state_by_state(d)
+
+
+def test_depth_first_walk_equals_state_by_state_count_on_table_pd_entries():
+    pd_entries = [e for e in load_table(bundled_table_path()).entries if e.word is None]
+    assert pd_entries
+    for e in pd_entries:
+        assert bracket3_raw(e.diagram) == raw_state_by_state(e.diagram), e.name
+
+
+def test_naive_18_crossings_is_fast():
+    # one union-find forest per state took 7.1-7.2 s on a 2-core machine
+    # (Python 3.11); sharing each crossing prefix depth-first, about 0.5 s
+    word = parse_braid("braid:3:" + ",".join(["1,-2"] * 9))
+    d = closure(word)
+    start = time.perf_counter()
+    raw = bracket3_raw(d)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2.0, f"bracket3_raw at 18 crossings took {elapsed:.2f}s"
+    assert raw == tl_evaluate(word)
 
 
 def test_capacity_error_propagates():
@@ -349,3 +388,14 @@ def test_padded_torus_30_normal_form_is_fast():
     assert elapsed < 5.0, f"padded T(2,30) normal form took {elapsed:.2f}s"
     assert is_normal(amb)
     assert specialize_classical(amb) == CIRCLE * writhe_normalize(bracket_from_raw(raw), 30)
+
+
+def test_padded_torus_60_reduces_per_curl_factor_fast():
+    # reducing CURL_MINUS^60 * raw in one call took 4.1-4.8 s on a 2-core
+    # machine (Python 3.11); one reduction per curl factor, 0.6-0.8 s
+    raw = tl_evaluate(parse_braid("braid:2:" + ",".join(["1"] * 60)))
+    start = time.perf_counter()
+    amb = ambient_from_raw(raw, 60)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2.0, f"padded T(2,60) normal form took {elapsed:.2f}s"
+    assert amb == normal_form(CURL_MINUS**60 * raw)

@@ -2,6 +2,7 @@
 
 import importlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -261,21 +262,27 @@ def test_scan_double_confirms_witness_candidates(monkeypatch):
 
 @pytest.mark.parametrize("engine", ["naive", "tl"])
 def test_scan_reports_unconfirmed_when_a_recompute_keeps_its_engine(monkeypatch, engine):
-    # k2 is PD-only, so its recompute runs naive again: the two engines agree
-    # on k1, but nothing double-checks k2, so the pair is no witness
+    # k2 is PD-only, so it has no second engine: the two engines agree on k1,
+    # but nothing double-checks k2, so the pair is no witness, and k2 is not
+    # enumerated a second time by the engine that computed its first record
     e1 = entry("k1", "braid:2:1,1,1")
     e2 = entry("k2", "PD[X(1,5,2,4),X(3,1,4,6),X(5,3,6,2)]")
-    monkeypatch.setattr(
-        search,
-        "compute_record",
-        _stub_records({
-            "k1": ("F", {"naive": "+d", "tl": "+d"}),
-            "k2": ("F", {"naive": "+d^2"}),
-        }),
-    )
+    stub = _stub_records({
+        "k1": ("F", {"naive": "+d", "tl": "+d"}),
+        "k2": ("F", {"naive": "+d^2"}),
+    })
+    calls = Counter()
+
+    def counting(entry_, engine="naive"):
+        calls[entry_.name] += 1
+        return stub(entry_, engine)
+
+    monkeypatch.setattr(search, "compute_record", counting)
     report = search.conjecture_scan([e1, e2], engine=engine)
     assert [p.verdict for p in report.pairs] == ["UNCONFIRMED"]
+    assert report.pairs[0].engines == "naive,tl"
     assert report.witnesses == []
+    assert calls == {"k1": 2, "k2": 1}
 
 
 def test_scan_flags_engine_mismatch_instead_of_witness(monkeypatch):
