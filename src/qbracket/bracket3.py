@@ -18,7 +18,10 @@ Two evaluation engines compute the same raw polynomial: the naive 2^n state
 enumeration, which walks the states depth-first over the crossings and
 shares each crossing prefix, and a transfer-matrix pass that carries a
 linear combination of planar matchings (the Temperley-Lieb basis) across the
-braid word, one letter at a time.  They are checked against each other in
+braid word, one letter at a time.  The transfer pass packs each matching's
+state counts into one int: for a word of L letters on n strands, the count
+of a^(L-j) b^j d^k is slot j*(L+n+1) + k, and a slot is L+1 bits wide, since
+no count exceeds 2^L.  The two engines are checked against each other in
 the tests and can be cross-asserted at runtime; the per-state enumeration of
 :func:`.classical.kauffman_bracket` is the oracle for both.
 
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 from .classical import TL_STRAND_CAP, CapacityError, check_enumerable
 from .diagram import BraidWord, Diagram, closure, writhe
-from .multipoly import Monomial, Polynomial, mono_mul, parse_poly
+from .multipoly import Monomial, Polynomial, parse_poly
 from .quotient import normal_form
 
 #: Closed-diagram multiplier of one positive / negative curl on the raw sum.
@@ -98,8 +101,14 @@ def ambient_from_raw(raw: Polynomial, w: int) -> Polynomial:
     factor: every product stays a small multiple of a normal form, instead
     of one |w|-fold product reduced at the end.
     """
+    return ambient_from_normal(normal_form(raw), w)
+
+
+def ambient_from_normal(nf: Polynomial, w: int) -> Polynomial:
+    """:func:`ambient_from_raw` from ``nf``, the raw sum's normal form, for a
+    caller that reports that normal form too and so reduces the raw sum once."""
     factor = CURL_MINUS if w > 0 else CURL_PLUS
-    amb = normal_form(raw)
+    amb = nf
     for _ in range(abs(w)):
         amb = normal_form(factor * amb)
     return amb
@@ -167,49 +176,79 @@ def _close_trace(m: Matching, n: int) -> int:
     return circles
 
 
-def tl_transfer(b: BraidWord) -> dict[Matching, Polynomial]:
+def tl_transfer(b: BraidWord) -> dict[Matching, int]:
     """The braid word as a combination of planar matchings, before closure.
 
     Each letter maps the running element T to weight_vert * T plus
     weight_cup * T e_i, where e_i is the cup-cap generator at the letter's
     position; a circle split off during composition contributes a factor d.
     Every state has weight +1, so each matching carries a table of state
-    counts per monomial, and the counts only ever grow.
+    counts per monomial a^(L-j) b^j d^k, for a word of L letters on n
+    strands.  The table is packed into one int (Kronecker substitution):
+    the count of a^(L-j) b^j d^k sits in slot j*(L+n+1) + k, and each slot
+    is L+1 bits wide, because no count exceeds the 2^L states.  Every count
+    of a matching takes the same exponent step, so a letter costs two
+    shifted additions per matching: by 0 or by one b-row, plus one d-slot
+    when a circle splits off.  :func:`_unpack` reads a table back.
     """
     n = b.strands
     if n > TL_STRAND_CAP:
         raise CapacityError(f"{n} strands exceeds the transfer-matrix cap {TL_STRAND_CAP}")
-    table: dict[Matching, dict[Monomial, int]] = {_identity_matching(n): {(0, 0, 0): 1}}
+    width, stride = _slot_layout(b)
+    b_row = width * stride
+    table: dict[Matching, int] = {_identity_matching(n): 1}
     for letter in b.letters:
         i = abs(letter)
         u, v = n + i - 1, n + i
-        vert, cup = ((1, 0, 0), (0, 1, 0)) if letter > 0 else ((0, 1, 0), (1, 0, 0))
-        cup_circle = mono_mul(cup, (0, 0, 1))
-        nxt: dict[Matching, dict[Monomial, int]] = {}
-        for m, counts in table.items():
+        vert, cup = (0, b_row) if letter > 0 else (b_row, 0)
+        nxt: dict[Matching, int] = {}
+        get = nxt.get
+        for m, packed in table.items():
             m2, circle = _apply_cupcap(m, u, v)
-            for target, step in ((m, vert), (m2, cup_circle if circle else cup)):
-                acc = nxt.setdefault(target, {})
-                for mono, c in counts.items():
-                    key = mono_mul(mono, step)
-                    acc[key] = acc.get(key, 0) + c
+            # a first arrival is stored as is: 0 + x would copy the bigint
+            x = packed << vert
+            prev = get(m)
+            nxt[m] = x if prev is None else prev + x
+            x = packed << (cup + width if circle else cup)
+            prev = get(m2)
+            nxt[m2] = x if prev is None else prev + x
         table = nxt
-    return {m: Polynomial(counts) for m, counts in table.items()}
+    return table
+
+
+def _slot_layout(b: BraidWord) -> tuple[int, int]:
+    """Bits per slot and slots per b-row of the packed tables of ``b``."""
+    letters = len(b.letters)
+    return letters + 1, letters + b.strands + 1
+
+
+def _unpack(packed: int, b: BraidWord) -> Polynomial:
+    """The polynomial whose state counts ``packed`` holds, in the layout of
+    :func:`tl_transfer` for the word ``b``."""
+    letters = len(b.letters)
+    width, stride = _slot_layout(b)
+    bits = format(packed, "b")[::-1]  # bit s*width starts slot s
+    counts: dict[Monomial, int] = {}
+    for start in range(0, len(bits), width):
+        chunk = bits[start:start + width]
+        if "1" in chunk:
+            j, k = divmod(start // width, stride)
+            counts[(letters - j, j, k)] = int(chunk[::-1], 2)
+    return Polynomial(counts)
 
 
 def tl_evaluate(b: BraidWord) -> Polynomial:
     """Raw three-variable bracket of the closure via the transfer pass.
 
-    Runs :func:`tl_transfer` and then joins top to bottom, collecting a
-    factor d per closure circle.  Equals bracket3_raw(closure(b)) exactly.
+    Runs :func:`tl_transfer` and then joins top to bottom, shifting each
+    matching's packed counts up one d-slot per closure circle; the sum is
+    unpacked once.  Equals bracket3_raw(closure(b)) exactly.
     """
-    counts: dict[Monomial, int] = {}
-    for m, coeff in tl_transfer(b).items():
-        circles = (0, 0, _close_trace(m, b.strands))
-        for mono, c in coeff:
-            key = mono_mul(mono, circles)
-            counts[key] = counts.get(key, 0) + c
-    return Polynomial(counts)
+    width, _ = _slot_layout(b)
+    total = 0
+    for m, packed in tl_transfer(b).items():
+        total += packed << (width * _close_trace(m, b.strands))
+    return _unpack(total, b)
 
 
 class EngineMismatchError(AssertionError):

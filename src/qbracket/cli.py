@@ -19,7 +19,7 @@ import sys
 from .bracket3 import (
     CONVENTION,
     EngineMismatchError,
-    ambient_from_raw,
+    ambient_from_normal,
     circle_variant,
     raw_bracket,
 )
@@ -139,14 +139,15 @@ def cmd_bracket3(args: argparse.Namespace) -> int:
     word, diagram = parse_presentation(args.input)
     raw = raw_bracket(word if word is not None and args.engine != "naive" else diagram, args.engine)
     w = writhe(diagram)
-    amb = ambient_from_raw(raw, w)
+    nf = normal_form(raw)
+    amb = ambient_from_normal(nf, w)
     payload = {
         "input": args.input.strip(),
         "engine": args.engine,
         "convention": CONVENTION,
         "writhe": w,
         "raw": format_poly(raw),
-        "normal_form": format_poly(normal_form(raw)),
+        "normal_form": format_poly(nf),
         "ambient3": format_poly(amb),
         "ambient3_circle_variant": format_poly(circle_variant(amb, w)),
     }

@@ -1,5 +1,7 @@
 """Three-variable bracket: state sum, normal form, curl algebra, engines."""
 
+import hashlib
+import importlib
 import itertools
 import time
 
@@ -18,7 +20,9 @@ from qbracket.bracket3 import (
     raw_bracket,
     tl_evaluate,
     tl_transfer,
+    _apply_cupcap,
     _identity_matching,
+    _unpack,
 )
 from qbracket.classical import (
     CIRCLE,
@@ -39,7 +43,7 @@ from qbracket.diagram import (
     rewrite_moves,
     writhe,
 )
-from qbracket.multipoly import Polynomial, parse_poly
+from qbracket.multipoly import Polynomial, format_poly, parse_poly
 from qbracket.quotient import is_normal, normal_form, specialize_classical
 from qbracket.search import bundled_table_path, load_table
 
@@ -191,8 +195,10 @@ def test_kink_pair_absorption():
 # -- transfer-matrix engine -------------------------------------------------------------
 
 def test_tl_identity_braids():
-    assert tl_evaluate(parse_braid("braid:2:")) == parse_poly("+d^2")
-    assert tl_evaluate(parse_braid("braid:4:")) == parse_poly("+d^4")
+    # the empty word packs d^n into the top d-slot of one-bit slots
+    for n in range(1, 13):
+        word = BraidWord(n, ())
+        assert tl_evaluate(word) == parse_poly("+d") ** n == bracket3_raw(closure(word)), n
 
 
 def test_tl_equals_naive_on_corpus(corpus):
@@ -204,6 +210,35 @@ def test_tl_equals_naive_on_corpus(corpus):
 @given(braid_words())
 def test_tl_equals_naive_random_words(word):
     assert tl_evaluate(word) == bracket3_raw(closure(word))
+
+
+@st.composite
+def poke_pair_words(draw, max_strands, max_pairs):
+    # the two cup-caps of a pair (i, -i) meet and split off a circle, so
+    # these words put the most counts into high d-slots per letter
+    n = draw(st.integers(min_value=2, max_value=max_strands))
+    letters: list[int] = []
+    for i in draw(st.lists(st.integers(min_value=1, max_value=n - 1), max_size=max_pairs)):
+        letters += draw(st.sampled_from([(i, -i), (-i, i)]))
+    return BraidWord(n, tuple(letters))
+
+
+@settings(max_examples=25, deadline=None)
+@given(poke_pair_words(max_strands=12, max_pairs=8))
+def test_tl_equals_naive_on_poke_pair_words(word):
+    # capped at 16 crossings: the naive engine takes about 7 s at 22
+    assert tl_evaluate(word) == bracket3_raw(closure(word))
+
+
+@settings(max_examples=25, deadline=None)
+@given(poke_pair_words(max_strands=12, max_pairs=12))
+def test_tl_poke_pair_words_reduce_to_the_unlink(word):
+    # up to the naive cap of 24 crossings: the closure is the n-component
+    # unlink up to move II, so a count carried into a neighbouring slot would
+    # change the normal form
+    raw = tl_evaluate(word)
+    assert normal_form(raw) == normal_form(parse_poly("+d") ** word.strands)
+    assert sum(c for _, c in raw) == 2 ** len(word.letters)
 
 
 def test_tl_strand_cap():
@@ -224,7 +259,8 @@ def test_tl_counts_every_state_once(word):
 
 def test_tl_evaluate_40_letters_on_8_strands_is_fast():
     # carrying Polynomial arithmetic per matching and letter took 4.4-4.8 s on
-    # a 2-core machine (Python 3.11); counting states in one integer table, 1.2 s
+    # a 2-core machine (Python 3.11); a table of counts per monomial, 1.2 s;
+    # one packed int per matching, about 0.1 s
     word = BraidWord(8, (
         -6, -7, 7, -7, 6, 2, 3, -7, 4, 5, 1, 4, -2, -2, 2, -2, 1, 2, 2, 3,
         -2, 2, 4, -1, -4, 2, -1, -3, 5, -1, -3, -4, -2, -4, 1, -1, -7, -1, -3, -5,
@@ -237,15 +273,71 @@ def test_tl_evaluate_40_letters_on_8_strands_is_fast():
     assert sum(c for _, c in raw) == 2**40
 
 
+def test_tl_evaluate_40_letters_on_10_strands_is_fast():
+    # a table of counts per monomial took 6-8 s on a 2-core machine
+    # (Python 3.11); one packed int per matching, about 1 s.  The value was
+    # pinned from the table-of-counts engine.
+    word = BraidWord(10, (
+        6, 4, -9, -8, 1, 2, -2, -1, -6, 7, -6, -7, 6, 9, -5, -3, -1, -6, -7, 7,
+        -2, -9, -7, -7, -9, 4, 1, 7, -3, -4, 8, -9, -9, -5, -7, -4, -5, 1, 8, -6,
+    ))
+    start = time.perf_counter()
+    raw = tl_evaluate(word)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 4.0, f"tl_evaluate of a 40-letter 10-strand word took {elapsed:.2f}s"
+    assert len(raw) == 359
+    assert hashlib.sha256(format_poly(raw).encode()).hexdigest() == (
+        "ef34c5620c496d3acc1a7fd3eef0563c629ee8b84820a2ec4a24ff04f7001832"
+    )
+    assert sum(c for _, c in raw) == 2**40
+    assert all(i + j == 40 for (i, j, _), _ in raw)
+
+
 def test_poke_composition_locks_the_convention():
     # composing the two crossings of a move-II poke must give exactly
     # a*b on the identity matching and a^2+b^2+a*b*d on the cup-cap
-    table = tl_transfer(parse_braid("braid:2:1,-1"))
+    word = parse_braid("braid:2:1,-1")
+    table = tl_transfer(word)
     identity = _identity_matching(2)
     cupcap = (1, 0, 3, 2)
     assert set(table) == {identity, cupcap}
-    assert table[identity] == parse_poly("+a*b")
-    assert table[cupcap] == parse_poly("+a^2 +b^2 +a*b*d")
+    assert _unpack(table[identity], word) == parse_poly("+a*b")
+    assert _unpack(table[cupcap], word) == parse_poly("+a^2 +b^2 +a*b*d")
+
+
+def reachable_matchings(word: BraidWord) -> set:
+    """The matchings of all 2^letters smoothing choices, one path at a time."""
+    n = word.strands
+    found = set()
+    for state in itertools.product((0, 1), repeat=len(word.letters)):
+        m = _identity_matching(n)
+        for letter, cup in zip(word.letters, state):
+            if cup:
+                i = abs(letter)
+                m, _ = _apply_cupcap(m, n + i - 1, n + i)
+        found.add(m)
+    return found
+
+
+def test_tl_transfer_is_called_once_per_evaluation(monkeypatch):
+    # the traced benchmark counts calls of the module attribute and reads the
+    # result's length as the number of matchings carried
+    module = importlib.import_module("qbracket.bracket3")
+    lengths: list[int] = []
+
+    def counting(word):
+        table = tl_transfer(word)
+        lengths.append(len(table))
+        return table
+
+    monkeypatch.setattr(module, "tl_transfer", counting)
+    for text in ("braid:2:1,-1", "braid:3:1,-2,1,-2", "braid:4:1,2,-3,-1,2,3,-2,1,-3"):
+        word = parse_braid(text)
+        distinct = len(reachable_matchings(word))
+        lengths.clear()
+        tl_evaluate(word)
+        raw_bracket(word, "tl")
+        assert lengths == [distinct, distinct], text
 
 
 def test_raw_bracket_engine_dispatch(corpus):

@@ -117,6 +117,25 @@ def test_bracket3_tl_engine_runs_past_the_enumeration_cap(capsys):
     assert payload["ambient3"] == format_poly(normal_form(padded))
 
 
+@pytest.mark.parametrize("engine", ["naive", "tl", "both"])
+@pytest.mark.parametrize("text", ["braid:2:1,1,1", "braid:3:1,-2,1,-2"])
+def test_bracket3_reduces_the_raw_sum_once(capsys, monkeypatch, engine, text):
+    bracket3_module = importlib.import_module("qbracket.bracket3")
+    raw = tl_evaluate(parse_braid(text))
+    seen: list = []
+
+    def recording(p):
+        seen.append(p)
+        return normal_form(p)
+
+    for module in (cli, bracket3_module):
+        monkeypatch.setattr(module, "normal_form", recording)
+    code, out, _ = run(capsys, "bracket3", text, "--engine", engine, "--json")
+    assert code == 0
+    assert sum(p == raw for p in seen) == 1
+    assert json.loads(out)["normal_form"] == format_poly(normal_form(raw))
+
+
 def test_bracket3_tl_engine_rejects_pd(capsys):
     code, _, err = run(capsys, "bracket3", "PD[X(1,1,2,2)]", "--engine", "tl")
     assert code == 1
