@@ -1,14 +1,13 @@
-"""Search harness: bucket a knot table by the classical invariant, then look
-for pairs the quotient-ring invariant separates anyway.
+"""Search harness: bucket a knot table by the classical invariant, then check
+that the quotient-ring invariant agrees inside every bucket.
 
-Only entries with identical classical f-invariants are candidates, so the
-table is first partitioned by the canonical f text.  Inside each bucket all
-pairs are compared on their writhe-normalized quotient invariant; a pair
-that differs is recomputed with the second evaluation engine, and it is a
-*witness candidate* only when a genuinely different engine reproduces the
-difference for both members, so an engine bug cannot masquerade as a
-mathematical finding.  The report states findings only; it never claims
-anything about pairs outside the table.
+The table is partitioned by the canonical f text, and inside each bucket all
+pairs are compared on their writhe-normalized quotient invariant.  The pairs
+the paper asks for -- equal f, different ``ambient3`` -- do not exist:
+``ambient3`` is a function of f (see the README, "What the invariant is",
+and its certificate in the tests).  So the scan is a consistency check: a
+pair is SAME when its ``ambient3`` texts match, and a difference is an
+implementation fault, reported as ENGINE_MISMATCH.
 """
 
 from __future__ import annotations
@@ -210,10 +209,8 @@ class PairVerdict:
     name1: str
     name2: str
     digest: str
-    # SAME | DIFFERENT (each member confirmed by a second engine) |
-    # UNCONFIRMED (differs, but a member had no second engine) | ENGINE_MISMATCH
-    verdict: str
-    engines: str            # engines that contributed, comma separated
+    verdict: str            # SAME | ENGINE_MISMATCH (equal f, different ambient3)
+    engines: str            # the two records' engines, comma separated
 
 
 @dataclass
@@ -222,7 +219,7 @@ class ScanReport:
     entry_count: int
     bucket_sizes: dict[str, int]
     pairs: list[PairVerdict]
-    witnesses: list[PairVerdict]
+    witnesses: list[PairVerdict]  # always empty: ambient3 is a function of f
     cache_warnings: list[str] = field(default_factory=list)
     load_errors: list[tuple[int, str]] = field(default_factory=list)
 
@@ -234,49 +231,28 @@ def conjecture_scan(
 ) -> ScanReport:
     """Compare the quotient invariant inside every classical-equal bucket.
 
-    SAME pairs are ordinary; a pair that differs is recomputed for both
-    members with the other engine (where a braid word is available).  It is
-    a DIFFERENT witness candidate only when the difference reproduces and
-    each member's recompute ran a different engine from its first record;
-    a PD-only member has no second engine and is not recomputed, so its
-    pair is UNCONFIRMED.
+    Each entry's record is computed (or read from the cache) once.  A pair
+    is SAME when its ``ambient3`` texts match and ENGINE_MISMATCH otherwise:
+    equal f forces equal ``ambient3``, so a difference can only be a fault.
     The scan is fully deterministic for a fixed table.
     """
     records = compute_records(entries, engine, cache)
-    by_name = {e.name: e for e in entries}
     buckets = bucket_by_classical(records)
     pairs: list[PairVerdict] = []
-    witnesses: list[PairVerdict] = []
     for f_text, group in buckets.items():
         if len(group) < 2:
             continue
         digest = bucket_digest(f_text)
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                r1, r2 = group[i], group[j]
-                if r1.ambient3_text == r2.ambient3_text:
-                    pairs.append(PairVerdict(r1.name, r2.name, digest, "SAME", f"{r1.engine},{r2.engine}"))
-                    continue
-                # witness candidate: double-check with the alternate engine; a
-                # PD-only member would re-run naive, which confirms nothing
-                alternate = "tl" if engine == "naive" else "naive"
-                redos = [(r, compute_record(by_name[r.name], alternate))
-                         for r in (r1, r2) if by_name[r.name].word is not None]
-                engines = ",".join(sorted({r1.engine, r2.engine} | {redo.engine for _, redo in redos}))
-                if any(redo.ambient3_text != r.ambient3_text for r, redo in redos):
-                    verdict = PairVerdict(r1.name, r2.name, digest, "ENGINE_MISMATCH", engines)
-                elif len(redos) < 2 or any(redo.engine == r.engine for r, redo in redos):
-                    verdict = PairVerdict(r1.name, r2.name, digest, "UNCONFIRMED", engines)
-                else:
-                    verdict = PairVerdict(r1.name, r2.name, digest, "DIFFERENT", engines)
-                    witnesses.append(verdict)
-                pairs.append(verdict)
+        for i, r1 in enumerate(group):
+            for r2 in group[i + 1:]:
+                verdict = "SAME" if r1.ambient3_text == r2.ambient3_text else "ENGINE_MISMATCH"
+                pairs.append(PairVerdict(r1.name, r2.name, digest, verdict, f"{r1.engine},{r2.engine}"))
     pairs.sort(key=lambda p: (p.name1, p.name2))
     return ScanReport(
         fingerprint=fingerprint(),
         entry_count=len(entries),
         bucket_sizes={bucket_digest(k): len(v) for k, v in buckets.items() if len(v) > 1},
         pairs=pairs,
-        witnesses=sorted(witnesses, key=lambda p: (p.name1, p.name2)),
+        witnesses=[],
         cache_warnings=list(cache.warnings) if cache else [],
     )

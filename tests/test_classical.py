@@ -3,10 +3,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qbracket.bracket3 import tl_evaluate
 from qbracket.classical import (
     CIRCLE,
     CapacityError,
     LaurentPolynomial,
+    bracket_from_raw,
     f_invariant,
     format_laurent,
     kauffman_bracket,
@@ -140,4 +142,10 @@ def test_bracket_invariant_under_seeded_rewrites(text):
 def test_bracket_invariant_under_random_seeds(seed):
     word = parse_braid("braid:2:1,1,1")
     variant = rewrite_moves(word, seed=seed, count=8)
-    assert kauffman_bracket(closure(variant)) == LaurentPolynomial({-7: 1, -3: -1, 5: -1})
+    # variants reach 19 crossings; past 14 the 2^n oracle enumeration is too
+    # slow for a steady suite, so the transfer pass supplies the bracket there
+    if len(variant.letters) > 14:
+        bracket = bracket_from_raw(tl_evaluate(variant))
+    else:
+        bracket = kauffman_bracket(closure(variant))
+    assert bracket == LaurentPolynomial({-7: 1, -3: -1, 5: -1})

@@ -8,6 +8,7 @@ import pytest
 
 import qbracket.classical as classical
 import qbracket.search as search
+from qbracket.cli import main
 from qbracket.diagram import closure, parse_braid
 from qbracket.search import (
     InvariantRecord,
@@ -230,73 +231,44 @@ def test_scan_deterministic_over_bundled_subset():
     assert first.bucket_sizes == second.bucket_sizes
 
 
-def _stub_records(table):
+def _stub_records(table, calls):
     def stub(entry_, engine="naive"):
+        calls[entry_.name] += 1
         # like compute_record, a PD-only entry always runs the naive engine
         used = "naive" if entry_.word is None else engine
-        f_text, ambient_by_engine = table[entry_.name]
+        f_text, ambient = table[entry_.name]
         return InvariantRecord(
-            entry_.name, entry_.presentation, 0, f_text,
-            ambient_by_engine[used], used, fingerprint(),
+            entry_.name, entry_.presentation, 0, f_text, ambient, used, fingerprint(),
         )
 
     return stub
 
 
-def test_scan_double_confirms_witness_candidates(monkeypatch):
-    # both engines agree the pair differs: a confirmed witness candidate
-    e1, e2 = entry("k1", "braid:2:1,1,1"), entry("k2", "braid:2:1,1,-1,1,1")
-    monkeypatch.setattr(
-        search,
-        "compute_record",
-        _stub_records({
-            "k1": ("F", {"naive": "+d", "tl": "+d"}),
-            "k2": ("F", {"naive": "+d^2", "tl": "+d^2"}),
-        }),
-    )
-    report = search.conjecture_scan([e1, e2])
-    assert [p.verdict for p in report.pairs] == ["DIFFERENT"]
-    assert len(report.witnesses) == 1
-    assert "naive" in report.pairs[0].engines and "tl" in report.pairs[0].engines
+#: k1 and k2 share an f bucket but not an ambient3 text, which equal f rules out
+MISMATCHED = {"k1": ("F", "+d"), "k2": ("F", "+d^2"), "k3": ("G", "+d")}
 
 
-@pytest.mark.parametrize("engine", ["naive", "tl"])
-def test_scan_reports_unconfirmed_when_a_recompute_keeps_its_engine(monkeypatch, engine):
-    # k2 is PD-only, so it has no second engine: the two engines agree on k1,
-    # but nothing double-checks k2, so the pair is no witness, and k2 is not
-    # enumerated a second time by the engine that computed its first record
-    e1 = entry("k1", "braid:2:1,1,1")
-    e2 = entry("k2", "PD[X(1,5,2,4),X(3,1,4,6),X(5,3,6,2)]")
-    stub = _stub_records({
-        "k1": ("F", {"naive": "+d", "tl": "+d"}),
-        "k2": ("F", {"naive": "+d^2"}),
-    })
+def test_scan_reports_a_differing_pair_as_engine_mismatch(monkeypatch):
     calls = Counter()
-
-    def counting(entry_, engine="naive"):
-        calls[entry_.name] += 1
-        return stub(entry_, engine)
-
-    monkeypatch.setattr(search, "compute_record", counting)
-    report = search.conjecture_scan([e1, e2], engine=engine)
-    assert [p.verdict for p in report.pairs] == ["UNCONFIRMED"]
-    assert report.pairs[0].engines == "naive,tl"
+    monkeypatch.setattr(search, "compute_record", _stub_records(MISMATCHED, calls))
+    entries = [entry("k1", "braid:2:1,1,1"), entry("k2", "PD[X(1,5,2,4),X(3,1,4,6),X(5,3,6,2)]"),
+               entry("k3", "braid:1:")]
+    report = search.conjecture_scan(entries, engine="tl")
+    assert report.pairs == [search.PairVerdict("k1", "k2", search.bucket_digest("F"), "ENGINE_MISMATCH", "tl,naive")]
     assert report.witnesses == []
-    assert calls == {"k1": 2, "k2": 1}
+    assert calls == {"k1": 1, "k2": 1, "k3": 1}  # no member is recomputed
 
 
-def test_scan_flags_engine_mismatch_instead_of_witness(monkeypatch):
-    # the alternate engine disagrees with the primary: an implementation
-    # problem, never reported as a mathematical finding
-    e1, e2 = entry("k1", "braid:2:1,1,1"), entry("k2", "braid:2:1,1,-1,1,1")
-    monkeypatch.setattr(
-        search,
-        "compute_record",
-        _stub_records({
-            "k1": ("F", {"naive": "+d", "tl": "+d"}),
-            "k2": ("F", {"naive": "+d^2", "tl": "+d"}),
-        }),
-    )
-    report = search.conjecture_scan([e1, e2])
-    assert [p.verdict for p in report.pairs] == ["ENGINE_MISMATCH"]
-    assert report.witnesses == []
+@pytest.mark.parametrize("fmt", [[], ["--json"], ["--csv"]])
+def test_search_exits_2_after_reporting_an_engine_mismatch(tmp_path, monkeypatch, capsys, fmt):
+    table = tmp_path / "t.tsv"
+    table.write_text("k1\tbraid:2:1,1,1\nk2\tbraid:2:1,1,-1,1,1\nk3\tbraid:1:\n")
+    calls = Counter()
+    monkeypatch.setattr(search, "compute_record", _stub_records(MISMATCHED, calls))
+    code = main(["search", "--table", str(table), *fmt])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 2
+    assert calls == {"k1": 1, "k2": 1, "k3": 1}
+    (pair,) = [line for line in lines if "k1" in line]
+    assert "k2" in pair and "ENGINE_MISMATCH" in pair
+    assert fmt == ["--csv"] or "witness_candidates" in lines[-1]  # the full report came first
