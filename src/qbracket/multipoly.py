@@ -12,13 +12,15 @@ S-polynomials, Buchberger completion, and basis reduction.  Division over Z
 only rewrites a term when the divisor's leading coefficient divides it; for
 bases whose leading coefficients are +-1 (every basis this package ships)
 this coincides with division over the rationals and remainders are the usual
-unique normal forms.
+unique normal forms.  Division pops each step's term from a heap (Monagan &
+Pearce, CASC 2007) rather than scanning the whole work set for its maximum.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -336,41 +338,48 @@ class DivisionResult(NamedTuple):
 def divide(p: Polynomial, basis: list[Polynomial]) -> DivisionResult:
     """Multivariate division: p = sum(q_i * basis_i) + r, exactly over Z.
 
-    The largest reducible monomial is rewritten first, by the earliest basis
-    element whose leading monomial divides it (and whose leading coefficient
-    divides its coefficient -- automatic for the monic-leading bases used
-    here).  The identity above always holds exactly; remainders against a
-    Groebner basis with unit leading coefficients are the canonical normal
-    forms.  Quotient terms are collected in plain dicts and become
-    polynomials once, when the loop ends.
+    The largest monomial is rewritten first, by the earliest basis element
+    whose leading monomial divides it (and whose leading coefficient divides
+    its coefficient -- automatic for the monic-leading bases used here).
+    The identity above always holds exactly; remainders against a Groebner
+    basis with unit leading coefficients are the canonical normal forms.
+
+    The work set is a dict of coefficients keyed by negated exponent
+    triples, beside a heap of those keys whose minimum is the largest
+    monomial.  Steps add only smaller terms, so each key is pushed once, when
+    it enters the dict; a cancelled coefficient stays as 0 and is skipped
+    when popped.  Quotient terms become polynomials once, when the loop ends.
     """
     if any(g.is_zero for g in basis):
         raise ValueError("division by a basis containing zero")
     leads = [g.leading() for g in basis]
+    # each tail term m as (lm - m, c): mono / lm * m has the key key + (lm - m)
+    tails = [[((lm[0] - m[0], lm[1] - m[1], lm[2] - m[2]), c) for m, c in g.terms.items() if m != lm]
+             for g, (lm, _) in zip(basis, leads)]
     quotient_terms: list[dict[Monomial, int]] = [{} for _ in basis]
     remainder_terms: dict[Monomial, int] = {}
-    work = dict(p.terms)
-    while work:
-        mono = max(work)
-        coeff = work.pop(mono)
-        for i, (lm, lc) in enumerate(leads):
-            if mono_divides(lm, mono) and coeff % lc == 0:
-                qm = mono_div(mono, lm)
+    work = {(-m[0], -m[1], -m[2]): c for m, c in p.terms.items()}
+    heap = sorted(work)  # a sorted list is a heap
+    while heap:
+        na, nb, nd = key = heappop(heap)
+        coeff = work.pop(key)
+        if not coeff:
+            continue
+        for q, ((la, lb, ld), lc), tail in zip(quotient_terms, leads, tails):
+            if na + la <= 0 and nb + lb <= 0 and nd + ld <= 0 and coeff % lc == 0:
                 qc = coeff // lc
-                quotient_terms[i][qm] = qc  # mono falls every step, so qm is new
-                # subtract qc * qm * basis_i from the working tail
-                for m2, c2 in basis[i].terms.items():
-                    if m2 == lm:
-                        continue
-                    tgt = mono_mul(qm, m2)
-                    s = work.get(tgt, 0) - qc * c2
-                    if s:
-                        work[tgt] = s
+                q[(-na - la, -nb - lb, -nd - ld)] = qc  # keys fall every step, so this is new
+                for (da, db, dd), c in tail:
+                    tgt = (na + da, nb + db, nd + dd)
+                    old = work.get(tgt)
+                    if old is None:
+                        work[tgt] = -qc * c
+                        heappush(heap, tgt)
                     else:
-                        work.pop(tgt, None)
+                        work[tgt] = old - qc * c
                 break
         else:
-            remainder_terms[mono] = coeff
+            remainder_terms[(-na, -nb, -nd)] = coeff
     return DivisionResult([Polynomial(q) for q in quotient_terms], Polynomial(remainder_terms))
 
 

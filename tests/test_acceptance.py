@@ -185,15 +185,12 @@ def test_criterion_8_conjecture_scan():
     first = conjecture_scan(entries)
     second = conjecture_scan(entries)
     deterministic = first.pairs == second.pairs and first.bucket_sizes == second.bucket_sizes
-    confirmed = all(
-        "naive" in p.engines and "tl" in p.engines for p in first.witnesses
-    )  # vacuous when no witness appears, by construction of the scan
     mismatches = [p for p in first.pairs if p.verdict == "ENGINE_MISMATCH"]
     report(
         8,
-        deterministic and confirmed and not mismatches,
+        deterministic and not first.witnesses and not mismatches,
         f"full {first.entry_count}-entry table scanned deterministically; "
-        f"{len(first.pairs)} bucket comparisons, {len(first.witnesses)} witness candidates "
-        f"(expected for this table: 0, matching the open-problem status), "
+        f"{len(first.pairs)} bucket comparisons, a consistency check since ambient3 is "
+        f"a function of f: {len(first.witnesses)} witnesses (must be 0), "
         f"engine mismatches: {len(mismatches)}",
     )

@@ -483,11 +483,16 @@ def test_padded_torus_30_normal_form_is_fast():
 
 
 def test_padded_torus_60_reduces_per_curl_factor_fast():
-    # reducing CURL_MINUS^60 * raw in one call took 4.1-4.8 s on a 2-core
-    # machine (Python 3.11); one reduction per curl factor, 0.6-0.8 s
+    # on a 2-core machine (Python 3.11), with the heap-ordered division: one
+    # reduction per curl factor 0.15-0.25 s, the one-call reference 0.8-1.1 s
+    # (3.3-4.8 s when each division step scanned the work set for its maximum)
     raw = tl_evaluate(parse_braid("braid:2:" + ",".join(["1"] * 60)))
     start = time.perf_counter()
     amb = ambient_from_raw(raw, 60)
     elapsed = time.perf_counter() - start
     assert elapsed < 2.0, f"padded T(2,60) normal form took {elapsed:.2f}s"
-    assert amb == normal_form(CURL_MINUS**60 * raw)
+    start = time.perf_counter()
+    reference = normal_form(CURL_MINUS**60 * raw)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.5, f"padded T(2,60) one-call normal form took {elapsed:.2f}s"
+    assert amb == reference

@@ -10,6 +10,8 @@ from qbracket.multipoly import (
     buchberger_run,
     divide,
     format_poly,
+    mono_div,
+    mono_divides,
     mono_mul,
     parse_poly,
     reduce_basis,
@@ -196,6 +198,60 @@ def test_division_identity_random_bases(p, basis):
     for q, g in zip(quotients, basis):
         recombined = recombined + q * g
     assert recombined == p
+
+
+def _divide_by_max_scan(p, basis):
+    """Reference division: each step rewrites ``max(work)``, the largest
+    live monomial, by the earliest basis element whose leading term divides
+    it; the heap-ordered ``divide`` must make exactly the same choices."""
+    leads = [g.leading() for g in basis]
+    quotient_terms = [{} for _ in basis]
+    remainder_terms = {}
+    work = dict(p.terms)
+    while work:
+        mono = max(work)
+        coeff = work.pop(mono)
+        for i, (lm, lc) in enumerate(leads):
+            if mono_divides(lm, mono) and coeff % lc == 0:
+                qm = mono_div(mono, lm)
+                qc = coeff // lc
+                quotient_terms[i][qm] = qc
+                for m2, c2 in basis[i].terms.items():
+                    if m2 != lm:
+                        tgt = mono_mul(qm, m2)
+                        s = work.get(tgt, 0) - qc * c2
+                        if s:
+                            work[tgt] = s
+                        else:
+                            work.pop(tgt, None)
+                break
+        else:
+            remainder_terms[mono] = coeff
+    return [Polynomial(q) for q in quotient_terms], Polynomial(remainder_terms)
+
+
+# small divisors with leading coefficients up to 3 in size, so that steps
+# happen often, some terms are skipped for an indivisible coefficient, and
+# on these non-Groebner bases the remainder depends on the selection order
+divisors = st.dictionaries(
+    st.tuples(*[st.integers(min_value=0, max_value=2)] * 3),
+    st.integers(min_value=-3, max_value=3),
+    max_size=4,
+).map(Polynomial).filter(bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polynomials, st.lists(divisors, min_size=1, max_size=3))
+def test_divide_matches_max_scan_oracle(p, basis):
+    quotients, remainder = divide(p, basis)
+    assert (quotients, remainder) == _divide_by_max_scan(p, basis)
+
+
+def test_divide_matches_max_scan_oracle_on_stored_basis():
+    basis = list(GROEBNER_BASIS)
+    for p in ((A + B * D) ** 12 * parse_poly("+a^3*b*d -2*b^5 +d^4"), (P1 + P2) ** 3):
+        quotients, remainder = divide(p, basis)
+        assert (quotients, remainder) == _divide_by_max_scan(p, basis)
 
 
 # -- S-polynomials ----------------------------------------------------------------
