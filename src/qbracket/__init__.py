@@ -47,10 +47,10 @@ from .multipoly import (
     Polynomial,
     TermLimitError,
     buchberger,
-    divide,
     format_poly,
     parse_poly,
     reduce_basis,
+    remainder,
     s_poly,
 )
 from .quotient import (

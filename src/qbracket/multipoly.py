@@ -7,13 +7,14 @@ a > b > d on exponent triples is Python's own tuple order, so ``max`` and
 ``sorted`` on monomials need no key.
 
 Besides ring arithmetic the module provides the Groebner toolkit needed to
-work in quotients of this ring: multivariate division with remainder,
+work in quotients of this ring: the remainder of multivariate division,
 S-polynomials, Buchberger completion, and basis reduction.  Division over Z
 only rewrites a term when the divisor's leading coefficient divides it; for
 bases whose leading coefficients are +-1 (every basis this package ships)
 this coincides with division over the rationals and remainders are the usual
-unique normal forms.  Division pops each step's term from a heap (Monagan &
-Pearce, CASC 2007) rather than scanning the whole work set for its maximum.
+unique normal forms.  Every caller reads the remainder only, so ``remainder``
+keeps no quotients.  It pops each step's term from a heap (Monagan & Pearce,
+CASC 2007) rather than scanning the whole work set for its maximum.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import re
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping
 
 Monomial = tuple[int, int, int]
 
@@ -330,48 +331,45 @@ def parse_poly(text: str) -> Polynomial:
 
 # -- division, S-polynomials, Buchberger ------------------------------------
 
-class DivisionResult(NamedTuple):
-    quotients: list[Polynomial]
-    remainder: Polynomial
-
-
-def divide(p: Polynomial, basis: list[Polynomial]) -> DivisionResult:
-    """Multivariate division: p = sum(q_i * basis_i) + r, exactly over Z.
+def remainder(p: Polynomial, basis: list[Polynomial]) -> Polynomial:
+    """Remainder of multivariate division of p by basis, exactly over Z.
 
     The largest monomial is rewritten first, by the earliest basis element
     whose leading monomial divides it (and whose leading coefficient divides
     its coefficient -- automatic for the monic-leading bases used here).
-    The identity above always holds exactly; remainders against a Groebner
-    basis with unit leading coefficients are the canonical normal forms.
+    Then p minus the result lies in the ideal of the basis; remainders
+    against a Groebner basis with unit leading coefficients are the canonical
+    normal forms.  The quotients are not kept.
 
     The work set is a dict of coefficients keyed by negated exponent
     triples, beside a heap of those keys whose minimum is the largest
     monomial.  Steps add only smaller terms, so each key is pushed once, when
     it enters the dict; a cancelled coefficient stays as 0 and is skipped
-    when popped.  Quotient terms become polynomials once, when the loop ends.
+    when popped.
     """
     if any(g.is_zero for g in basis):
         raise ValueError("division by a basis containing zero")
-    leads = [g.leading() for g in basis]
-    # each tail term m as (lm - m, c): mono / lm * m has the key key + (lm - m)
-    tails = [[((lm[0] - m[0], lm[1] - m[1], lm[2] - m[2]), c) for m, c in g.terms.items() if m != lm]
-             for g, (lm, _) in zip(basis, leads)]
-    quotient_terms: list[dict[Monomial, int]] = [{} for _ in basis]
-    remainder_terms: dict[Monomial, int] = {}
+    reducers = []
+    for g in basis:
+        (la, lb, ld), lc = g.leading()
+        # each tail term m as (lm - m, c): mono / lm * m has the key key + (lm - m)
+        tail = [((la - m[0], lb - m[1], ld - m[2]), c) for m, c in g.terms.items() if m != (la, lb, ld)]
+        reducers.append((la, lb, ld, lc, tail))
+    rest: dict[Monomial, int] = {}
     work = {(-m[0], -m[1], -m[2]): c for m, c in p.terms.items()}
+    get = work.get
     heap = sorted(work)  # a sorted list is a heap
     while heap:
         na, nb, nd = key = heappop(heap)
         coeff = work.pop(key)
         if not coeff:
             continue
-        for q, ((la, lb, ld), lc), tail in zip(quotient_terms, leads, tails):
+        for la, lb, ld, lc, tail in reducers:
             if na + la <= 0 and nb + lb <= 0 and nd + ld <= 0 and coeff % lc == 0:
                 qc = coeff // lc
-                q[(-na - la, -nb - lb, -nd - ld)] = qc  # keys fall every step, so this is new
                 for (da, db, dd), c in tail:
                     tgt = (na + da, nb + db, nd + dd)
-                    old = work.get(tgt)
+                    old = get(tgt)
                     if old is None:
                         work[tgt] = -qc * c
                         heappush(heap, tgt)
@@ -379,8 +377,8 @@ def divide(p: Polynomial, basis: list[Polynomial]) -> DivisionResult:
                         work[tgt] = old - qc * c
                 break
         else:
-            remainder_terms[(-na, -nb, -nd)] = coeff
-    return DivisionResult([Polynomial(q) for q in quotient_terms], Polynomial(remainder_terms))
+            rest[(-na, -nb, -nd)] = coeff
+    return Polynomial(rest)
 
 
 def s_poly(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -429,7 +427,7 @@ def buchberger_run(gens: list[Polynomial]) -> BuchbergerRun:
         lm_j, _ = basis[j].leading()
         if mono_lcm(lm_i, lm_j) == mono_mul(lm_i, lm_j):
             continue  # coprime leading monomials: S-poly reduces to 0
-        rem = divide(s_poly(basis[i], basis[j]), basis).remainder
+        rem = remainder(s_poly(basis[i], basis[j]), basis)
         if rem.is_zero:
             continue
         content = rem.content()
@@ -479,7 +477,7 @@ def reduce_basis(basis: list[Polynomial]) -> list[Polynomial]:
             others = kept[:i] + kept[i + 1:]
             if not others:
                 continue
-            rem = divide(kept[i], others).remainder
+            rem = remainder(kept[i], others)
             if rem.is_zero:
                 kept.pop(i)
                 changed = True

@@ -30,11 +30,11 @@ from .classical import LaurentPolynomial, circle_power
 from .multipoly import (
     Polynomial,
     buchberger_run,
-    divide,
     format_poly,
     mono_divides,
     parse_poly,
     reduce_basis,
+    remainder,
     s_poly,
 )
 
@@ -59,7 +59,7 @@ def normal_form(p: Polynomial) -> Polynomial:
     No monomial of the result is divisible by b^4*d^3, a*d^3, or a^2*d (the
     basis leading monomials), and the map is idempotent and linear.
     """
-    return divide(p, list(GROEBNER_BASIS)).remainder
+    return remainder(p, list(GROEBNER_BASIS))
 
 
 def is_normal(p: Polynomial) -> bool:
@@ -111,7 +111,7 @@ def verify_groebner() -> GroebnerReport:
     bad: str | None = None
     for i in range(len(basis)):
         for j in range(i, len(basis)):
-            rem = divide(s_poly(basis[i], basis[j]), basis).remainder
+            rem = remainder(s_poly(basis[i], basis[j]), basis)
             if not rem.is_zero:
                 bad = f"S(g{i + 1},g{j + 1}) -> {format_poly(rem)}"
                 break
@@ -137,7 +137,7 @@ def verify_groebner() -> GroebnerReport:
 
     bad = None
     for k, g in enumerate(basis, start=1):
-        rem = divide(g, run.basis).remainder
+        rem = remainder(g, run.basis)
         if not rem.is_zero:
             bad = f"basis element {k} -> {format_poly(rem)}"
             break

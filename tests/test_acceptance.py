@@ -16,7 +16,7 @@ from qbracket.bracket3 import (
 )
 from qbracket.classical import CIRCLE, LaurentPolynomial, f_invariant, kauffman_bracket
 from qbracket.diagram import Diagram, add_kink, closure, parse_braid, rewrite_moves
-from qbracket.multipoly import buchberger, divide, format_poly, reduce_basis, s_poly
+from qbracket.multipoly import buchberger, format_poly, reduce_basis, remainder, s_poly
 from qbracket.quotient import (
     GROEBNER_BASIS,
     IDEAL_GENERATORS,
@@ -38,7 +38,7 @@ def test_criterion_1_groebner_verification():
     computed = reduce_basis(buchberger(list(IDEAL_GENERATORS)))
     basis_match = set(computed) == set(GROEBNER_BASIS)
     spolys_ok = all(
-        divide(s_poly(GROEBNER_BASIS[i], GROEBNER_BASIS[j]), list(GROEBNER_BASIS)).remainder.is_zero
+        remainder(s_poly(GROEBNER_BASIS[i], GROEBNER_BASIS[j]), list(GROEBNER_BASIS)).is_zero
         for i in range(3)
         for j in range(i, 3)
     )

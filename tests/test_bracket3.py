@@ -483,9 +483,10 @@ def test_padded_torus_30_normal_form_is_fast():
 
 
 def test_padded_torus_60_reduces_per_curl_factor_fast():
-    # on a 2-core machine (Python 3.11), with the heap-ordered division: one
-    # reduction per curl factor 0.15-0.25 s, the one-call reference 0.8-1.1 s
-    # (3.3-4.8 s when each division step scanned the work set for its maximum)
+    # on a 2-core machine (Python 3.11), with the heap-ordered remainder loop:
+    # one reduction per curl factor 0.12-0.20 s, the one-call reference
+    # 0.45-0.76 s (0.7-1.0 s while the loop also kept quotients, 3.3-4.8 s when
+    # each division step scanned the work set for its maximum)
     raw = tl_evaluate(parse_braid("braid:2:" + ",".join(["1"] * 60)))
     start = time.perf_counter()
     amb = ambient_from_raw(raw, 60)

@@ -18,16 +18,18 @@ from hypothesis import given, settings, strategies as st
 from qbracket.bracket3 import ambient3, ambient_from_raw, bracket3_raw, tl_evaluate
 from qbracket.classical import LaurentPolynomial, bracket_from_raw, f_invariant, parse_laurent, writhe_normalize
 from qbracket.diagram import BraidWord, closure, writhe
-from qbracket.multipoly import Polynomial, divide, format_poly
+from qbracket.multipoly import Polynomial, format_poly, remainder
 from qbracket.quotient import IDEAL_GENERATORS, normal_form
 from qbracket.search import bundled_table_path, load_table
+
+from division_oracle import divide_by_max_scan
 
 A, B, D = (Polynomial.variable(x) for x in "abd")
 
 
 def _exact(p: Polynomial, n: Polynomial, what: str) -> Polynomial:
     """p / n over Z[a]; raises unless the division leaves no remainder."""
-    (q,), r = divide(p, [n])
+    (q,), r = divide_by_max_scan(p, [n])
     if r:
         raise ValueError(f"{what}: remainder {format_poly(r)}")
     return q
@@ -57,7 +59,7 @@ def from_classical(f: LaurentPolynomial) -> Polynomial:
         n = A**4 - A**2 * s + 1
         # F where the pair meets Jc: y there is (a+b)^even = 1 at d = 1 and
         # +-(a-b)^even = +-1 at d = -1
-        t = divide(p0 + A**3 * p1 * s, [n]).remainder
+        t = remainder(p0 + A**3 * p1 * s, [n])
         if not (t == 1 or (s == 1 and t == -1)):
             raise ValueError(f"no bracket value on the line pair d = {-s}: {format_poly(t)}")
         u, w = t - p0, A**2 * s - 1

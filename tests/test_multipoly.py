@@ -8,16 +8,16 @@ from qbracket.multipoly import (
     TermLimitError,
     buchberger,
     buchberger_run,
-    divide,
     format_poly,
-    mono_div,
-    mono_divides,
     mono_mul,
     parse_poly,
     reduce_basis,
+    remainder,
     s_poly,
 )
 from qbracket.quotient import GROEBNER_BASIS, IDEAL_GENERATORS
+
+from division_oracle import divide_by_max_scan
 
 P1, P2 = IDEAL_GENERATORS
 Q1, Q2, Q3 = GROEBNER_BASIS
@@ -151,83 +151,55 @@ def test_multiplicative_identity(p):
 
 # -- division -------------------------------------------------------------------
 
+def _check_division(p, basis):
+    """The oracle's quotients and remainder satisfy p == sum(q_i * g_i) + r
+    exactly, and ``remainder`` returns the same r; gives (quotients, r)."""
+    quotients, r = divide_by_max_scan(p, basis)
+    recombined = r
+    for q, g in zip(quotients, basis):
+        recombined = recombined + q * g
+    assert recombined == p
+    assert remainder(p, basis) == r
+    return quotients, r
+
+
 def test_divide_by_basis_element_is_exact():
-    result = divide(Q3, list(GROEBNER_BASIS))
-    assert result.remainder.is_zero
+    assert remainder(Q3, list(GROEBNER_BASIS)).is_zero
 
 
 def test_divide_delta_is_irreducible():
-    result = divide(D, list(GROEBNER_BASIS))
-    assert result.remainder == D
-    assert all(q.is_zero for q in result.quotients)
+    quotients, r = _check_division(D, list(GROEBNER_BASIS))
+    assert r == D
+    assert all(q.is_zero for q in quotients)
 
 
 def test_divide_single_step_by_q3():
-    result = divide(parse_poly("+a^2*d"), [Q3])
-    assert result.remainder == parse_poly("-2*a*b*d^2 -b^2*d +d^2")
-    assert result.quotients[0] == Polynomial.one()
+    quotients, r = _check_division(parse_poly("+a^2*d"), [Q3])
+    assert r == parse_poly("-2*a*b*d^2 -b^2*d +d^2")
+    assert quotients[0] == Polynomial.one()
 
 
 def test_divide_empty_basis_returns_input():
     p = parse_poly("+a*b -d")
-    result = divide(p, [])
-    assert result.remainder == p and result.quotients == []
+    quotients, r = _check_division(p, [])
+    assert r == p and quotients == []
 
 
 def test_divide_rejects_zero_divisor():
     with pytest.raises(ValueError):
-        divide(A, [Polynomial.zero()])
+        remainder(A, [Polynomial.zero()])
 
 
 @settings(max_examples=100, deadline=None)
 @given(polynomials)
 def test_division_identity_holds_exactly(p):
-    basis = [Q1, Q2, Q3]
-    quotients, remainder = divide(p, basis)
-    recombined = remainder
-    for q, g in zip(quotients, basis):
-        recombined = recombined + q * g
-    assert recombined == p
+    _check_division(p, [Q1, Q2, Q3])
 
 
 @settings(max_examples=50, deadline=None)
 @given(polynomials, st.lists(nonzero_polynomials, min_size=1, max_size=3))
 def test_division_identity_random_bases(p, basis):
-    quotients, remainder = divide(p, basis)
-    recombined = remainder
-    for q, g in zip(quotients, basis):
-        recombined = recombined + q * g
-    assert recombined == p
-
-
-def _divide_by_max_scan(p, basis):
-    """Reference division: each step rewrites ``max(work)``, the largest
-    live monomial, by the earliest basis element whose leading term divides
-    it; the heap-ordered ``divide`` must make exactly the same choices."""
-    leads = [g.leading() for g in basis]
-    quotient_terms = [{} for _ in basis]
-    remainder_terms = {}
-    work = dict(p.terms)
-    while work:
-        mono = max(work)
-        coeff = work.pop(mono)
-        for i, (lm, lc) in enumerate(leads):
-            if mono_divides(lm, mono) and coeff % lc == 0:
-                qm = mono_div(mono, lm)
-                qc = coeff // lc
-                quotient_terms[i][qm] = qc
-                for m2, c2 in basis[i].terms.items():
-                    if m2 != lm:
-                        tgt = mono_mul(qm, m2)
-                        s = work.get(tgt, 0) - qc * c2
-                        if s:
-                            work[tgt] = s
-                        else:
-                            work.pop(tgt, None)
-                break
-        else:
-            remainder_terms[mono] = coeff
-    return [Polynomial(q) for q in quotient_terms], Polynomial(remainder_terms)
+    _check_division(p, basis)
 
 
 # small divisors with leading coefficients up to 3 in size, so that steps
@@ -243,15 +215,13 @@ divisors = st.dictionaries(
 @settings(max_examples=300, deadline=None)
 @given(polynomials, st.lists(divisors, min_size=1, max_size=3))
 def test_divide_matches_max_scan_oracle(p, basis):
-    quotients, remainder = divide(p, basis)
-    assert (quotients, remainder) == _divide_by_max_scan(p, basis)
+    assert remainder(p, basis) == divide_by_max_scan(p, basis)[1]
 
 
 def test_divide_matches_max_scan_oracle_on_stored_basis():
     basis = list(GROEBNER_BASIS)
     for p in ((A + B * D) ** 12 * parse_poly("+a^3*b*d -2*b^5 +d^4"), (P1 + P2) ** 3):
-        quotients, remainder = divide(p, basis)
-        assert (quotients, remainder) == _divide_by_max_scan(p, basis)
+        assert remainder(p, basis) == divide_by_max_scan(p, basis)[1]
 
 
 # -- S-polynomials ----------------------------------------------------------------
@@ -292,10 +262,10 @@ def test_buchberger_output_is_groebner():
     basis = buchberger([P1, P2])
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            rem = divide(s_poly(basis[i], basis[j]), basis).remainder
+            rem = remainder(s_poly(basis[i], basis[j]), basis)
             assert rem.is_zero, f"S({i},{j}) does not reduce"
     for gen in (P1, P2):
-        assert divide(gen, basis).remainder.is_zero
+        assert remainder(gen, basis).is_zero
 
 
 def test_buchberger_is_self_stable():
@@ -329,7 +299,7 @@ def test_computed_basis_matches_stored_one():
 def test_stored_basis_elements_lie_in_generated_ideal():
     computed = buchberger([P1, P2])
     for q in GROEBNER_BASIS:
-        assert divide(q, computed).remainder.is_zero
+        assert remainder(q, computed).is_zero
 
 
 # -- cross-check against an independent implementation ------------------------------
@@ -349,7 +319,7 @@ def test_normal_form_matches_sympy_reduced(p):
     expr, gens = _to_sympy(p)
     basis_exprs = [_to_sympy(q)[0] for q in GROEBNER_BASIS]
     _, sympy_rem = sp.reduced(expr, basis_exprs, gens=list(gens), order="lex")
-    ours, _ = _to_sympy(divide(p, list(GROEBNER_BASIS)).remainder)
+    ours, _ = _to_sympy(remainder(p, list(GROEBNER_BASIS)))
     assert sp.expand(ours - sympy_rem) == 0
 
 

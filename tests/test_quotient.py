@@ -57,6 +57,17 @@ def test_third_basis_element_equals_first_generator():
     assert GROEBNER_BASIS[2] == P1
 
 
+def test_groebner_basis_factors():
+    # I = d*J with J = <q1, (d^2-1)(b^4+b^2d+1), (d^2-1)(a+b^3+bd)>: the
+    # d-divisibility every basis element shares, in in-repo arithmetic
+    a, b, d = (Polynomial.variable(x) for x in "abd")
+    assert GROEBNER_BASIS == (
+        (d**3 - d) * (b**4 + b**2 * d + 1),
+        (d**3 - d) * (a + b**3 + b * d),
+        d * (a**2 + 2 * a * b * d + b**2 - d),
+    )
+
+
 def test_derived_identity_delta_p1_minus_p2():
     lhs = Polynomial.variable("d") * P1 - P2
     rhs = parse_poly("+d") * (parse_poly("+d^2") - 1) * (parse_poly("+a*b") - 1)
