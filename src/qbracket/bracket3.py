@@ -14,14 +14,12 @@ d*((a*d + b)*(a + b*d) - 1) is the second ideal generator).  Padding with
 |w| opposite-sign curl factors before reducing therefore yields an invariant
 of the ambient isotopy class.
 
-Two evaluation engines compute the same raw polynomial: the naive 2^n state
-enumeration, which walks the states depth-first over the crossings and
-shares each crossing prefix, and a transfer-matrix pass that carries a
-linear combination of planar matchings (the Temperley-Lieb basis) across the
-braid word, one letter at a time.  The transfer pass packs each matching's
-state counts into one int: for a word of L letters on n strands, the count
-of a^(L-j) b^j d^k is slot j*(L+n+1) + k, and a slot is L+1 bits wide, since
-no count exceeds 2^L.  The two engines are checked against each other in
+Two engines compute the same raw polynomial, each with one packed int of
+state counts per matching (Kronecker substitution, see :func:`_unpack`).
+``naive`` (:func:`bracket3_raw`) takes any diagram, one crossing at a time,
+merging the partial states that join the open arcs alike (Bar-Natan, JKTR 16
+(2007)); ``tl`` carries planar matchings (the Temperley-Lieb basis) across a
+braid word, one letter at a time.  They are checked against each other in
 the tests and can be cross-asserted at runtime; the per-state enumeration of
 :func:`.classical.kauffman_bracket` is the oracle for both.
 
@@ -31,6 +29,8 @@ Every readout of a diagram is derived from its one raw sum: the normal form,
 """
 
 from __future__ import annotations
+
+import itertools
 
 from .classical import TL_STRAND_CAP, CapacityError, check_enumerable
 from .diagram import BraidWord, Diagram, closure, writhe
@@ -50,40 +50,55 @@ CONVENTION = "order:a>b>d;A(positive)=vertical;circles:d^k;curl+:+a*d +b;curl-:+
 def bracket3_raw(d: Diagram) -> Polynomial:
     """Raw three-variable state sum over all 2^n smoothing choices.
 
-    The states are walked depth-first over the crossings, so states that
-    agree on a prefix of smoothings share the arc forest built for it: each
-    stack frame holds the next crossing, a parent list over the arc labels
-    1..2n, its component count and the B-smoothings so far.  The A branch
-    joins its two arc pairs on a copy of the list, the B branch on the
-    frame's own; a join of two different roots is one component fewer.
+    A frontier pass over the crossings in the diagram's own order.  Each
+    partial curve ends on two open arcs (labels seen once so far), so partial
+    states merge by their matching of the open arcs: each arc's partner, in
+    an arc order all states share.  A matching carries one packed int of
+    state counts, a^(n-j) b^j d^k in slot j*(2n+f+1) + k for n crossings and
+    f free loops (see :func:`_unpack`).  A smoothing shifts it one b-row if
+    it is B and one d-slot per circle it closes, so the cost is set by the
+    number of matchings, which the width of the open boundary bounds.
 
     A crossing-free k-circle diagram gives d^k; every state of a nonempty
     diagram carries at least one circle, so d divides the result.
     """
     check_enumerable(d)
     n = d.n
-    joins = [(((a, b), (c, e)), ((a, e), (b, c))) for a, b, c, e in d.crossings]
-    counts: dict[Monomial, int] = {}
-    stack = [(0, list(range(2 * n + 1)), 2 * n, 0)]
-    while stack:
-        k, parent, components, b_count = stack.pop()
-        if k == n:
-            mono = (n - b_count, b_count, components + d.free_loops)
-            counts[mono] = counts.get(mono, 0) + 1
-            continue
-        for choice, pairs in enumerate(joins[k]):
-            p = parent if choice else parent[:]  # A copies before B reuses the list
-            left = components
-            for x, y in pairs:
-                while p[x] != x:
-                    x = p[x]
-                while p[y] != y:
-                    y = p[y]
-                if x != y:
-                    p[y] = x
-                    left -= 1
-            stack.append((k + 1, p, left, b_count + choice))
-    return Polynomial(counts)
+    width, stride = n + 1, 2 * n + d.free_loops + 1  # at most 2n circles meet a crossing
+    table: dict[tuple[int, ...], int] = {(): 1 << (width * d.free_loops)}
+    open_arcs: list[int] = []
+    for quad in d.crossings:
+        # nodes: the open arcs by position, then one per port; mate pairs the
+        # two ends of each curve, and a new arc is its own end until joined
+        base = len(open_arcs)
+        port = [open_arcs.index(arc) if arc in open_arcs else base + s for s, arc in enumerate(quad)]
+        ext = list(range(base, base + 4))
+        for s, t in itertools.combinations(range(4), 2):
+            if quad[s] == quad[t]:  # a kink: both ends of the arc are here
+                ext[s], ext[t] = base + t, base + s
+        after = [i for i, arc in enumerate(open_arcs) if arc not in quad]
+        after += [base + s for s in range(4) if port[s] == ext[s]]  # new arcs, kinks' excepted
+        open_arcs = [open_arcs[i] if i < base else quad[i - base] for i in after]
+        index = {node: i for i, node in enumerate(after)}
+        a, b, c, e = port
+        choices = ((0, ((a, b), (c, e))), (width * stride, ((a, e), (b, c))))
+        nxt: dict[tuple[int, ...], int] = {}
+        get = nxt.get
+        for m, packed in table.items():
+            for shift, joins in choices:
+                mate = [*m, *ext]
+                for x, y in joins:
+                    fx, fy = mate[x], mate[y]
+                    if fx == y:  # the join closes a circle; x and y are spent either way
+                        shift += width
+                    mate[fx], mate[fy] = fy, fx
+                key = tuple([index[mate[node]] for node in after])
+                # a first arrival is stored as is: 0 + x would copy the bigint
+                x = packed << shift
+                prev = get(key)
+                nxt[key] = x if prev is None else prev + x
+        table = nxt
+    return _unpack(table[()], n, width, stride)
 
 
 def bracket3(d: Diagram) -> Polynomial:
@@ -182,14 +197,12 @@ def tl_transfer(b: BraidWord) -> dict[Matching, int]:
     Each letter maps the running element T to weight_vert * T plus
     weight_cup * T e_i, where e_i is the cup-cap generator at the letter's
     position; a circle split off during composition contributes a factor d.
-    Every state has weight +1, so each matching carries a table of state
-    counts per monomial a^(L-j) b^j d^k, for a word of L letters on n
-    strands.  The table is packed into one int (Kronecker substitution):
-    the count of a^(L-j) b^j d^k sits in slot j*(L+n+1) + k, and each slot
-    is L+1 bits wide, because no count exceeds the 2^L states.  Every count
-    of a matching takes the same exponent step, so a letter costs two
-    shifted additions per matching: by 0 or by one b-row, plus one d-slot
-    when a circle splits off.  :func:`_unpack` reads a table back.
+    Every state has weight +1, so each matching carries its state counts
+    per monomial a^(L-j) b^j d^k, for a word of L letters on n strands,
+    packed into one int: slot j*(L+n+1) + k, L+1 bits wide (see
+    :func:`_unpack`).  Every count of a matching takes the same exponent
+    step, so a letter costs two shifted additions per matching: by 0 or by
+    one b-row, plus one d-slot when a circle splits off.
     """
     n = b.strands
     if n > TL_STRAND_CAP:
@@ -222,11 +235,11 @@ def _slot_layout(b: BraidWord) -> tuple[int, int]:
     return letters + 1, letters + b.strands + 1
 
 
-def _unpack(packed: int, b: BraidWord) -> Polynomial:
-    """The polynomial whose state counts ``packed`` holds, in the layout of
-    :func:`tl_transfer` for the word ``b``."""
-    letters = len(b.letters)
-    width, stride = _slot_layout(b)
+def _unpack(packed: int, letters: int, width: int, stride: int) -> Polynomial:
+    """The polynomial whose state counts ``packed`` holds, for a sum over
+    ``letters`` smoothed crossings: the count of a^(letters-j) b^j d^k sits
+    in slot j*stride + k, and each slot is ``width`` = letters+1 bits wide,
+    because no count exceeds the 2^letters states."""
     bits = format(packed, "b")[::-1]  # bit s*width starts slot s
     counts: dict[Monomial, int] = {}
     for start in range(0, len(bits), width):
@@ -244,11 +257,11 @@ def tl_evaluate(b: BraidWord) -> Polynomial:
     matching's packed counts up one d-slot per closure circle; the sum is
     unpacked once.  Equals bracket3_raw(closure(b)) exactly.
     """
-    width, _ = _slot_layout(b)
+    width, stride = _slot_layout(b)
     total = 0
     for m, packed in tl_transfer(b).items():
         total += packed << (width * _close_trace(m, b.strands))
-    return _unpack(total, b)
+    return _unpack(total, len(b.letters), width, stride)
 
 
 class EngineMismatchError(AssertionError):

@@ -28,7 +28,8 @@ class CapacityError(RuntimeError):
     """Input too large for the exhaustive state enumeration."""
 
 
-#: Crossing cap for the 2^n state enumeration.
+#: Crossing cap for any diagram: the frontier pass of ``bracket3_raw`` and the
+#: 2^n enumeration of :func:`kauffman_bracket`, its oracle, share it.
 ENUMERATION_CAP = 24
 
 #: Strand cap for the transfer-matrix pass (its basis size is Catalan(n)).
@@ -36,8 +37,8 @@ TL_STRAND_CAP = 12
 
 
 def check_enumerable(d: Diagram) -> None:
-    """Raise unless the 2^n state enumeration can take ``d``: too many
-    crossings is a :class:`CapacityError`, the empty diagram a ValueError."""
+    """Raise unless the diagram state sums can take ``d``: too many crossings
+    is a :class:`CapacityError`, the empty diagram a ValueError."""
     if d.n > ENUMERATION_CAP:
         raise CapacityError(
             f"{d.n} crossings exceeds the enumeration cap {ENUMERATION_CAP}; only the "

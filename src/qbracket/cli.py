@@ -120,7 +120,7 @@ def _emit(obj: dict, as_json: bool) -> None:
 def cmd_bracket(args: argparse.Namespace) -> int:
     word, diagram = parse_presentation(args.input)
     w = writhe(diagram)
-    # the transfer pass for braid words it can hold, enumeration for the rest
+    # the transfer pass for braid words it can hold, the frontier pass for the rest
     if word is not None and word.strands <= TL_STRAND_CAP:
         raw = raw_bracket(word, "tl")
     else:

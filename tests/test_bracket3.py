@@ -22,6 +22,7 @@ from qbracket.bracket3 import (
     tl_transfer,
     _apply_cupcap,
     _identity_matching,
+    _slot_layout,
     _unpack,
 )
 from qbracket.classical import (
@@ -106,12 +107,48 @@ def raw_state_by_state(d: Diagram) -> Polynomial:
 @settings(max_examples=40, deadline=None)
 @given(braid_words(max_strands=4, max_letters=8))
 def test_depth_first_walk_equals_state_by_state_count(word):
-    # exact in all three exponents, unlike the classical fold (only i - j)
+    # the frontier pass against each state on its own, exact in all three
+    # exponents, unlike the classical fold (only i - j); the name is kept from
+    # the depth-first walk that the frontier pass replaced
     d = closure(word)
     assert bracket3_raw(d) == raw_state_by_state(d)
 
 
+@settings(max_examples=40, deadline=None)
+@given(braid_words(max_strands=5, max_letters=10), st.randoms(use_true_random=False))
+def test_frontier_pass_equals_state_by_state_count_in_any_crossing_order(word, rng):
+    # a shuffled closure opens arcs far from where they close, so the open
+    # boundary is wide and its matchings are not the planar ones of a braid
+    d = closure(word)
+    shuffled = list(d.crossings)
+    rng.shuffle(shuffled)
+    d = Diagram(tuple(shuffled), d.free_loops)
+    assert bracket3_raw(d) == raw_state_by_state(d)
+
+
+#: Raw sums of fixed PD codes without free loops: an arc that starts and ends
+#: at one crossing, both ways round, and two disjoint kinks, whose all-B state
+#: has four circles, the most that n crossings can close.
+KINK_AND_SPLIT_RAW = {
+    (): "+1",
+    ((1, 1, 2, 2),): "+a*d^2 +b*d",
+    ((1, 2, 2, 1),): "+a*d +b*d^2",
+    ((1, 2, 2, 1), (3, 4, 4, 3)): "+a^2*d^2 +2*a*b*d^3 +b^2*d^4",
+}
+
+
+@pytest.mark.parametrize(
+    "crossings, free_loops",
+    [(q, f) for q in KINK_AND_SPLIT_RAW if q for f in (0, 2)] + [((), 1), ((), 3)],
+)
+def test_frontier_pass_on_kinks_split_codes_and_free_loops(crossings, free_loops):
+    d = Diagram(crossings, free_loops)
+    expected = parse_poly(KINK_AND_SPLIT_RAW[crossings]) * parse_poly("+d") ** free_loops
+    assert bracket3_raw(d) == expected == raw_state_by_state(d)
+
+
 def test_depth_first_walk_equals_state_by_state_count_on_table_pd_entries():
+    # the frontier pass on the PD codes, the one input kind with no tl engine
     pd_entries = [e for e in load_table(bundled_table_path()).entries if e.word is None]
     assert pd_entries
     for e in pd_entries:
@@ -120,13 +157,28 @@ def test_depth_first_walk_equals_state_by_state_count_on_table_pd_entries():
 
 def test_naive_18_crossings_is_fast():
     # one union-find forest per state took 7.1-7.2 s on a 2-core machine
-    # (Python 3.11); sharing each crossing prefix depth-first, about 0.5 s
+    # (Python 3.11); sharing each crossing prefix depth-first, about 0.5 s;
+    # merging states by their open-arc matching, about 1 ms
     word = parse_braid("braid:3:" + ",".join(["1,-2"] * 9))
     d = closure(word)
     start = time.perf_counter()
     raw = bracket3_raw(d)
     elapsed = time.perf_counter() - start
     assert elapsed < 2.0, f"bracket3_raw at 18 crossings took {elapsed:.2f}s"
+    assert raw == tl_evaluate(word)
+
+
+def test_naive_24_crossing_poke_pairs_are_fast():
+    # the enumeration cap: walking all 2^24 states depth-first would take
+    # about 30 s on a 2-core machine (7.5 s at 22 crossings, Python 3.11);
+    # the frontier pass carries at most 89 matchings, about 6 ms
+    pairs = (1, 2, 3, 4, 5, 1, 2, 3, 4, 5, 1, 2)
+    word = BraidWord(6, tuple(x for i in pairs for x in (i, -i)))
+    d = closure(word)
+    start = time.perf_counter()
+    raw = bracket3_raw(d)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.5, f"bracket3_raw at 24 crossings took {elapsed:.2f}s"
     assert raw == tl_evaluate(word)
 
 
@@ -224,9 +276,10 @@ def poke_pair_words(draw, max_strands, max_pairs):
 
 
 @settings(max_examples=25, deadline=None)
-@given(poke_pair_words(max_strands=12, max_pairs=8))
+@given(poke_pair_words(max_strands=12, max_pairs=12))
 def test_tl_equals_naive_on_poke_pair_words(word):
-    # capped at 16 crossings: the naive engine takes about 7 s at 22
+    # up to the naive cap of 24 crossings (16 while the naive engine walked
+    # every state: it took about 7 s at 22)
     assert tl_evaluate(word) == bracket3_raw(closure(word))
 
 
@@ -301,8 +354,9 @@ def test_poke_composition_locks_the_convention():
     identity = _identity_matching(2)
     cupcap = (1, 0, 3, 2)
     assert set(table) == {identity, cupcap}
-    assert _unpack(table[identity], word) == parse_poly("+a*b")
-    assert _unpack(table[cupcap], word) == parse_poly("+a^2 +b^2 +a*b*d")
+    layout = (len(word.letters), *_slot_layout(word))
+    assert _unpack(table[identity], *layout) == parse_poly("+a*b")
+    assert _unpack(table[cupcap], *layout) == parse_poly("+a^2 +b^2 +a*b*d")
 
 
 def reachable_matchings(word: BraidWord) -> set:

@@ -9,7 +9,7 @@ import pytest
 import qbracket.classical as classical
 import qbracket.search as search
 from qbracket.cli import main
-from qbracket.diagram import closure, parse_braid
+from qbracket.diagram import closure, parse_braid, rewrite_moves
 from qbracket.search import (
     InvariantRecord,
     RecordCache,
@@ -99,6 +99,19 @@ def test_record_engines_agree():
     assert naive.f_text == tl.f_text
     assert naive.ambient3_text == tl.ambient3_text
     assert (naive.engine, tl.engine) == ("naive", "tl")
+
+
+def test_record_engines_agree_on_every_table_braid_and_a_rewrite_of_each():
+    # the scan's inputs: on braids the naive record is the frontier pass over
+    # the closure, the tl record the planar-matching transfer over the word
+    braids = [e for e in load_table(bundled_table_path()).entries if e.word is not None]
+    assert braids
+    for k, e in enumerate(braids):
+        variant = rewrite_moves(e.word, seed=k, count=3)
+        for name, word in ((e.name, e.word), (f"{e.name}~v", variant)):
+            naive = compute_record(entry(name, word.text), "naive")
+            tl = compute_record(entry(name, word.text), "tl")
+            assert (naive.f_text, naive.ambient3_text) == (tl.f_text, tl.ambient3_text), word.text
 
 
 def test_record_reproducible():
