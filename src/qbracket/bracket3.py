@@ -247,7 +247,7 @@ def _unpack(packed: int, letters: int, width: int, stride: int) -> Polynomial:
         if "1" in chunk:
             j, k = divmod(start // width, stride)
             counts[(letters - j, j, k)] = int(chunk[::-1], 2)
-    return Polynomial(counts)
+    return Polynomial._from_clean(counts)  # nonzero counts, j <= letters
 
 
 def tl_evaluate(b: BraidWord) -> Polynomial:

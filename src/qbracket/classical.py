@@ -69,10 +69,6 @@ class LaurentPolynomial:
     def one(cls) -> "LaurentPolynomial":
         return cls({0: 1})
 
-    @classmethod
-    def monomial(cls, exp: int, coeff: int = 1) -> "LaurentPolynomial":
-        return cls({exp: coeff})
-
     @property
     def terms(self) -> dict[int, int]:
         return dict(self._terms)
@@ -84,14 +80,7 @@ class LaurentPolynomial:
     def __add__(self, other: "LaurentPolynomial | int") -> "LaurentPolynomial":
         if isinstance(other, int):
             other = LaurentPolynomial({0: other})
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return LaurentPolynomial(out)
+        return LaurentPolynomial([*self._terms.items(), *other._terms.items()])
 
     __radd__ = __add__
 
@@ -106,16 +95,9 @@ class LaurentPolynomial:
     def __mul__(self, other: "LaurentPolynomial | int") -> "LaurentPolynomial":
         if isinstance(other, int):
             return LaurentPolynomial({e: c * other for e, c in self._terms.items()})
-        out: dict[int, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return LaurentPolynomial(out)
+        return LaurentPolynomial(
+            [(e1 + e2, c1 * c2) for e1, c1 in self._terms.items() for e2, c2 in other._terms.items()]
+        )
 
     __rmul__ = __mul__
 
@@ -138,15 +120,6 @@ class LaurentPolynomial:
     def mirror(self) -> "LaurentPolynomial":
         """Substitute a -> a^-1 (the effect of mirroring a diagram)."""
         return LaurentPolynomial({-e: c for e, c in self._terms.items()})
-
-    def evaluate(self, value: complex) -> complex:
-        return sum(c * value**e for e, c in self._terms.items())
-
-    def span(self) -> int:
-        """Difference between the largest and smallest exponent (0 if zero)."""
-        if not self._terms:
-            return 0
-        return max(self._terms) - min(self._terms)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
@@ -171,8 +144,7 @@ def format_laurent(p: LaurentPolynomial) -> str:
     if p.is_zero:
         return "0"
     chunks = []
-    for exp in sorted(p.terms, reverse=True):
-        coeff = p.terms[exp]
+    for exp, coeff in sorted(p.terms.items(), reverse=True):
         sign = "+" if coeff > 0 else "-"
         mag = abs(coeff)
         if exp == 0:
@@ -259,11 +231,14 @@ def kauffman_bracket(d: Diagram) -> LaurentPolynomial:
 def bracket_from_raw(raw: Polynomial) -> LaurentPolynomial:
     """The bracket folded out of the raw three-variable state sum: b -> a^-1
     and one circle fewer, so each raw term c*a^i*b^j*d^k (k >= 1, as every
-    state has a circle) becomes c*a^(i-j)*CIRCLE^(k-1)."""
-    total = LaurentPolynomial.zero()
-    for (i, j, k), coeff in raw.terms.items():
-        total = total + circle_power(k - 1).shift(i - j) * coeff
-    return total
+    state has a circle) becomes c*a^(i-j)*CIRCLE^(k-1), folded into one
+    exponent -> coefficient map."""
+    total: dict[int, int] = {}
+    for (i, j, k), coeff in raw:
+        shift = i - j
+        for e, c in circle_power(k - 1)._terms.items():
+            total[e + shift] = total.get(e + shift, 0) + c * coeff
+    return LaurentPolynomial(total)
 
 
 def writhe_normalize(bracket: LaurentPolynomial, w: int) -> LaurentPolynomial:

@@ -14,7 +14,9 @@ bases whose leading coefficients are +-1 (every basis this package ships)
 this coincides with division over the rationals and remainders are the usual
 unique normal forms.  Every caller reads the remainder only, so ``remainder``
 keeps no quotients.  It pops each step's term from a heap (Monagan & Pearce,
-CASC 2007) rather than scanning the whole work set for its maximum.
+CASC 2007) rather than scanning the whole work set for its maximum, by
+reducers prepared once per basis.  Results clean by construction skip every
+constructor check but ``TERM_LIMIT`` (``Polynomial._from_clean``).
 """
 
 from __future__ import annotations
@@ -84,6 +86,16 @@ class Polynomial:
         object.__setattr__(self, "_hash", None)
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _from_clean(cls, terms: dict[Monomial, int]) -> "Polynomial":
+        """Adopt ``terms``, which has no zero coefficient or negative exponent."""
+        if len(terms) > TERM_LIMIT:
+            raise TermLimitError(f"polynomial with {len(terms)} terms exceeds cap {TERM_LIMIT}")
+        p = object.__new__(cls)
+        object.__setattr__(p, "_terms", terms)
+        object.__setattr__(p, "_hash", None)
+        return p
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -166,12 +178,12 @@ class Polynomial:
                 out[m] = s
             else:
                 out.pop(m, None)
-        return Polynomial(out)
+        return Polynomial._from_clean(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial({m: -c for m, c in self._terms.items()})
+        return Polynomial._from_clean({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: "Polynomial | int") -> "Polynomial":
         if isinstance(other, int):
@@ -187,7 +199,7 @@ class Polynomial:
         if isinstance(other, int):
             if other == 0:
                 return Polynomial.zero()
-            return Polynomial({m: c * other for m, c in self._terms.items()})
+            return Polynomial._from_clean({m: c * other for m, c in self._terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
         out: dict[Monomial, int] = {}
@@ -199,9 +211,7 @@ class Polynomial:
                     out[m] = s
                 else:
                     del out[m]
-        if len(out) > TERM_LIMIT:
-            raise TermLimitError(f"product has {len(out)} terms, cap is {TERM_LIMIT}")
-        return Polynomial(out)
+        return Polynomial._from_clean(out)
 
     __rmul__ = __mul__
 
@@ -219,9 +229,11 @@ class Polynomial:
 
     def mul_term(self, coeff: int, mono: Monomial) -> "Polynomial":
         """Multiply by a single term; cheaper than building a Polynomial."""
+        if min(mono) < 0:
+            raise ValueError(f"negative exponent in monomial {mono}")
         if coeff == 0:
             return Polynomial.zero()
-        return Polynomial(
+        return Polynomial._from_clean(
             {(m[0] + mono[0], m[1] + mono[1], m[2] + mono[2]): c * coeff for m, c in self._terms.items()}
         )
 
@@ -263,8 +275,7 @@ def format_poly(p: Polynomial) -> str:
     if p.is_zero:
         return "0"
     chunks = []
-    for mono in sorted(p.terms, reverse=True):
-        coeff = p.terms[mono]
+    for mono, coeff in sorted(p.terms.items(), reverse=True):
         sign = "+" if coeff > 0 else "-"
         mag = abs(coeff)
         factors = []
@@ -331,6 +342,19 @@ def parse_poly(text: str) -> Polynomial:
 
 # -- division, S-polynomials, Buchberger ------------------------------------
 
+def prepare_reducers(basis: Iterable[Polynomial]) -> tuple:
+    """The reducers of ``basis``, in its order, for :func:`remainder_by`."""
+    reducers = []
+    for g in basis:
+        if g.is_zero:
+            raise ValueError("division by a basis containing zero")
+        (la, lb, ld), lc = g.leading()
+        # each tail term m as (lm - m, c): mono / lm * m has the key key + (lm - m)
+        tail = [((la - m[0], lb - m[1], ld - m[2]), c) for m, c in g.terms.items() if m != (la, lb, ld)]
+        reducers.append((la, lb, ld, lc, tail))
+    return tuple(reducers)
+
+
 def remainder(p: Polynomial, basis: list[Polynomial]) -> Polynomial:
     """Remainder of multivariate division of p by basis, exactly over Z.
 
@@ -340,6 +364,12 @@ def remainder(p: Polynomial, basis: list[Polynomial]) -> Polynomial:
     Then p minus the result lies in the ideal of the basis; remainders
     against a Groebner basis with unit leading coefficients are the canonical
     normal forms.  The quotients are not kept.
+    """
+    return remainder_by(p, prepare_reducers(basis))
+
+
+def remainder_by(p: Polynomial, reducers: tuple) -> Polynomial:
+    """:func:`remainder` by the prepared reducers of a basis.
 
     The work set is a dict of coefficients keyed by negated exponent
     triples, beside a heap of those keys whose minimum is the largest
@@ -347,14 +377,6 @@ def remainder(p: Polynomial, basis: list[Polynomial]) -> Polynomial:
     it enters the dict; a cancelled coefficient stays as 0 and is skipped
     when popped.
     """
-    if any(g.is_zero for g in basis):
-        raise ValueError("division by a basis containing zero")
-    reducers = []
-    for g in basis:
-        (la, lb, ld), lc = g.leading()
-        # each tail term m as (lm - m, c): mono / lm * m has the key key + (lm - m)
-        tail = [((la - m[0], lb - m[1], ld - m[2]), c) for m, c in g.terms.items() if m != (la, lb, ld)]
-        reducers.append((la, lb, ld, lc, tail))
     rest: dict[Monomial, int] = {}
     work = {(-m[0], -m[1], -m[2]): c for m, c in p.terms.items()}
     get = work.get
@@ -378,7 +400,7 @@ def remainder(p: Polynomial, basis: list[Polynomial]) -> Polynomial:
                 break
         else:
             rest[(-na, -nb, -nd)] = coeff
-    return Polynomial(rest)
+    return Polynomial._from_clean(rest)
 
 
 def s_poly(p: Polynomial, q: Polynomial) -> Polynomial:

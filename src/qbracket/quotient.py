@@ -33,8 +33,10 @@ from .multipoly import (
     format_poly,
     mono_divides,
     parse_poly,
+    prepare_reducers,
     reduce_basis,
     remainder,
+    remainder_by,
     s_poly,
 )
 
@@ -52,6 +54,8 @@ GROEBNER_BASIS: tuple[Polynomial, Polynomial, Polynomial] = (
     parse_poly("+a^2*d +2*a*b*d^2 +b^2*d -d^2"),
 )
 
+_GROEBNER_REDUCERS = prepare_reducers(GROEBNER_BASIS)
+
 
 def normal_form(p: Polynomial) -> Polynomial:
     """Canonical representative of p + I: the remainder against the basis.
@@ -59,7 +63,7 @@ def normal_form(p: Polynomial) -> Polynomial:
     No monomial of the result is divisible by b^4*d^3, a*d^3, or a^2*d (the
     basis leading monomials), and the map is idempotent and linear.
     """
-    return remainder(p, list(GROEBNER_BASIS))
+    return remainder_by(p, _GROEBNER_REDUCERS)
 
 
 def is_normal(p: Polynomial) -> bool:

@@ -219,7 +219,6 @@ class ScanReport:
     entry_count: int
     bucket_sizes: dict[str, int]
     pairs: list[PairVerdict]
-    witnesses: list[PairVerdict]  # always empty: ambient3 is a function of f
     cache_warnings: list[str] = field(default_factory=list)
     load_errors: list[tuple[int, str]] = field(default_factory=list)
 
@@ -253,6 +252,5 @@ def conjecture_scan(
         entry_count=len(entries),
         bucket_sizes={bucket_digest(k): len(v) for k, v in buckets.items() if len(v) > 1},
         pairs=pairs,
-        witnesses=[],
         cache_warnings=list(cache.warnings) if cache else [],
     )

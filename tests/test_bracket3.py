@@ -264,6 +264,16 @@ def test_tl_equals_naive_random_words(word):
     assert tl_evaluate(word) == bracket3_raw(closure(word))
 
 
+@settings(max_examples=40, deadline=None)
+@given(braid_words(max_letters=12))
+def test_raw_sums_are_clean_polynomials(word):
+    # both engines unpack without the public constructor's cleaning pass, so
+    # rebuilding through it must change nothing: no zero coefficient, no
+    # negative exponent
+    for raw in (tl_evaluate(word), bracket3_raw(closure(word))):
+        assert raw == Polynomial(dict(raw.terms))
+
+
 @st.composite
 def poke_pair_words(draw, max_strands, max_pairs):
     # the two cup-caps of a pair (i, -i) meet and split off a circle, so

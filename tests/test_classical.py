@@ -1,20 +1,23 @@
 """Classical bracket: frozen values, laws, and move invariance."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qbracket.bracket3 import tl_evaluate
+from qbracket.bracket3 import bracket3_raw, tl_evaluate
 from qbracket.classical import (
     CIRCLE,
     CapacityError,
     LaurentPolynomial,
     bracket_from_raw,
+    circle_power,
     f_invariant,
     format_laurent,
     kauffman_bracket,
     parse_laurent,
 )
-from qbracket.diagram import Diagram, add_kink, closure, parse_braid, rewrite_moves
+from qbracket.diagram import BraidWord, Diagram, add_kink, closure, parse_braid, rewrite_moves
 
 
 def bracket_of(text: str) -> LaurentPolynomial:
@@ -124,6 +127,28 @@ def test_trefoil_and_mirror_differ_but_swap_under_mirroring():
     right = f_invariant(closure(parse_braid("braid:2:1,1,1")))
     assert left != right
     assert left == right.mirror()
+
+
+# -- the bracket folded out of the raw sum ----------------------------------------------
+
+def bracket_from_raw_per_term(raw) -> LaurentPolynomial:
+    """Oracle: one shifted, scaled power of the circle factor per raw term,
+    summed as polynomials."""
+    total = LaurentPolynomial.zero()
+    for (i, j, k), coeff in raw.terms.items():
+        total = total + circle_power(k - 1).shift(i - j) * coeff
+    return total
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_bracket_from_raw_matches_per_term_oracle_and_state_sum(seed):
+    rng = random.Random(seed)
+    strands = rng.randint(2, 5)
+    letters = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(rng.randint(0, 10))]
+    d = closure(BraidWord(strands, tuple(letters)))
+    raw = bracket3_raw(d)
+    assert bracket_from_raw(raw) == bracket_from_raw_per_term(raw) == kauffman_bracket(d)
 
 
 # -- move invariance ------------------------------------------------------------------

@@ -15,7 +15,7 @@ from qbracket.multipoly import (
     remainder,
     s_poly,
 )
-from qbracket.quotient import GROEBNER_BASIS, IDEAL_GENERATORS
+from qbracket.quotient import GROEBNER_BASIS, IDEAL_GENERATORS, normal_form
 
 from division_oracle import divide_by_max_scan
 
@@ -93,6 +93,8 @@ def test_canonical_text_is_lex_descending():
 def test_negative_exponents_rejected():
     with pytest.raises(ValueError):
         Polynomial({(-1, 0, 0): 1})
+    with pytest.raises(ValueError):
+        A.mul_term(1, (0, -1, 0))
 
 
 def test_term_limit_guard(monkeypatch):
@@ -102,6 +104,12 @@ def test_term_limit_guard(monkeypatch):
     dense = Polynomial({(i, 0, 0): 1 for i in range(11)})
     with pytest.raises(TermLimitError):
         (dense * Polynomial({(0, j, 0): 1 for j in range(11)}))
+    # 60 + 60 terms with no monomial in common
+    with pytest.raises(TermLimitError):
+        Polynomial({(0, j, 0): 1 for j in range(60)}) + Polynomial({(0, 0, k): 1 for k in range(1, 61)})
+    # 60 terms a*b^j, each rewritten to the two terms -b^j*d - b^j*d^2
+    with pytest.raises(TermLimitError):
+        remainder(Polynomial({(1, j, 0): 1 for j in range(60)}), [parse_poly("+a +d +d^2")])
 
 
 # -- ring arithmetic -----------------------------------------------------------
@@ -140,6 +148,22 @@ def test_ring_axioms(p, q, r):
     assert p * q == q * p
     assert (p * q) * r == p * (q * r)
     assert p * (q + r) == p * q + p * r
+
+
+def _is_clean(p: Polynomial) -> bool:
+    """True when p holds no zero coefficient and no negative exponent: the
+    public constructor, which drops the one and rejects the other, rebuilds
+    it unchanged."""
+    return p == Polynomial(dict(p.terms))
+
+
+@settings(max_examples=100, deadline=None)
+@given(polynomials, polynomials, monomials, coefficients)
+def test_every_operation_returns_a_clean_polynomial(p, q, mono, c):
+    # p - p, p + (-p) and p * 0 cancel every term
+    results = [p + q, p - q, p - p, p + (-p), -p, p * q, p * c, p * 0, p.mul_term(c, mono)]
+    results += [remainder(p * q, [Q1, Q2, Q3]), remainder(p, [q] if q else []), normal_form(p * q)]
+    assert all(_is_clean(x) for x in results)
 
 
 @settings(max_examples=50, deadline=None)
@@ -321,6 +345,21 @@ def test_normal_form_matches_sympy_reduced(p):
     _, sympy_rem = sp.reduced(expr, basis_exprs, gens=list(gens), order="lex")
     ours, _ = _to_sympy(remainder(p, list(GROEBNER_BASIS)))
     assert sp.expand(ours - sympy_rem) == 0
+
+
+# wider than ``polynomials``: degrees up to 9 and coefficients past a machine word
+big_polynomials = st.dictionaries(
+    st.tuples(*[st.integers(min_value=0, max_value=9)] * 3),
+    st.integers(min_value=-(10**20), max_value=10**20),
+    max_size=8,
+).map(Polynomial)
+
+
+@settings(max_examples=200, deadline=None)
+@given(big_polynomials)
+def test_normal_form_equals_remainder_by_a_freshly_prepared_basis(p):
+    # normal_form divides by reducers prepared once, at import
+    assert normal_form(p) == remainder(p, list(GROEBNER_BASIS))
 
 
 def test_groebner_basis_matches_sympy():

@@ -224,7 +224,7 @@ def test_same_knot_two_presentations_share_a_bucket():
 def test_scan_singletons_produce_no_comparisons():
     report = conjecture_scan([entry("unknot", "braid:1:"), entry("trefoil", "braid:2:1,1,1")])
     assert report.pairs == []
-    assert report.witnesses == []
+    assert report.bucket_sizes == {}
 
 
 def test_scan_same_knot_pair_is_same():
@@ -233,7 +233,7 @@ def test_scan_same_knot_pair_is_same():
     report = conjecture_scan([entry("braidform", "braid:2:1,1,1"), entry("pdform", pd)])
     assert len(report.pairs) == 1
     assert report.pairs[0].verdict == "SAME"
-    assert report.witnesses == []
+    assert report.bucket_sizes == {report.pairs[0].digest: 2}
 
 
 def test_scan_deterministic_over_bundled_subset():
@@ -268,7 +268,7 @@ def test_scan_reports_a_differing_pair_as_engine_mismatch(monkeypatch):
                entry("k3", "braid:1:")]
     report = search.conjecture_scan(entries, engine="tl")
     assert report.pairs == [search.PairVerdict("k1", "k2", search.bucket_digest("F"), "ENGINE_MISMATCH", "tl,naive")]
-    assert report.witnesses == []
+    assert report.bucket_sizes == {search.bucket_digest("F"): 2}
     assert calls == {"k1": 1, "k2": 1, "k3": 1}  # no member is recomputed
 
 
