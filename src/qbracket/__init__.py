@@ -11,6 +11,7 @@ from .bracket3 import (
     CONVENTION,
     CURL_MINUS,
     CURL_PLUS,
+    CapacityError,
     ambient3,
     ambient3_with_circle_factors,
     bracket3,
@@ -20,7 +21,6 @@ from .bracket3 import (
 )
 from .classical import (
     CIRCLE,
-    CapacityError,
     LaurentPolynomial,
     f_invariant,
     format_laurent,
@@ -38,8 +38,6 @@ from .diagram import (
     parse_braid,
     parse_pd,
     pd_text,
-    resolve_state,
-    resolve_state_walk,
     rewrite_moves,
     writhe,
 )

@@ -20,8 +20,8 @@ state counts per matching (Kronecker substitution, see :func:`_unpack`).
 merging the partial states that join the open arcs alike (Bar-Natan, JKTR 16
 (2007)); ``tl`` carries planar matchings (the Temperley-Lieb basis) across a
 braid word, one letter at a time.  They are checked against each other in
-the tests and can be cross-asserted at runtime; the per-state enumeration of
-:func:`.classical.kauffman_bracket` is the oracle for both.
+the tests and can be cross-asserted at runtime; a per-state enumeration in
+the test suite is the oracle for both.
 
 Every readout of a diagram is derived from its one raw sum: the normal form,
 :func:`ambient_from_raw`, :func:`circle_variant`, and the classical bracket
@@ -32,8 +32,7 @@ from __future__ import annotations
 
 import itertools
 
-from .classical import TL_STRAND_CAP, CapacityError, check_enumerable
-from .diagram import BraidWord, Diagram, closure, writhe
+from .diagram import BraidWord, Diagram, Quad, closure, writhe
 from .multipoly import Monomial, Polynomial, parse_poly
 from .quotient import normal_form
 
@@ -46,28 +45,29 @@ DELTA: Polynomial = Polynomial.variable("d")
 #: Everything that pins the state-sum conventions, for cache keys and reports.
 CONVENTION = "order:a>b>d;A(positive)=vertical;circles:d^k;curl+:+a*d +b;curl-:+a +b*d"
 
+#: Open-arc cap of the frontier pass: the boundary of a 12-strand closure.
+OPEN_ARC_CAP = 24
 
-def bracket3_raw(d: Diagram) -> Polynomial:
-    """Raw three-variable state sum over all 2^n smoothing choices.
+#: Strand cap for the transfer-matrix pass (its basis size is Catalan(n)).
+TL_STRAND_CAP = 12
 
-    A frontier pass over the crossings in the diagram's own order.  Each
-    partial curve ends on two open arcs (labels seen once so far), so partial
-    states merge by their matching of the open arcs: each arc's partner, in
-    an arc order all states share.  A matching carries one packed int of
-    state counts, a^(n-j) b^j d^k in slot j*(2n+f+1) + k for n crossings and
-    f free loops (see :func:`_unpack`).  A smoothing shifts it one b-row if
-    it is B and one d-slot per circle it closes, so the cost is set by the
-    number of matchings, which the width of the open boundary bounds.
 
-    A crossing-free k-circle diagram gives d^k; every state of a nonempty
-    diagram carries at least one circle, so d divides the result.
-    """
-    check_enumerable(d)
-    n = d.n
-    width, stride = n + 1, 2 * n + d.free_loops + 1  # at most 2n circles meet a crossing
-    table: dict[tuple[int, ...], int] = {(): 1 << (width * d.free_loops)}
+class CapacityError(RuntimeError):
+    """Input too wide for a state-sum pass."""
+
+
+#: One crossing of the frontier pass: its port and ext nodes, the nodes left
+#: open after it, and each one's position in the next matching.
+Step = tuple[list[int], list[int], list[int], dict[int, int]]
+
+
+def _plan(crossings: tuple[Quad, ...]) -> tuple[list[Step], int]:
+    """The state-independent part of the frontier pass over ``crossings`` in
+    the given order, and the peak number of open arcs it carries."""
+    steps: list[Step] = []
+    peak = 0
     open_arcs: list[int] = []
-    for quad in d.crossings:
+    for quad in crossings:
         # nodes: the open arcs by position, then one per port; mate pairs the
         # two ends of each curve, and a new arc is its own end until joined
         base = len(open_arcs)
@@ -79,7 +79,55 @@ def bracket3_raw(d: Diagram) -> Polynomial:
         after = [i for i, arc in enumerate(open_arcs) if arc not in quad]
         after += [base + s for s in range(4) if port[s] == ext[s]]  # new arcs, kinks' excepted
         open_arcs = [open_arcs[i] if i < base else quad[i - base] for i in after]
-        index = {node: i for i, node in enumerate(after)}
+        steps.append((port, ext, after, {node: i for i, node in enumerate(after)}))
+        peak = max(peak, len(after))
+    return steps, peak
+
+
+def _greedy_order(crossings: tuple[Quad, ...]) -> tuple[Quad, ...]:
+    """The crossings reordered so that each next one has the most ports on
+    open arcs, ties going to the lowest input index."""
+    left = list(crossings)
+    order: list[Quad] = []
+    open_arcs: set[int] = set()
+    while left:
+        quad = left.pop(max(range(len(left)), key=lambda k: sum(arc in open_arcs for arc in left[k])))
+        order.append(quad)
+        for arc in quad:
+            open_arcs ^= {arc}
+    return tuple(order)
+
+
+def bracket3_raw(d: Diagram) -> Polynomial:
+    """Raw three-variable state sum over all 2^n smoothing choices.
+
+    A frontier pass over the crossings in the diagram's own order, or in a
+    greedy order (:func:`_greedy_order`) when the own order would carry more
+    than :data:`OPEN_ARC_CAP` open arcs at once; the sum does not depend on
+    the order.  Each partial curve ends on two open arcs (labels seen once so
+    far), so partial states merge by their matching of the open arcs: each
+    arc's partner, in an arc order all states share.  A matching carries one
+    packed int of state counts, a^(n-j) b^j d^k in slot j*(2n+f+1) + k for n
+    crossings and f free loops (see :func:`_unpack`).  A smoothing shifts it
+    one b-row if it is B and one d-slot per circle it closes, so the cost is
+    set by the number of matchings, which the width of the open boundary
+    bounds.
+
+    A crossing-free k-circle diagram gives d^k; every state of a nonempty
+    diagram carries at least one circle, so d divides the result.
+    """
+    steps, peak = _plan(d.crossings)
+    if peak > OPEN_ARC_CAP:  # a greedy order, else a refusal before any state work
+        steps, greedy_peak = _plan(_greedy_order(d.crossings))
+        if greedy_peak > OPEN_ARC_CAP:
+            raise CapacityError(
+                f"{d.n} crossings need {min(peak, greedy_peak)} open arcs at once in the narrowest "
+                f"crossing order tried, over the frontier pass's cap of {OPEN_ARC_CAP}"
+            )
+    n = d.n
+    width, stride = n + 1, 2 * n + d.free_loops + 1  # at most 2n circles meet a crossing
+    table: dict[tuple[int, ...], int] = {(): 1 << (width * d.free_loops)}
+    for port, ext, after, index in steps:
         a, b, c, e = port
         choices = ((0, ((a, b), (c, e))), (width * stride, ((a, e), (b, c))))
         nxt: dict[tuple[int, ...], int] = {}

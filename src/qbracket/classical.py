@@ -8,10 +8,11 @@ polynomial*, Topology 26 (1987)):
     <D u circle> = (-a^-2 - a^2) <D>,
     <crossing> = a <A-smoothing> + a^-1 <B-smoothing>.
 
-Expanding every crossing gives the 2^n state sum computed here.  The bracket
-only changes by -a^(+-3) under a first Reidemeister move, so
-f(D) = (-a^3)^(-w(D)) <D> with w the writhe is invariant under all three
-moves.
+Expanding every crossing gives a 2^n state sum; :mod:`.bracket3` computes
+it once per diagram as the raw three-variable sum, and the bracket is folded
+out of that here (:func:`bracket_from_raw`).  The bracket only changes by
+-a^(+-3) under a first Reidemeister move, so f(D) = (-a^3)^(-w(D)) <D> with
+w the writhe is invariant under all three moves.
 """
 
 from __future__ import annotations
@@ -20,32 +21,8 @@ import functools
 import re
 from typing import Mapping
 
-from .diagram import Diagram, resolve_state, state_from_index, writhe
+from .diagram import Diagram, writhe
 from .multipoly import Polynomial
-
-
-class CapacityError(RuntimeError):
-    """Input too large for the exhaustive state enumeration."""
-
-
-#: Crossing cap for any diagram: the frontier pass of ``bracket3_raw`` and the
-#: 2^n enumeration of :func:`kauffman_bracket`, its oracle, share it.
-ENUMERATION_CAP = 24
-
-#: Strand cap for the transfer-matrix pass (its basis size is Catalan(n)).
-TL_STRAND_CAP = 12
-
-
-def check_enumerable(d: Diagram) -> None:
-    """Raise unless the diagram state sums can take ``d``: too many crossings
-    is a :class:`CapacityError`, the empty diagram a ValueError."""
-    if d.n > ENUMERATION_CAP:
-        raise CapacityError(
-            f"{d.n} crossings exceeds the enumeration cap {ENUMERATION_CAP}; only the "
-            f"transfer-matrix pass over a braid word on at most {TL_STRAND_CAP} strands goes past it"
-        )
-    if d.n == 0 and d.free_loops == 0:
-        raise ValueError("bracket of the empty diagram is undefined")
 
 
 class LaurentPolynomial:
@@ -205,27 +182,10 @@ def circle_power(k: int) -> LaurentPolynomial:
 
 
 def kauffman_bracket(d: Diagram) -> LaurentPolynomial:
-    """The bracket via its own 2^n state sum: the independent oracle that
-    :func:`bracket_from_raw` is tested against.
-
-    Each state contributes a^(#A - #B) * (-a^-2 - a^2)^(circles - 1); a
-    crossing-free k-circle diagram therefore evaluates to the (k-1)-st power
-    of the circle factor, and the unknot to 1.
-    """
-    check_enumerable(d)
-    n = d.n
-    # group states by (exponent, circle count); expand powers only once per group
-    groups: dict[tuple[int, int], int] = {}
-    for index in range(1 << n):
-        state = state_from_index(index, n)
-        b_count = sum(state)
-        loops = resolve_state(d, state)
-        key = (n - 2 * b_count, loops)
-        groups[key] = groups.get(key, 0) + 1
-    total = LaurentPolynomial.zero()
-    for (exp, loops), mult in sorted(groups.items()):
-        total = total + circle_power(loops - 1).shift(exp) * mult
-    return total
+    """The bracket of ``d``, folded out of its raw three-variable sum."""
+    # imported here: bracket3 imports quotient, which imports this module
+    from .bracket3 import bracket3_raw
+    return bracket_from_raw(bracket3_raw(d))
 
 
 def bracket_from_raw(raw: Polynomial) -> LaurentPolynomial:

@@ -19,12 +19,14 @@ import sys
 
 from .bracket3 import (
     CONVENTION,
+    TL_STRAND_CAP,
+    CapacityError,
     EngineMismatchError,
     ambient_from_normal,
     circle_variant,
     raw_bracket,
 )
-from .classical import TL_STRAND_CAP, CapacityError, bracket_from_raw, format_laurent, writhe_normalize
+from .classical import bracket_from_raw, format_laurent, writhe_normalize
 from .diagram import DiagramError, conjugate, parse_braid, rewrite_moves, writhe
 from .multipoly import TermLimitError, format_poly
 from .quotient import (

@@ -1,4 +1,4 @@
-"""Link diagrams: braid words, PD codes, closures, smoothings, and rewrites.
+"""Link diagrams: braid words, PD codes, closures, orientation, and rewrites.
 
 Two input forms are supported.  A braid word ``braid:<n>:<letters>`` lists
 signed generators (letter +i is the half-twist where strand i passes over
@@ -7,12 +7,13 @@ A PD code ``PD[X(a,b,c,d),...]`` lists crossings by the four incident arc
 labels, counterclockwise starting at the incoming under-strand arc, with
 labels increasing along each component (the usual knot-table convention).
 
-Crossing smoothings follow one fixed convention throughout the package: for
-``X(a,b,c,d)`` the A-smoothing joins a-b and c-d and the B-smoothing joins
-a-d and b-c.  For a positive braid letter this makes the A-smoothing the
-identity tangle and the B-smoothing the cup-cap, and for a negative letter
-the roles swap; the classical value -a^3 of a positive curl pins this choice
-down (see the test suite, which validates rather than assumes it).
+Crossing smoothings, which the state sums of :mod:`.bracket3` apply, follow
+one fixed convention throughout the package: for ``X(a,b,c,d)`` the
+A-smoothing joins a-b and c-d and the B-smoothing joins a-d and b-c.  For a
+positive braid letter this makes the A-smoothing the identity tangle and the
+B-smoothing the cup-cap, and for a negative letter the roles swap; the
+classical value -a^3 of a positive curl pins this choice down (see the test
+suite, which validates rather than assumes it).
 """
 
 from __future__ import annotations
@@ -500,96 +501,3 @@ def closure(b: BraidWord) -> Diagram:
         else:
             quads.append((bl, br, tr, tl))   # under-strand enters bottom-left
     return Diagram(tuple(quads), free_loops)
-
-
-# -- state resolution ------------------------------------------------------------
-
-State = tuple[int, ...]  # 0 = A-smoothing, 1 = B-smoothing, one per crossing
-
-
-def state_from_index(index: int, n: int) -> State:
-    """Binary-counter enumeration: bit k of ``index`` is crossing k's choice."""
-    return tuple((index >> k) & 1 for k in range(n))
-
-
-def smoothing_pairs(quad: Quad, choice: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Arc pairs joined by the chosen smoothing (0 = A joins a-b and c-d)."""
-    a, b, c, e = quad
-    return ((a, b), (c, e)) if choice == 0 else ((a, e), (b, c))
-
-
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
-
-
-def resolve_state(d: Diagram, state: State) -> int:
-    """Number of circles after smoothing every crossing as the state says.
-
-    Arc endpoints joined by a smoothing are merged in a disjoint-set forest;
-    the circle count is the number of classes plus any free loops.
-    """
-    if len(state) != d.n:
-        raise ValueError(f"state length {len(state)} != crossing count {d.n}")
-    if d.n == 0:
-        return d.free_loops
-    uf = _UnionFind(2 * d.n + 1)
-    for quad, choice in zip(d.crossings, state):
-        (x1, y1), (x2, y2) = smoothing_pairs(quad, choice)
-        uf.union(x1, y1)
-        uf.union(x2, y2)
-    roots = {uf.find(label) for label in range(1, 2 * d.n + 1)}
-    return len(roots) + d.free_loops
-
-
-def resolve_state_walk(d: Diagram, state: State) -> int:
-    """Independent circle counter: walk the port graph and count cycles.
-
-    Ports alternate between smoothing partners (within a crossing) and arc
-    partners (the other occurrence of the same label).  Used as an oracle
-    against :func:`resolve_state`; both must always agree.
-    """
-    if len(state) != d.n:
-        raise ValueError(f"state length {len(state)} != crossing count {d.n}")
-    partner_in_crossing: dict[tuple[int, int], tuple[int, int]] = {}
-    for k, (quad, choice) in enumerate(zip(d.crossings, state)):
-        pairs = ((0, 1), (2, 3)) if choice == 0 else ((0, 3), (1, 2))
-        for s1, s2 in pairs:
-            partner_in_crossing[(k, s1)] = (k, s2)
-            partner_in_crossing[(k, s2)] = (k, s1)
-    occurrences: dict[int, list[tuple[int, int]]] = {}
-    for k, quad in enumerate(d.crossings):
-        for slot, label in enumerate(quad):
-            occurrences.setdefault(label, []).append((k, slot))
-    arc_partner = {}
-    for ports_ in occurrences.values():
-        p0, p1 = ports_
-        arc_partner[p0] = p1
-        arc_partner[p1] = p0
-    cycles = 0
-    seen: set[tuple[int, int]] = set()
-    for port in partner_in_crossing:
-        if port in seen:
-            continue
-        cycles += 1
-        cur = port
-        while cur not in seen:
-            seen.add(cur)
-            step = partner_in_crossing[cur]
-            seen.add(step)
-            cur = arc_partner[step]
-    return cycles + d.free_loops

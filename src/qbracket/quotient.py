@@ -26,7 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .classical import LaurentPolynomial, circle_power
+from .classical import LaurentPolynomial, bracket_from_raw
 from .multipoly import (
     Polynomial,
     buchberger_run,
@@ -436,9 +436,7 @@ def specialize_classical(p: Polynomial) -> LaurentPolynomial:
     """Substitute b -> a^-1 and d -> -a^-2 - a^2, exactly.
 
     This is the first solution branch; it annihilates both ideal generators,
-    so the map factors through the quotient.
+    so the map factors through the quotient.  The classical bracket drops
+    one circle from the raw sum, so this is its fold of d*p.
     """
-    out = LaurentPolynomial.zero()
-    for (ea, eb, ed), coeff in p.terms.items():
-        out = out + circle_power(ed).shift(ea - eb) * coeff
-    return out
+    return bracket_from_raw(p.mul_term(1, (0, 0, 1)))

@@ -1,0 +1,147 @@
+"""Reference state sums that visit every one of the 2^n states.
+
+The library's ``bracket3_raw`` never resolves a state on its own: it merges
+partial states by how they match the open arcs.  These loops are the
+test-side oracles for it and for the classical readouts folded out of it:
+each state is smoothed in full and its circles are counted, by a
+disjoint-set forest (:func:`resolve_state`) and, independently, by walking
+the port graph (:func:`resolve_state_walk`).  The smoothing convention is
+the library's: for ``X(a,b,c,d)`` the A-smoothing joins a-b and c-d and the
+B-smoothing joins a-d and b-c.
+"""
+
+from qbracket.bracket3 import CapacityError
+from qbracket.classical import LaurentPolynomial, circle_power
+from qbracket.diagram import Diagram, Quad, writhe
+
+State = tuple[int, ...]  # 0 = A-smoothing, 1 = B-smoothing, one per crossing
+
+#: Crossing cap of the 2^n enumeration: 2^16 states take a few seconds.
+ORACLE_CAP = 16
+
+
+def state_from_index(index: int, n: int) -> State:
+    """Binary-counter enumeration: bit k of ``index`` is crossing k's choice."""
+    return tuple((index >> k) & 1 for k in range(n))
+
+
+def smoothing_pairs(quad: Quad, choice: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Arc pairs joined by the chosen smoothing (0 = A joins a-b and c-d)."""
+    a, b, c, e = quad
+    return ((a, b), (c, e)) if choice == 0 else ((a, e), (b, c))
+
+
+class _UnionFind:
+    __slots__ = ("parent",)
+
+    def __init__(self, size: int):
+        self.parent = list(range(size))
+
+    def find(self, x: int) -> int:
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def union(self, x: int, y: int) -> None:
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            self.parent[ry] = rx
+
+
+def resolve_state(d: Diagram, state: State) -> int:
+    """Number of circles after smoothing every crossing as the state says.
+
+    Arc endpoints joined by a smoothing are merged in a disjoint-set forest;
+    the circle count is the number of classes plus any free loops.
+    """
+    if len(state) != d.n:
+        raise ValueError(f"state length {len(state)} != crossing count {d.n}")
+    if d.n == 0:
+        return d.free_loops
+    uf = _UnionFind(2 * d.n + 1)
+    for quad, choice in zip(d.crossings, state):
+        (x1, y1), (x2, y2) = smoothing_pairs(quad, choice)
+        uf.union(x1, y1)
+        uf.union(x2, y2)
+    roots = {uf.find(label) for label in range(1, 2 * d.n + 1)}
+    return len(roots) + d.free_loops
+
+
+def resolve_state_walk(d: Diagram, state: State) -> int:
+    """Independent circle counter: walk the port graph and count cycles.
+
+    Ports alternate between smoothing partners (within a crossing) and arc
+    partners (the other occurrence of the same label).  Used as an oracle
+    against :func:`resolve_state`; both must always agree.
+    """
+    if len(state) != d.n:
+        raise ValueError(f"state length {len(state)} != crossing count {d.n}")
+    partner_in_crossing: dict[tuple[int, int], tuple[int, int]] = {}
+    for k, (quad, choice) in enumerate(zip(d.crossings, state)):
+        pairs = ((0, 1), (2, 3)) if choice == 0 else ((0, 3), (1, 2))
+        for s1, s2 in pairs:
+            partner_in_crossing[(k, s1)] = (k, s2)
+            partner_in_crossing[(k, s2)] = (k, s1)
+    occurrences: dict[int, list[tuple[int, int]]] = {}
+    for k, quad in enumerate(d.crossings):
+        for slot, label in enumerate(quad):
+            occurrences.setdefault(label, []).append((k, slot))
+    arc_partner = {}
+    for ports_ in occurrences.values():
+        p0, p1 = ports_
+        arc_partner[p0] = p1
+        arc_partner[p1] = p0
+    cycles = 0
+    seen: set[tuple[int, int]] = set()
+    for port in partner_in_crossing:
+        if port in seen:
+            continue
+        cycles += 1
+        cur = port
+        while cur not in seen:
+            seen.add(cur)
+            step = partner_in_crossing[cur]
+            seen.add(step)
+            cur = arc_partner[step]
+    return cycles + d.free_loops
+
+
+def kauffman_bracket(d: Diagram) -> LaurentPolynomial:
+    """The bracket via its own 2^n state sum.
+
+    Each state contributes a^(#A - #B) * (-a^-2 - a^2)^(circles - 1); a
+    crossing-free k-circle diagram therefore evaluates to the (k-1)-st power
+    of the circle factor, and the unknot to 1.
+    """
+    n = d.n
+    if n > ORACLE_CAP:
+        raise CapacityError(f"{n} crossings exceeds the oracle's cap {ORACLE_CAP}")
+    # group states by (exponent, circle count); expand powers only once per group
+    groups: dict[tuple[int, int], int] = {}
+    for index in range(1 << n):
+        state = state_from_index(index, n)
+        b_count = sum(state)
+        loops = resolve_state(d, state)
+        key = (n - 2 * b_count, loops)
+        groups[key] = groups.get(key, 0) + 1
+    total = LaurentPolynomial.zero()
+    for (exp, loops), mult in sorted(groups.items()):
+        total = total + circle_power(loops - 1).shift(exp) * mult
+    return total
+
+
+def f_invariant(d: Diagram) -> LaurentPolynomial:
+    """(-a^3)^(-w) times the oracle's bracket, w the writhe."""
+    w = writhe(d)
+    return kauffman_bracket(d).shift(-3 * w) * (-1 if w % 2 else 1)
+
+
+def bracket_from_raw_per_term(raw) -> LaurentPolynomial:
+    """One shifted, scaled power of the circle factor per raw term, summed
+    as polynomials: the per-term oracle for the library's one-dict fold."""
+    total = LaurentPolynomial.zero()
+    for (i, j, k), coeff in raw.terms.items():
+        total = total + circle_power(k - 1).shift(i - j) * coeff
+    return total

@@ -3,15 +3,19 @@
 import hashlib
 import importlib
 import itertools
+import random
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import state_oracle
 from qbracket.bracket3 import (
     CURL_MINUS,
     CURL_PLUS,
     DELTA,
+    OPEN_ARC_CAP,
+    CapacityError,
     ambient3,
     ambient3_with_circle_factors,
     ambient_from_raw,
@@ -25,14 +29,8 @@ from qbracket.bracket3 import (
     _slot_layout,
     _unpack,
 )
-from qbracket.classical import (
-    CIRCLE,
-    CapacityError,
-    bracket_from_raw,
-    f_invariant,
-    kauffman_bracket,
-    writhe_normalize,
-)
+from qbracket.classical import CIRCLE, bracket_from_raw, writhe_normalize
+from qbracket.cli import main
 from qbracket.diagram import (
     BraidWord,
     Diagram,
@@ -40,13 +38,17 @@ from qbracket.diagram import (
     closure,
     conjugate,
     parse_braid,
-    resolve_state_walk,
+    parse_pd,
+    pd_text,
     rewrite_moves,
     writhe,
 )
 from qbracket.multipoly import Polynomial, format_poly, parse_poly
 from qbracket.quotient import is_normal, normal_form, specialize_classical
 from qbracket.search import bundled_table_path, load_table
+
+# the package's own ``bracket3`` attribute is the function of that name
+bracket3_module = importlib.import_module("qbracket.bracket3")
 
 
 @st.composite
@@ -99,7 +101,7 @@ def raw_state_by_state(d: Diagram) -> Polynomial:
     counts: dict = {}
     for state in itertools.product((0, 1), repeat=d.n):
         b = sum(state)
-        mono = (d.n - b, b, resolve_state_walk(d, state))
+        mono = (d.n - b, b, state_oracle.resolve_state_walk(d, state))
         counts[mono] = counts.get(mono, 0) + 1
     return Polynomial(counts)
 
@@ -169,9 +171,9 @@ def test_naive_18_crossings_is_fast():
 
 
 def test_naive_24_crossing_poke_pairs_are_fast():
-    # the enumeration cap: walking all 2^24 states depth-first would take
-    # about 30 s on a 2-core machine (7.5 s at 22 crossings, Python 3.11);
-    # the frontier pass carries at most 89 matchings, about 6 ms
+    # 24 crossings, the old crossing cap: walking all 2^24 states depth-first
+    # would take about 30 s on a 2-core machine (7.5 s at 22 crossings, Python
+    # 3.11); the frontier pass carries at most 89 matchings, about 6 ms
     pairs = (1, 2, 3, 4, 5, 1, 2, 3, 4, 5, 1, 2)
     word = BraidWord(6, tuple(x for i in pairs for x in (i, -i)))
     d = closure(word)
@@ -182,15 +184,68 @@ def test_naive_24_crossing_poke_pairs_are_fast():
     assert raw == tl_evaluate(word)
 
 
-def test_capacity_error_propagates():
-    big = parse_braid("braid:2:" + ",".join(["1"] * 25))
-    with pytest.raises(CapacityError) as naive:
-        bracket3_raw(closure(big))
-    # the classical oracle shares the guard, so it gives the same accurate advice
-    with pytest.raises(CapacityError) as classical:
-        kauffman_bracket(closure(big))
-    assert str(classical.value) == str(naive.value)
-    assert "at most 12 strands" in str(naive.value)
+#: The full twist on 13 strands: 156 crossings whose closure is 26 open arcs
+#: wide in its own order and in the greedy one.
+FULL_TWIST_13 = BraidWord(13, tuple(range(1, 13)) * 13)
+
+
+def test_capacity_error_propagates(capsys, monkeypatch):
+    # too wide in both orders: refused with the width and the cap before any
+    # state work, where up to 25!! matchings of 26 open arcs would be carried
+    pd = pd_text(closure(FULL_TWIST_13))
+    message = (
+        "156 crossings need 26 open arcs at once in the narrowest crossing order tried, "
+        "over the frontier pass's cap of 24"
+    )
+    start = time.perf_counter()
+    with pytest.raises(CapacityError) as wide:
+        bracket3_raw(parse_pd(pd))
+    elapsed = time.perf_counter() - start
+    assert str(wide.value) == message
+    assert elapsed < 1.0, f"refusing a 156-crossing diagram took {elapsed:.2f}s"
+    assert main(["bracket3", pd]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    # under a cap of 4 the figure-eight closure (6 wide in its own order, 4
+    # greedy) still gets its value, and T(3,3) (6 wide in both) is refused
+    monkeypatch.setattr(bracket3_module, "OPEN_ARC_CAP", 4)
+    figure8 = parse_braid("braid:3:1,-2,1,-2")
+    assert bracket3_raw(closure(figure8)) == tl_evaluate(figure8)
+    with pytest.raises(CapacityError, match="^6 crossings need 6 open arcs .* cap of 4$"):
+        bracket3_raw(closure(parse_braid("braid:3:1,2,1,2,1,2")))
+    # the 2^n oracle refuses past a crossing cap of its own
+    past_oracle_cap = closure(parse_braid("braid:2:" + ",".join(["1"] * (state_oracle.ORACLE_CAP + 1))))
+    with pytest.raises(CapacityError, match=f"oracle's cap {state_oracle.ORACLE_CAP}$"):
+        state_oracle.kauffman_bracket(past_oracle_cap)
+
+
+def random_word(rng: random.Random, strands: int, letters: int) -> BraidWord:
+    return BraidWord(strands, tuple(rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(letters)))
+
+
+def test_pd_codes_past_24_crossings_equal_the_transfer_pass():
+    # the old crossing cap refused all of these; shuffled, their own order is
+    # wider than the open-arc cap, so the pass takes the greedy order
+    rng = random.Random(40)
+    for strands, letters in ((6, 30), (8, 30), (6, 40), (8, 40)):
+        word = random_word(rng, strands, letters)
+        d = closure(word)
+        shuffled = list(d.crossings)
+        rng.shuffle(shuffled)
+        assert bracket3_module._plan(tuple(shuffled))[1] > OPEN_ARC_CAP
+        expected = tl_evaluate(word)
+        assert bracket3_raw(parse_pd(pd_text(d))) == expected, word.text
+        assert bracket3_raw(Diagram(tuple(shuffled), d.free_loops)) == expected, word.text
+
+
+@settings(max_examples=25, deadline=None)
+@given(braid_words(max_strands=12, max_letters=24, min_letters=13), st.randoms(use_true_random=False))
+def test_shuffled_closures_up_to_24_crossings_are_never_refused(word, rng):
+    # the old 24-crossing cap took each of these, so the open-arc cap must
+    # too; at most 12 crossings have at most 24 arcs, so fewer need no check
+    d = closure(word)
+    shuffled = list(d.crossings)
+    rng.shuffle(shuffled)
+    assert bracket3_raw(Diagram(tuple(shuffled), d.free_loops)) == tl_evaluate(word)
 
 
 # -- normal forms (frozen after cross-checking with an independent CAS) -------------
@@ -288,17 +343,17 @@ def poke_pair_words(draw, max_strands, max_pairs):
 @settings(max_examples=25, deadline=None)
 @given(poke_pair_words(max_strands=12, max_pairs=12))
 def test_tl_equals_naive_on_poke_pair_words(word):
-    # up to the naive cap of 24 crossings (16 while the naive engine walked
-    # every state: it took about 7 s at 22)
+    # up to 24 crossings (16 while the naive engine walked every state: it
+    # took about 7 s at 22)
     assert tl_evaluate(word) == bracket3_raw(closure(word))
 
 
 @settings(max_examples=25, deadline=None)
 @given(poke_pair_words(max_strands=12, max_pairs=12))
 def test_tl_poke_pair_words_reduce_to_the_unlink(word):
-    # up to the naive cap of 24 crossings: the closure is the n-component
-    # unlink up to move II, so a count carried into a neighbouring slot would
-    # change the normal form
+    # up to 24 crossings: the closure is the n-component unlink up to move
+    # II, so a count carried into a neighbouring slot would change the normal
+    # form
     raw = tl_evaluate(word)
     assert normal_form(raw) == normal_form(parse_poly("+d") ** word.strands)
     assert sum(c for _, c in raw) == 2 ** len(word.letters)
@@ -312,8 +367,8 @@ def test_tl_strand_cap():
 @settings(max_examples=15, deadline=None)
 @given(braid_words(max_strands=8, max_letters=30, min_letters=25))
 def test_tl_counts_every_state_once(word):
-    # past the naive engine's reach: each of the 2^letters states adds +1 to
-    # one monomial a^i b^j d^k with one smoothing per letter and a circle
+    # 25 to 30 letters: each of the 2^letters states adds +1 to one
+    # monomial a^i b^j d^k with one smoothing per letter and a circle
     raw = tl_evaluate(word)
     n = len(word.letters)
     assert sum(c for _, c in raw) == 2**n
@@ -487,22 +542,22 @@ def test_circle_factor_variant_reported_separately():
 )
 def test_specialization_bridge(text):
     d = closure(parse_braid(text))
-    assert specialize_classical(bracket3(d)) == CIRCLE * kauffman_bracket(d)
+    assert specialize_classical(bracket3(d)) == CIRCLE * state_oracle.kauffman_bracket(d)
 
 
 @settings(max_examples=25, deadline=None)
 @given(braid_words(max_strands=3, max_letters=7))
 def test_specialization_bridge_random(word):
     d = closure(word)
-    assert specialize_classical(bracket3(d)) == CIRCLE * kauffman_bracket(d)
+    assert specialize_classical(bracket3(d)) == CIRCLE * state_oracle.kauffman_bracket(d)
 
 
 # -- classical readouts from the raw sum ------------------------------------------------------
 
 def assert_classical_readouts_from_raw(d: Diagram) -> None:
     bracket = bracket_from_raw(bracket3_raw(d))
-    assert bracket == kauffman_bracket(d)
-    assert writhe_normalize(bracket, writhe(d)) == f_invariant(d)
+    assert bracket == state_oracle.kauffman_bracket(d)
+    assert writhe_normalize(bracket, writhe(d)) == state_oracle.f_invariant(d)
 
 
 @settings(max_examples=40, deadline=None)

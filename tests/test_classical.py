@@ -5,19 +5,18 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qbracket.bracket3 import bracket3_raw, tl_evaluate
+import state_oracle
+from qbracket.bracket3 import CapacityError, bracket3_raw, tl_evaluate
 from qbracket.classical import (
     CIRCLE,
-    CapacityError,
     LaurentPolynomial,
     bracket_from_raw,
-    circle_power,
     f_invariant,
     format_laurent,
     kauffman_bracket,
     parse_laurent,
 )
-from qbracket.diagram import BraidWord, Diagram, add_kink, closure, parse_braid, rewrite_moves
+from qbracket.diagram import BraidWord, Diagram, DiagramError, add_kink, closure, parse_braid, rewrite_moves
 
 
 def bracket_of(text: str) -> LaurentPolynomial:
@@ -85,8 +84,15 @@ def test_figure_eight_bracket_matches_literature():
 
 
 def test_empty_diagram_rejected_capacity_respected():
-    with pytest.raises(CapacityError):
-        kauffman_bracket(closure(parse_braid("braid:2:" + ",".join(["1"] * 25))))
+    # the empty diagram cannot be built, so no state sum ever sees it
+    with pytest.raises(DiagramError, match="empty diagram"):
+        Diagram((), 0)
+    # no crossing cap: a 25-crossing closure is narrow, so the bracket has a value
+    word = parse_braid("braid:2:" + ",".join(["1"] * 25))
+    assert kauffman_bracket(closure(word)) == bracket_from_raw(tl_evaluate(word))
+    # while the 2^n oracle keeps a cap of its own
+    with pytest.raises(CapacityError, match=f"cap {state_oracle.ORACLE_CAP}"):
+        state_oracle.kauffman_bracket(closure(word))
 
 
 # -- structural laws ----------------------------------------------------------------
@@ -131,15 +137,6 @@ def test_trefoil_and_mirror_differ_but_swap_under_mirroring():
 
 # -- the bracket folded out of the raw sum ----------------------------------------------
 
-def bracket_from_raw_per_term(raw) -> LaurentPolynomial:
-    """Oracle: one shifted, scaled power of the circle factor per raw term,
-    summed as polynomials."""
-    total = LaurentPolynomial.zero()
-    for (i, j, k), coeff in raw.terms.items():
-        total = total + circle_power(k - 1).shift(i - j) * coeff
-    return total
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32))
 def test_bracket_from_raw_matches_per_term_oracle_and_state_sum(seed):
@@ -148,7 +145,7 @@ def test_bracket_from_raw_matches_per_term_oracle_and_state_sum(seed):
     letters = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(rng.randint(0, 10))]
     d = closure(BraidWord(strands, tuple(letters)))
     raw = bracket3_raw(d)
-    assert bracket_from_raw(raw) == bracket_from_raw_per_term(raw) == kauffman_bracket(d)
+    assert bracket_from_raw(raw) == state_oracle.bracket_from_raw_per_term(raw) == state_oracle.kauffman_bracket(d)
 
 
 # -- move invariance ------------------------------------------------------------------
@@ -167,10 +164,5 @@ def test_bracket_invariant_under_seeded_rewrites(text):
 def test_bracket_invariant_under_random_seeds(seed):
     word = parse_braid("braid:2:1,1,1")
     variant = rewrite_moves(word, seed=seed, count=8)
-    # variants reach 19 crossings; past 14 the 2^n oracle enumeration is too
-    # slow for a steady suite, so the transfer pass supplies the bracket there
-    if len(variant.letters) > 14:
-        bracket = bracket_from_raw(tl_evaluate(variant))
-    else:
-        bracket = kauffman_bracket(closure(variant))
-    assert bracket == LaurentPolynomial({-7: 1, -3: -1, 5: -1})
+    # variants reach 19 crossings, which the frontier pass takes as they come
+    assert kauffman_bracket(closure(variant)) == LaurentPolynomial({-7: 1, -3: -1, 5: -1})

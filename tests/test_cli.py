@@ -11,10 +11,11 @@ import pytest
 
 import qbracket.cli as cli
 import qbracket.multipoly as multipoly
+import state_oracle
 from qbracket.bracket3 import CURL_MINUS, tl_evaluate
-from qbracket.classical import bracket_from_raw, format_laurent, kauffman_bracket
+from qbracket.classical import bracket_from_raw, format_laurent
 from qbracket.cli import main
-from qbracket.diagram import closure, parse_braid, pd_text
+from qbracket.diagram import BraidWord, closure, parse_braid, pd_text
 from qbracket.multipoly import format_poly
 from qbracket.quotient import normal_form
 
@@ -71,16 +72,36 @@ def test_bracket_braid_wider_than_the_transfer_cap_still_enumerates(capsys):
     text = "braid:13:1,-12"  # 13 strands, over the transfer pass's cap of 12
     code, out, err = run(capsys, "bracket", text, "--json")
     assert (code, err) == (0, "")
-    assert json.loads(out)["bracket"] == format_laurent(kauffman_bracket(closure(parse_braid(text))))
+    assert json.loads(out)["bracket"] == format_laurent(state_oracle.kauffman_bracket(closure(parse_braid(text))))
 
 
-def test_bracket_pd_past_the_enumeration_cap_exits_1_with_one_error_line(capsys):
-    pd = pd_text(closure(parse_braid(TORUS_26)))
+def test_bracket_pd_too_wide_for_the_cap_exits_1_with_one_error_line(capsys):
+    # the full twist on 13 strands: 156 crossings, 26 open arcs wide in its own
+    # crossing order and in the greedy one, over the cap of 24
+    pd = pd_text(closure(BraidWord(13, tuple(range(1, 13)) * 13)))
     code, out, err = run(capsys, "bracket", pd)
     assert (code, out) == (1, "")
-    assert len(err.splitlines()) == 1 and err.startswith("error: 26 crossings")
+    assert len(err.splitlines()) == 1 and err.startswith("error: 156 crossings need 26 open arcs")
+    assert err.rstrip().endswith("cap of 24")
     # `bracket` has no engine option, so the message must not point to one
     assert "engine" not in err and "--" not in err
+
+
+#: A 40-letter word on 6 strands with writhe 0, and its closure as a PD code
+#: that lists the crossings 7 apart (7 is prime to 40): 52 open arcs wide as given.
+WORD_40 = BraidWord(6, (1, -2, 3, -4, 5, -1, 2, -3, 4, -5) * 4)
+_CROSSINGS_40 = closure(WORD_40).crossings
+PD_40 = "PD[" + ",".join("X({},{},{},{})".format(*_CROSSINGS_40[7 * k % 40]) for k in range(40)) + "]"
+
+
+def test_bracket_and_bracket3_on_a_40_crossing_pd_code_exit_0(capsys):
+    raw = tl_evaluate(WORD_40)
+    code, out, err = run(capsys, "bracket", PD_40, "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["bracket"] == format_laurent(bracket_from_raw(raw))
+    code, out, err = run(capsys, "bracket3", PD_40, "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["raw"] == format_poly(raw)
 
 
 # -- bracket3 -----------------------------------------------------------------------

@@ -16,12 +16,10 @@ from qbracket.diagram import (
     parse_braid,
     parse_pd,
     pd_text,
-    resolve_state,
-    resolve_state_walk,
     rewrite_moves,
-    state_from_index,
     writhe,
 )
+from state_oracle import resolve_state, resolve_state_walk, state_from_index
 
 
 @st.composite
@@ -174,7 +172,7 @@ def test_over_only_component_with_writhe_ambiguity_is_rejected():
         parse_pd("PD[X(1,3,2,4),X(2,4,1,3)]")
 
 
-# -- state resolution -------------------------------------------------------------------
+# -- state resolution (the test-side oracles) -------------------------------------------
 
 def test_zero_crossing_circle_resolves_to_one_loop():
     d = closure(parse_braid("braid:1:"))

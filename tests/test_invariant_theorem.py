@@ -16,12 +16,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qbracket.bracket3 import ambient3, ambient_from_raw, bracket3_raw, tl_evaluate
-from qbracket.classical import LaurentPolynomial, bracket_from_raw, f_invariant, parse_laurent, writhe_normalize
+from qbracket.classical import LaurentPolynomial, bracket_from_raw, parse_laurent, writhe_normalize
 from qbracket.diagram import BraidWord, closure, writhe
 from qbracket.multipoly import Polynomial, format_poly, remainder
 from qbracket.quotient import IDEAL_GENERATORS, normal_form
 from qbracket.search import bundled_table_path, load_table
 
+import state_oracle
 from division_oracle import divide_by_max_scan
 
 A, B, D = (Polynomial.variable(x) for x in "abd")
@@ -83,9 +84,9 @@ def braid_words(draw, max_strands=4, max_letters=9):
 @settings(max_examples=60, deadline=None)
 @given(braid_words())
 def test_from_classical_rebuilds_ambient3_on_random_braids(word):
-    # f from the per-state oracle enumeration, ambient3 from the depth-first walk
+    # f from the per-state oracle enumeration, ambient3 from the frontier pass
     d = closure(word)
-    assert from_classical(f_invariant(d)) == ambient3(d)
+    assert from_classical(state_oracle.f_invariant(d)) == ambient3(d)
 
 
 def test_from_classical_rebuilds_ambient3_on_every_table_entry():

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import state_oracle
 from qbracket.classical import CIRCLE, LaurentPolynomial
 from qbracket.multipoly import Polynomial, parse_poly
 from qbracket.quotient import (
@@ -246,3 +247,11 @@ def test_specialize_kills_the_whole_ideal(f, g):
 @given(polynomials)
 def test_specialize_factors_through_normal_form(p):
     assert specialize_classical(normal_form(p)) == specialize_classical(p)
+
+
+@settings(max_examples=50, deadline=None)
+@given(polynomials)
+def test_specialize_equals_the_per_term_fold_of_d_times_p(p):
+    # the classical fold drops one circle, so it sees d*p; the per-term
+    # oracle sums one shifted, scaled circle power per term of it
+    assert specialize_classical(p) == state_oracle.bracket_from_raw_per_term(Polynomial.variable("d") * p)

@@ -24,6 +24,8 @@ from qbracket.search import (
     parse_presentation,
 )
 
+import state_oracle
+
 
 # the package re-exports a function named bracket3, which shadows the submodule
 bracket3_module = importlib.import_module("qbracket.bracket3")
@@ -83,11 +85,11 @@ def test_specialization_consistent_for_every_table_entry():
     # guards against convention drift between the classical and the
     # three-variable pipelines, on the whole bundled table
     from qbracket.bracket3 import bracket3
-    from qbracket.classical import CIRCLE, kauffman_bracket
+    from qbracket.classical import CIRCLE
     from qbracket.quotient import specialize_classical
 
     for e in load_table(bundled_table_path()).entries:
-        assert specialize_classical(bracket3(e.diagram)) == CIRCLE * kauffman_bracket(e.diagram), e.name
+        assert specialize_classical(bracket3(e.diagram)) == CIRCLE * state_oracle.kauffman_bracket(e.diagram), e.name
 
 
 # -- records and cache ------------------------------------------------------------
