@@ -27,7 +27,7 @@ from .bracket3 import (
     raw_bracket,
 )
 from .classical import bracket_from_raw, format_laurent, writhe_normalize
-from .diagram import DiagramError, conjugate, parse_braid, rewrite_moves, writhe
+from .diagram import DiagramError, conjugate, parse_braid, rewrite_moves
 from .multipoly import TermLimitError, format_poly
 from .quotient import (
     DEFAULT_TOL,
@@ -120,16 +120,16 @@ def _emit(obj: dict, as_json: bool) -> None:
 
 
 def cmd_bracket(args: argparse.Namespace) -> int:
-    word, diagram = parse_presentation(args.input)
-    w = writhe(diagram)
+    entry = parse_presentation(args.input)
     # the transfer pass for braid words it can hold, the frontier pass for the rest
-    if word is not None and word.strands <= TL_STRAND_CAP:
-        raw = raw_bracket(word, "tl")
+    if entry.word is not None and entry.word.strands <= TL_STRAND_CAP:
+        raw = raw_bracket(entry.word, "tl")
     else:
-        raw = raw_bracket(diagram)
+        raw = raw_bracket(entry.diagram)
     bracket = bracket_from_raw(raw)
+    w = entry.writhe
     payload = {
-        "input": args.input.strip(),
+        "input": entry.presentation,
         "writhe": w,
         "bracket": format_laurent(bracket),
         "f": format_laurent(writhe_normalize(bracket, w)),
@@ -139,13 +139,14 @@ def cmd_bracket(args: argparse.Namespace) -> int:
 
 
 def cmd_bracket3(args: argparse.Namespace) -> int:
-    word, diagram = parse_presentation(args.input)
-    raw = raw_bracket(word if word is not None and args.engine != "naive" else diagram, args.engine)
-    w = writhe(diagram)
+    entry = parse_presentation(args.input)
+    source = entry.word if entry.word is not None and args.engine != "naive" else entry.diagram
+    raw = raw_bracket(source, args.engine)
+    w = entry.writhe
     nf = normal_form(raw)
     amb = ambient_from_normal(nf, w)
     payload = {
-        "input": args.input.strip(),
+        "input": entry.presentation,
         "engine": args.engine,
         "convention": CONVENTION,
         "writhe": w,

@@ -12,6 +12,7 @@ implementation fault, reported as ENGINE_MISMATCH.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -25,11 +26,28 @@ from .multipoly import format_poly
 
 @dataclass(frozen=True)
 class TableEntry:
+    """One parsed presentation: a braid word or a PD code, never both.
+
+    ``crossings`` is the letter count of a braid (the crossing count of its
+    closure) or the crossing count of a PD code.  A braid entry builds its
+    closure on the first read of ``diagram`` and keeps it; a PD entry's
+    diagram is the one ``parse_pd`` returned.
+    """
+
     name: str
     presentation: str
     crossings: int
     word: BraidWord | None  # None for PD-only entries
-    diagram: Diagram
+    pd: Diagram | None = None  # None for braid entries
+
+    @functools.cached_property
+    def diagram(self) -> Diagram:
+        return closure(self.word) if self.pd is None else self.pd
+
+    @property
+    def writhe(self) -> int:
+        """The writhe of ``diagram``; a braid word's needs no closure."""
+        return writhe(self.pd) if self.word is None else self.word.writhe
 
 
 @dataclass(frozen=True)
@@ -60,14 +78,16 @@ class LoadResult:
     errors: list[tuple[int, str]] = field(default_factory=list)
 
 
-def parse_presentation(text: str) -> tuple[BraidWord | None, Diagram]:
-    """A braid word or a PD code; braids also get their closure diagram."""
+def parse_presentation(text: str, name: str = "") -> TableEntry:
+    """A braid word or a PD code as an entry; a braid's closure is not built
+    here, only when ``diagram`` is first read."""
     s = text.strip()
     if s.startswith("braid:"):
         word = parse_braid(s)
-        return word, closure(word)
+        return TableEntry(name, s, len(word.letters), word)
     if s.startswith("PD["):
-        return None, parse_pd(s)
+        d = parse_pd(s)
+        return TableEntry(name, s, d.n, None, d)
     raise DiagramError(f"presentation must start with 'braid:' or 'PD[', got {s[:24]!r}")
 
 
@@ -75,7 +95,9 @@ def load_table(path: str | Path) -> LoadResult:
     """Read ``name<TAB>presentation`` lines; blank lines and # comments skip.
 
     Every malformed line lands in the error list with its line number, and
-    duplicate names are rejected; parsing continues either way.
+    duplicate names are rejected; parsing continues either way.  Braid lines
+    are parsed and validated but not closed: a search answered from the
+    cache builds no diagram.
     """
     result = LoadResult(entries=[])
     seen: set[str] = set()
@@ -93,14 +115,12 @@ def load_table(path: str | Path) -> LoadResult:
                 result.errors.append((lineno, f"duplicate name {name!r}"))
                 continue
             try:
-                word, diagram = parse_presentation(presentation)
+                entry = parse_presentation(presentation, name)
             except (DiagramError, ValueError) as exc:
                 result.errors.append((lineno, str(exc)))
                 continue
             seen.add(name)
-            result.entries.append(
-                TableEntry(name, presentation.strip(), diagram.n, word, diagram)
-            )
+            result.entries.append(entry)
     return result
 
 
@@ -110,8 +130,12 @@ def bundled_table_path() -> Path:
 
 # -- invariant computation with caching ----------------------------------------
 
+_FINGERPRINT = hashlib.sha256(CONVENTION.encode()).hexdigest()[:16]
+
+
 def fingerprint() -> str:
-    return hashlib.sha256(CONVENTION.encode()).hexdigest()[:16]
+    """The convention digest every cache key and record carries."""
+    return _FINGERPRINT
 
 
 def compute_record(entry: TableEntry, engine: str = "naive") -> InvariantRecord:
@@ -121,7 +145,7 @@ def compute_record(entry: TableEntry, engine: str = "naive") -> InvariantRecord:
     """
     used = "naive" if entry.word is None else engine
     raw = raw_bracket(entry.diagram if used == "naive" else entry.word, used)
-    w = writhe(entry.diagram)
+    w = entry.writhe
     f_text = format_laurent(writhe_normalize(bracket_from_raw(raw), w))
     amb = ambient_from_raw(raw, w)
     return InvariantRecord(

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from qbracket import BraidWord, closure, parse_braid
@@ -22,3 +24,19 @@ def corpus() -> dict[str, BraidWord]:
 @pytest.fixture(scope="session")
 def corpus_diagrams(corpus):
     return {name: closure(word) for name, word in corpus.items()}
+
+
+@pytest.fixture
+def forbid_closure(monkeypatch):
+    """Call it to make every ``closure`` the package binds raise, for paths
+    that must answer from the braid word alone."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("closure was called")
+
+    def install() -> None:
+        for name, module in list(sys.modules.items()):
+            if (name == "qbracket" or name.startswith("qbracket.")) and getattr(module, "closure", None) is closure:
+                monkeypatch.setattr(module, "closure", forbidden)
+
+    return install

@@ -28,15 +28,23 @@ def run(capsys, *argv):
 
 # -- bracket -----------------------------------------------------------------------
 
+TREFOIL_BRACKET_TEXT = (
+    "input: braid:2:1,1,1\n"
+    "writhe: 3\n"
+    "bracket: -1*a^5 -1*a^-3 +1*a^-7\n"
+    "f: +1*a^-4 +1*a^-12 -1*a^-16\n"
+)
+
+
 def test_bracket_golden_text(capsys):
     code, out, _ = run(capsys, "bracket", "braid:2:1,1,1")
     assert code == 0
-    assert out == (
-        "input: braid:2:1,1,1\n"
-        "writhe: 3\n"
-        "bracket: -1*a^5 -1*a^-3 +1*a^-7\n"
-        "f: +1*a^-4 +1*a^-12 -1*a^-16\n"
-    )
+    assert out == TREFOIL_BRACKET_TEXT
+
+
+def test_bracket_on_a_braid_builds_no_closure(capsys, forbid_closure):
+    forbid_closure()
+    assert run(capsys, "bracket", "braid:2:1,1,1") == (0, TREFOIL_BRACKET_TEXT, "")
 
 
 def test_bracket_json(capsys):
@@ -106,18 +114,30 @@ def test_bracket_and_bracket3_on_a_40_crossing_pd_code_exit_0(capsys):
 
 # -- bracket3 -----------------------------------------------------------------------
 
+TREFOIL_BRACKET3 = {
+    "writhe": 3,
+    "raw": "+a^3*d^2 +3*a^2*b*d +3*a*b^2*d^2 +b^3*d^3",
+    "normal_form": "+a*d +2*b^3*d^3 -2*b^3*d +b*d^4",
+    "ambient3": "+b^2*d^8 -7*b^2*d^6 +14*b^2*d^4 -8*b^2*d^2 +d^7 -6*d^5 +9*d^3 -3*d",
+}
+
+
 def test_bracket3_golden_json(capsys):
     code, out, _ = run(capsys, "bracket3", "braid:2:1,1,1", "--json", "--engine", "both")
     assert code == 0
     payload = json.loads(out)
-    assert payload["writhe"] == 3
     assert payload["engine"] == "both"
-    assert payload["raw"] == "+a^3*d^2 +3*a^2*b*d +3*a*b^2*d^2 +b^3*d^3"
-    assert payload["normal_form"] == "+a*d +2*b^3*d^3 -2*b^3*d +b*d^4"
-    assert payload["ambient3"] == (
-        "+b^2*d^8 -7*b^2*d^6 +14*b^2*d^4 -8*b^2*d^2 +d^7 -6*d^5 +9*d^3 -3*d"
-    )
+    assert {key: payload[key] for key in TREFOIL_BRACKET3} == TREFOIL_BRACKET3
     assert "ambient3_circle_variant" in payload
+
+
+def test_bracket3_tl_engine_builds_no_closure(capsys, forbid_closure):
+    forbid_closure()
+    code, out, _ = run(capsys, "bracket3", "braid:2:1,1,1", "--json", "--engine", "tl")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["engine"] == "tl"
+    assert {key: payload[key] for key in TREFOIL_BRACKET3} == TREFOIL_BRACKET3
 
 
 def test_bracket3_unknot_text(capsys):
@@ -256,6 +276,19 @@ def test_search_json_with_cache(tmp_path, capsys):
     # second run hits the cache and produces identical output
     code2, out2, _ = run(capsys, "search", "--table", str(table), "--json", "--cache", str(cache))
     assert (code2, out2) == (code, out)
+
+
+def test_warm_search_builds_no_closure(tmp_path, capsys, forbid_closure):
+    table = tmp_path / "t.tsv"
+    table.write_text(
+        "3_1\tbraid:2:1,1,1\n3_1s\tbraid:3:1,1,1,2\n"
+        "3_1pd\tPD[X(1,5,2,4),X(3,1,4,6),X(5,3,6,2)]\n4_1\tbraid:3:1,-2,1,-2\n"
+    )
+    argv = ("search", "--json", "--table", str(table), "--cache", str(tmp_path / "cache.jsonl"))
+    cold = run(capsys, *argv)
+    assert cold[0] == 0 and '"verdict": "SAME"' in cold[1]
+    forbid_closure()
+    assert run(capsys, *argv) == cold
 
 
 def test_search_max_crossings_filter(tmp_path, capsys):

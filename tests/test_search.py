@@ -1,15 +1,18 @@
 """Table ingestion, caching, bucketing, and the conjecture scan."""
 
 import importlib
+import importlib.util
 import json
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import qbracket.classical as classical
 import qbracket.search as search
 from qbracket.cli import main
-from qbracket.diagram import closure, parse_braid, rewrite_moves
+from qbracket.diagram import closure, parse_braid, parse_pd, rewrite_moves, writhe
 from qbracket.search import (
     InvariantRecord,
     RecordCache,
@@ -32,8 +35,7 @@ bracket3_module = importlib.import_module("qbracket.bracket3")
 
 
 def entry(name: str, presentation: str) -> TableEntry:
-    word, diagram = parse_presentation(presentation)
-    return TableEntry(name, presentation, diagram.n, word, diagram)
+    return parse_presentation(presentation, name)
 
 
 # -- loading ---------------------------------------------------------------------
@@ -59,6 +61,29 @@ def test_load_table_collects_per_line_errors(tmp_path):
     result = load_table(table)
     assert [e.name for e in result.entries] == ["good"]
     assert sorted(lineno for lineno, _ in result.errors) == [2, 3, 4, 5]
+
+
+def test_load_table_closes_a_braid_only_when_its_diagram_is_read(tmp_path, monkeypatch):
+    pd = "PD[X(1,5,2,4),X(3,1,4,6),X(5,3,6,2)]"
+    table = tmp_path / "t.tsv"
+    table.write_text(f"3_1\tbraid:2:1,1,1\n3_1pd\t{pd}\nbad\tbraid:2:1,x\n")
+    built: list = []
+    monkeypatch.setattr(search, "closure", lambda word: built.append(word) or closure(word))
+    result = load_table(table)
+    assert built == []
+    braid, pd_entry = result.entries
+    assert braid.crossings == len(braid.word.letters) == 3
+    assert braid.writhe == 3
+    assert built == []
+    assert braid.diagram is braid.diagram  # built once and kept
+    assert braid.diagram == closure(braid.word)
+    assert built == [braid.word]
+    assert pd_entry.word is None and pd_entry.crossings == 3
+    assert pd_entry.diagram is pd_entry.pd and pd_entry.diagram == parse_pd(pd)
+    assert pd_entry.writhe == writhe(pd_entry.diagram)
+    assert built == [braid.word]
+    assert len(result.errors) == 1 and result.errors[0][0] == 3
+    assert "'x' at position 1" in result.errors[0][1]
 
 
 def test_load_table_missing_file():
@@ -180,7 +205,8 @@ def _forbid(name):
     return forbidden
 
 
-def test_tl_record_runs_no_enumeration(monkeypatch):
+def test_tl_record_runs_no_enumeration(monkeypatch, forbid_closure):
+    forbid_closure()
     monkeypatch.setattr(bracket3_module, "bracket3_raw", _forbid("bracket3_raw"))
     monkeypatch.setattr(classical, "kauffman_bracket", _forbid("kauffman_bracket"))
     rec = compute_record(entry("trefoil", "braid:2:1,1,1"), "tl")
@@ -287,3 +313,38 @@ def test_search_exits_2_after_reporting_an_engine_mismatch(tmp_path, monkeypatch
     (pair,) = [line for line in lines if "k1" in line]
     assert "k2" in pair and "ENGINE_MISMATCH" in pair
     assert fmt == ["--csv"] or "witness_candidates" in lines[-1]  # the full report came first
+
+
+# -- the benchmark's search passes -------------------------------------------------
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
+GOLDEN_SEED = 5
+
+
+@pytest.fixture
+def bench_child(monkeypatch):
+    """``bench/child.py``, loaded with the bench directory first on the path
+    so that its own ``import tracing`` and ``import workloads`` resolve."""
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    fresh = {"tracing", "workloads"} - sys.modules.keys()
+    spec = importlib.util.spec_from_file_location("bench_child", BENCH_DIR / "child.py")
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    yield child
+    for name in fresh:
+        sys.modules.pop(name, None)
+
+
+@pytest.mark.parametrize("workload", ["scan", "rescan"])
+def test_bench_search_passes_match_the_golden_digests(bench_child, workload, tmp_path, monkeypatch):
+    # output drift on the search path fails here, before any benchmark run
+    monkeypatch.chdir(tmp_path)
+    wl = bench_child.workloads.WORKLOADS[workload](GOLDEN_SEED)
+    wl.setup()
+    text, checks, failures = bench_child.gate_pass(wl)
+    assert checks > 0 and failures == []
+    golden = bench_child.load_golden()[str(GOLDEN_SEED)][workload]
+    assert bench_child.digest(text) == golden
+    # and one timed-style pass after it: for rescan, the warm search
+    wl.reset()
+    assert bench_child.digest(wl.canonical(wl.run())) == golden
