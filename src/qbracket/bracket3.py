@@ -107,11 +107,11 @@ def bracket3_raw(d: Diagram) -> Polynomial:
     the order.  Each partial curve ends on two open arcs (labels seen once so
     far), so partial states merge by their matching of the open arcs: each
     arc's partner, in an arc order all states share.  A matching carries one
-    packed int of state counts, a^(n-j) b^j d^k in slot j*(2n+f+1) + k for n
-    crossings and f free loops (see :func:`_unpack`).  A smoothing shifts it
-    one b-row if it is B and one d-slot per circle it closes, so the cost is
-    set by the number of matchings, which the width of the open boundary
-    bounds.
+    packed int of state counts, a^(n-j) b^j d^k in slot j*(2n+1) + k for n
+    crossings (see :func:`_unpack`).  A smoothing shifts it one b-row if it
+    is B and one d-slot per circle it closes, so the cost is set by the
+    number of matchings, which the width of the open boundary bounds.  The
+    f free loops multiply the unpacked sum by d^f once, at the end.
 
     A crossing-free k-circle diagram gives d^k; every state of a nonempty
     diagram carries at least one circle, so d divides the result.
@@ -125,8 +125,8 @@ def bracket3_raw(d: Diagram) -> Polynomial:
                 f"crossing order tried, over the frontier pass's cap of {OPEN_ARC_CAP}"
             )
     n = d.n
-    width, stride = n + 1, 2 * n + d.free_loops + 1  # at most 2n circles meet a crossing
-    table: dict[tuple[int, ...], int] = {(): 1 << (width * d.free_loops)}
+    width, stride = n + 1, 2 * n + 1  # at most 2n circles meet a crossing
+    table: dict[tuple[int, ...], int] = {(): 1}
     for port, ext, after, index in steps:
         a, b, c, e = port
         choices = ((0, ((a, b), (c, e))), (width * stride, ((a, e), (b, c))))
@@ -146,7 +146,7 @@ def bracket3_raw(d: Diagram) -> Polynomial:
                 prev = get(key)
                 nxt[key] = x if prev is None else prev + x
         table = nxt
-    return _unpack(table[()], n, width, stride)
+    return _unpack(table[()], n, width, stride).mul_term(1, (0, 0, d.free_loops))
 
 
 def bracket3(d: Diagram) -> Polynomial:

@@ -22,7 +22,7 @@ import re
 from typing import Mapping
 
 from .diagram import Diagram, writhe
-from .multipoly import Polynomial
+from .multipoly import TERM_LIMIT, Polynomial, TermLimitError
 
 
 class LaurentPolynomial:
@@ -72,9 +72,11 @@ class LaurentPolynomial:
     def __mul__(self, other: "LaurentPolynomial | int") -> "LaurentPolynomial":
         if isinstance(other, int):
             return LaurentPolynomial({e: c * other for e, c in self._terms.items()})
-        return LaurentPolynomial(
-            [(e1 + e2, c1 * c2) for e1, c1 in self._terms.items() for e2, c2 in other._terms.items()]
-        )
+        out: dict[int, int] = {}
+        for e1, c1 in self._terms.items():
+            for e2, c2 in other._terms.items():
+                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+        return LaurentPolynomial(out)
 
     __rmul__ = __mul__
 
@@ -177,8 +179,23 @@ CIRCLE = LaurentPolynomial({-2: -1, 2: -1})
 
 @functools.cache
 def circle_power(k: int) -> LaurentPolynomial:
-    """CIRCLE^k, the value of k extra disjoint circles."""
-    return CIRCLE**k
+    """CIRCLE^k = (-1)^k sum_i C(k, i) a^(4i-2k), the value of k extra
+    disjoint circles.
+
+    Its k+1 coefficients have up to k bits each; when that bound exceeds
+    TERM_LIMIT 64-bit words, it is refused before any of them is built.
+    """
+    if (k + 1) * (k // 64 + 1) > TERM_LIMIT:
+        raise TermLimitError(
+            f"the value of {k} extra circles has {k + 1} terms of up to {k} bits, "
+            f"over the cap of {TERM_LIMIT} 64-bit words"
+        )
+    terms: dict[int, int] = {}
+    coeff = -1 if k % 2 else 1
+    for i in range(k + 1):
+        terms[4 * i - 2 * k] = coeff
+        coeff = coeff * (k - i) // (i + 1)  # exact: the next C(k, i+1), signed
+    return LaurentPolynomial(terms)
 
 
 def kauffman_bracket(d: Diagram) -> LaurentPolynomial:

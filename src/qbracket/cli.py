@@ -29,13 +29,7 @@ from .bracket3 import (
 from .classical import bracket_from_raw, format_laurent, writhe_normalize
 from .diagram import DiagramError, conjugate, parse_braid, rewrite_moves
 from .multipoly import TermLimitError, format_poly
-from .quotient import (
-    DEFAULT_TOL,
-    FREE_SAMPLES,
-    normal_form,
-    verify_all_branches,
-    verify_groebner,
-)
+from .quotient import normal_form, verify_all_branches, verify_groebner
 from .search import (
     RecordCache,
     bundled_table_path,
@@ -84,10 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_g = vsub.add_parser("groebner", help="basis and ideal-equality certificates")
     p_g.add_argument("--json", action="store_true")
 
-    p_v = vsub.add_parser("variety", help="numerical residuals on every branch")
+    p_v = vsub.add_parser("variety", help="exact check and components of every branch")
     p_v.add_argument("--json", action="store_true")
-    p_v.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p_v.add_argument("--samples", type=int, default=len(FREE_SAMPLES))
 
     p_m = vsub.add_parser("moves", help="move-invariance orbits on base words")
     p_m.add_argument("--json", action="store_true")
@@ -182,24 +174,19 @@ def cmd_verify_groebner(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_variety(args: argparse.Namespace) -> int:
-    report = verify_all_branches(samples=args.samples, tol=args.tol)
+    report = verify_all_branches()
     header = {
         "check": "branch_list",
         "raw_count": report.raw_count,
         "distinct_count": report.distinct_count,
-        "tol": args.tol,
-        "samples": args.samples,
     }
     _print_line(header, args.json)
     for chk in report.checks:
-        obj: dict = {
+        obj = {
             "check": f"branch_{chk.ordinal}_{chk.label}",
             "pass": chk.passed,
-            "residuals": list(chk.residuals),
-            "samples": chk.samples_used,
+            "components": chk.components,
         }
-        if chk.skipped:
-            obj["skipped"] = chk.skipped
         _print_line(obj, args.json)
     return 0 if report.all_passed else 2
 

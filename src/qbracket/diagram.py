@@ -447,11 +447,12 @@ def closure(b: BraidWord) -> Diagram:
     if m == 0:
         return Diagram((), n)
 
-    touches: dict[int, list[int]] = {p: [] for p in range(1, n + 1)}
+    # only the strands the letters touch: an untouched one is a free circle
+    touches: dict[int, list[int]] = {}
     for k, letter in enumerate(b.letters):
         i = abs(letter)
-        touches[i].append(k)
-        touches[i + 1].append(k)
+        touches.setdefault(i, []).append(k)
+        touches.setdefault(i + 1, []).append(k)
 
     def first_crossing_at_or_above(position: int, height: int) -> tuple[int, str] | None:
         for k in touches[position]:
@@ -469,12 +470,9 @@ def closure(b: BraidWord) -> Diagram:
 
     # port labels: ports[(crossing, port)] = arc label
     ports: dict[tuple[int, str], int] = {}
-    free_loops = sum(1 for p in range(1, n + 1) if not touches[p])
     visited: set[tuple[int, str]] = set()
     label = 0
-    for p in range(1, n + 1):
-        if not touches[p]:
-            continue
+    for p in sorted(touches):
         start = next_entry(p, 0)
         if start in visited:
             continue
@@ -500,4 +498,4 @@ def closure(b: BraidWord) -> Diagram:
             quads.append((br, tr, tl, bl))   # under-strand enters bottom-right
         else:
             quads.append((bl, br, tr, tl))   # under-strand enters bottom-left
-    return Diagram(tuple(quads), free_loops)
+    return Diagram(tuple(quads), n - len(touches))

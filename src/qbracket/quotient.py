@@ -11,8 +11,9 @@ Everything here lives modulo the ideal I generated by those two polynomials.
 The module carries a Groebner basis for I under lex a > b > d, the normal
 form map that picks the canonical coset representative, the 34 solution
 branches of the variety rel1 = rel2 = 0 (kept exactly as catalogued: one
-label appears twice), numerical branch verification, and the specialization b -> 1/a,
-d -> -a^-2 - a^2 that recovers the classical one-variable bracket.
+label appears twice), their exact verification and component labels, and
+the specialization b -> 1/a, d -> -a^-2 - a^2 that recovers the classical
+one-variable bracket.
 
 The Groebner basis is not taken on trust: :func:`verify_groebner` recomputes
 a basis from the generators with Buchberger's algorithm and certifies both
@@ -21,9 +22,6 @@ inclusions with explicit zero remainders.
 
 from __future__ import annotations
 
-import cmath
-import itertools
-import math
 from dataclasses import dataclass, field
 
 from .classical import LaurentPolynomial, bracket_from_raw
@@ -183,9 +181,11 @@ _ZETA_COORDS: tuple[tuple[int, int, int, int], ...] = (
     (0, 1, 0, -1),   # z^11
 )
 
-_ZETA = cmath.exp(1j * cmath.pi / 6)
-
 Root = tuple[int, int]  # (-1)^(p/q), stored as written
+
+#: An element of Z[z][a, 1/a, b]: (power of a, power of b, power of z) ->
+#: coefficient, with the powers of z reduced only by :func:`_coords`.
+Exact = dict[tuple[int, int, int], int]
 
 
 def _zeta_exponent(root: Root) -> int:
@@ -193,6 +193,27 @@ def _zeta_exponent(root: Root) -> int:
     if q <= 0 or (6 * p) % q:
         raise ValueError(f"root (-1)^({p}/{q}) is not a 12th root of unity")
     return (6 * p // q) % 12
+
+
+def _coords(p: Exact) -> dict[tuple[int, int], tuple[int, int, int, int]]:
+    """p by powers of a and b, each coefficient in coordinates over
+    (1, z, z^2, z^3); a zero coefficient is dropped, so p == 0 exactly when
+    the result is empty."""
+    acc: dict[tuple[int, int], list[int]] = {}
+    for (ea, eb, ez), coeff in p.items():
+        row = acc.setdefault((ea, eb), [0, 0, 0, 0])
+        for i, x in enumerate(_ZETA_COORDS[ez % 12]):
+            row[i] += coeff * x
+    return {mono: tuple(row) for mono, row in acc.items() if any(row)}  # type: ignore[misc]
+
+
+def _mul(p: Exact, q: Exact) -> Exact:
+    out: Exact = {}
+    for (a1, b1, z1), c1 in p.items():
+        for (a2, b2, z2), c2 in q.items():
+            key = (a1 + a2, b1 + b2, (z1 + z2) % 12)
+            out[key] = out.get(key, 0) + c1 * c2
+    return out
 
 
 @dataclass(frozen=True)
@@ -207,24 +228,15 @@ class BranchValue:
     terms: tuple[tuple[int, Root, int], ...]
     text: str
 
-    def canonical(self) -> tuple[tuple[int, tuple[int, int, int, int]], ...]:
-        acc: dict[int, list[int]] = {}
+    def exact(self) -> Exact:
+        out: Exact = {}
         for coeff, root, apow in self.terms:
-            coords = _ZETA_COORDS[_zeta_exponent(root)]
-            cur = acc.setdefault(apow, [0, 0, 0, 0])
-            for i in range(4):
-                cur[i] += coeff * coords[i]
-        return tuple(
-            sorted((apow, tuple(c)) for apow, c in acc.items() if any(c))  # type: ignore[misc]
-        )
-
-    def evaluate(self, alpha: complex) -> complex:
-        out = 0j
-        for coeff, root, apow in self.terms:
-            if apow < 0 and abs(alpha) < 1e-12:
-                raise ZeroDivisionError("branch expression divides by alpha = 0")
-            out += coeff * _ZETA ** _zeta_exponent(root) * alpha**apow
+            key = (apow, 0, _zeta_exponent(root))
+            out[key] = out.get(key, 0) + coeff
         return out
+
+    def canonical(self) -> tuple[tuple[int, tuple[int, int, int, int]], ...]:
+        return tuple(sorted((ea, row) for (ea, _), row in _coords(self.exact()).items()))
 
 
 def _bv(text: str, *terms: tuple[int, Root, int]) -> BranchValue:
@@ -345,68 +357,48 @@ def distinct_branches() -> list[BranchSubstitution]:
     return out
 
 
-#: Fixed nonzero values substituted for free variables during verification.
-FREE_SAMPLES: tuple[complex, ...] = (2 + 0j, 3 + 1j, -0.5 + 0j, 5j)
+#: The components of V(I) = V(d) u V(Jc) u V(J+) u V(J-) by name, each with
+#: its generators (README, "What the invariant is").
+COMPONENTS: tuple[tuple[str, tuple[Polynomial, ...]], ...] = (
+    ("d=0", (parse_poly("+d"),)),
+    ("Jc", (parse_poly("+a*b -1"), parse_poly("+a^2 +b^2 +d"))),
+    ("J+", (parse_poly("+d -1"), parse_poly("+a^2 +2*a*b +b^2 -1"))),
+    ("J-", (parse_poly("+d +1"), parse_poly("+a^2 -2*a*b +b^2 +1"))),
+)
 
-DEFAULT_TOL = 1e-9
 
-
-def _eval_poly(p: Polynomial, va: complex, vb: complex, vd: complex) -> complex:
-    return sum(c * va**ea * vb**eb * vd**ed for (ea, eb, ed), c in p.terms.items())
+def _vanishes(p: Polynomial, values: dict[str, Exact]) -> bool:
+    """True when p is exactly 0 with a, b and d replaced by ``values``."""
+    total: Exact = {}
+    for exps, coeff in p:
+        term: Exact = {(0, 0, 0): coeff}
+        for var, e in zip("abd", exps):
+            for _ in range(e):
+                term = _mul(term, values[var])
+        for key, c in term.items():
+            total[key] = total.get(key, 0) + c
+    return not _coords(total)
 
 
 @dataclass
 class BranchCheck:
     ordinal: int
     label: str
-    passed: bool
-    residuals: tuple[float, float]  # max |rel1|, max |rel2| over the samples
-    samples_used: int
-    skipped: list[str] = field(default_factory=list)
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.residuals)
+    passed: bool                 # both ideal generators are exactly 0 on the branch
+    components: list[str]        # names of the COMPONENTS the branch lies on
 
 
-def verify_branch(
-    branch: BranchSubstitution,
-    samples: int = len(FREE_SAMPLES),
-    tol: float = DEFAULT_TOL,
-) -> BranchCheck:
-    """Evaluate both ideal generators on the branch at fixed sample points.
-
-    Free variables run over the cartesian product of FREE_SAMPLES (first
-    ``samples`` combinations, in product order).  A sample where a branch
-    expression divides by zero is skipped and recorded, never fatal.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
-    free = sorted(branch.free)
-    assigned = dict(branch.assignments)
-    combos = itertools.islice(
-        itertools.product(FREE_SAMPLES, repeat=len(free)), samples
-    ) if free else [()]
-    worst = [0.0, 0.0]
-    used = 0
-    skipped: list[str] = []
-    for combo in combos:
-        values: dict[str, complex] = dict(zip(free, combo))
-        try:
-            for var in "abd":
-                if var in assigned:
-                    values[var] = assigned[var].evaluate(values.get("a", 0j))
-        except ZeroDivisionError as exc:
-            skipped.append(f"{combo!r}: {exc}")
-            continue
-        used += 1
-        for which, gen in enumerate(IDEAL_GENERATORS):
-            residual = abs(_eval_poly(gen, values["a"], values["b"], values["d"]))
-            worst[which] = max(worst[which], residual)
-    passed = used > 0 and max(worst) < tol
-    return BranchCheck(branch.ordinal, branch.label, passed, (worst[0], worst[1]), used, skipped)
+def verify_branch(branch: BranchSubstitution) -> BranchCheck:
+    """Substitute the branch into both ideal generators and every component's
+    generators, exactly, over Z[z][a, 1/a, b] with the free variables kept."""
+    values: dict[str, Exact] = {"a": {(1, 0, 0): 1}, "b": {(0, 1, 0): 1}}
+    values.update((var, val.exact()) for var, val in branch.assignments)
+    return BranchCheck(
+        branch.ordinal,
+        branch.label,
+        all(_vanishes(gen, values) for gen in IDEAL_GENERATORS),
+        [name for name, gens in COMPONENTS if all(_vanishes(g, values) for g in gens)],
+    )
 
 
 @dataclass
@@ -420,13 +412,13 @@ class BranchReport:
         return all(c.passed for c in self.checks)
 
 
-def verify_all_branches(samples: int = len(FREE_SAMPLES), tol: float = DEFAULT_TOL) -> BranchReport:
+def verify_all_branches() -> BranchReport:
     """Verify every distinct branch; the report also carries both counts."""
     distinct = distinct_branches()
     return BranchReport(
         raw_count=len(BRANCHES),
         distinct_count=len(distinct),
-        checks=[verify_branch(br, samples, tol) for br in distinct],
+        checks=[verify_branch(br) for br in distinct],
     )
 
 

@@ -1,4 +1,8 @@
+import os
+import resource
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -40,3 +44,34 @@ def forbid_closure(monkeypatch):
                 monkeypatch.setattr(module, "closure", forbidden)
 
     return install
+
+
+#: Address-space cap of a ``capped_cli`` run: an input that needs more memory
+#: fails the test with a MemoryError instead of taking the machine's memory.
+CLI_ADDRESS_SPACE = 1 << 30
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.fixture
+def capped_cli():
+    """Call it with CLI arguments to run ``python -m qbracket.cli`` in a
+    subprocess under ``CLI_ADDRESS_SPACE`` and a timeout (``TimeoutExpired``
+    fails the test); it returns the ``CompletedProcess`` with text output."""
+
+    def cap() -> None:
+        resource.setrlimit(resource.RLIMIT_AS, (CLI_ADDRESS_SPACE, CLI_ADDRESS_SPACE))
+
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+
+    def run(*argv: str, timeout: float = 30.0) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, "-m", "qbracket.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=timeout,
+            preexec_fn=cap,
+            env=env,
+        )
+
+    return run

@@ -107,21 +107,27 @@ def raw_state_by_state(d: Diagram) -> Polynomial:
 
 
 @settings(max_examples=40, deadline=None)
-@given(braid_words(max_strands=4, max_letters=8))
-def test_depth_first_walk_equals_state_by_state_count(word):
+@given(braid_words(max_strands=4, max_letters=8), st.integers(min_value=0, max_value=3))
+def test_depth_first_walk_equals_state_by_state_count(word, unused):
     # the frontier pass against each state on its own, exact in all three
     # exponents, unlike the classical fold (only i - j); the name is kept from
-    # the depth-first walk that the frontier pass replaced
+    # the depth-first walk that the frontier pass replaced.  The unused strands
+    # are free circles, which the transfer pass closes one by one
+    word = BraidWord(word.strands + unused, word.letters)
     d = closure(word)
-    assert bracket3_raw(d) == raw_state_by_state(d)
+    assert bracket3_raw(d) == raw_state_by_state(d) == tl_evaluate(word)
 
 
 @settings(max_examples=40, deadline=None)
-@given(braid_words(max_strands=5, max_letters=10), st.randoms(use_true_random=False))
-def test_frontier_pass_equals_state_by_state_count_in_any_crossing_order(word, rng):
+@given(
+    braid_words(max_strands=5, max_letters=10),
+    st.integers(min_value=0, max_value=3),
+    st.randoms(use_true_random=False),
+)
+def test_frontier_pass_equals_state_by_state_count_in_any_crossing_order(word, unused, rng):
     # a shuffled closure opens arcs far from where they close, so the open
     # boundary is wide and its matchings are not the planar ones of a braid
-    d = closure(word)
+    d = closure(BraidWord(word.strands + unused, word.letters))
     shuffled = list(d.crossings)
     rng.shuffle(shuffled)
     d = Diagram(tuple(shuffled), d.free_loops)

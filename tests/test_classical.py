@@ -54,8 +54,9 @@ def test_unknot_is_one():
 
 
 def test_crossingless_circle_law():
-    # k disjoint circles give the (k-1)-st power of the circle factor
-    for k in range(1, 6):
+    # k disjoint circles give the (k-1)-st power of the circle factor: its
+    # closed form against repeated squaring
+    for k in (1, 2, 3, 4, 5, 18, 65):
         d = Diagram((), k)
         assert kauffman_bracket(d) == CIRCLE ** (k - 1)
 

@@ -1,19 +1,23 @@
 """Command dispatch, output stability, and exit codes."""
 
+import dataclasses
 import importlib
 import importlib.util
 import inspect
 import json
+import math
 import re
+import time
 from pathlib import Path
 
 import pytest
 
 import qbracket.cli as cli
 import qbracket.multipoly as multipoly
+import qbracket.quotient as quotient
 import state_oracle
 from qbracket.bracket3 import CURL_MINUS, tl_evaluate
-from qbracket.classical import bracket_from_raw, format_laurent
+from qbracket.classical import LaurentPolynomial, bracket_from_raw, format_laurent, writhe_normalize
 from qbracket.cli import main
 from qbracket.diagram import BraidWord, closure, parse_braid, pd_text
 from qbracket.multipoly import format_poly
@@ -93,6 +97,33 @@ def test_bracket_pd_too_wide_for_the_cap_exits_1_with_one_error_line(capsys):
     assert err.rstrip().endswith("cap of 24")
     # `bracket` has no engine option, so the message must not point to one
     assert "engine" not in err and "--" not in err
+
+
+def test_bracket_on_5000_strands_is_the_closed_form(capped_cli):
+    # one crossing closes to an unknot with a kink, -a^3, beside k = 4998 free
+    # circles, (-a^-2 - a^2)^k = sum_i C(k, i) a^(4i-2k) for even k; squaring
+    # it through the list of every product ran out of 1 GiB
+    k = 4998
+    bracket = LaurentPolynomial({4 * i - 2 * k + 3: -math.comb(k, i) for i in range(k + 1)})
+    done = capped_cli("bracket", "braid:5000:1")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == (
+        f"input: braid:5000:1\nwrithe: 1\nbracket: {format_laurent(bracket)}\n"
+        f"f: {format_laurent(writhe_normalize(bracket, 1))}\n"
+    )
+
+
+@pytest.mark.parametrize("strands", [100_000, 100_000_000])
+def test_bracket_of_too_many_circles_exits_1_early(capped_cli, strands):
+    # the value of 99,999 circles or more cannot be held under the term cap:
+    # refused before any coefficient is built, and before any per-strand work
+    start = time.perf_counter()
+    done = capped_cli("bracket", f"braid:{strands}:1")
+    elapsed = time.perf_counter() - start
+    assert (done.returncode, done.stdout) == (1, "")
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith(f"error: the value of {strands - 1} extra circles has {strands} terms")
+    assert elapsed < 2.0, f"refusing braid:{strands}:1 took {elapsed:.2f}s"
 
 
 #: A 40-letter word on 6 strands with writhe 0, and its closure as a PD code
@@ -197,30 +228,32 @@ def test_verify_variety_passes(capsys):
     code, out, _ = run(capsys, "verify", "variety", "--json")
     assert code == 0
     lines = [json.loads(line) for line in out.splitlines()]
-    assert lines[0] == {
-        "check": "branch_list",
-        "raw_count": 34,
-        "distinct_count": 26,
-        "tol": 1e-09,
-        "samples": 4,
-    }
+    assert lines[0] == {"check": "branch_list", "raw_count": 34, "distinct_count": 26}
     assert all(obj["pass"] for obj in lines[1:])
     assert len(lines) == 27  # header + 26 distinct branches
+    assert lines[1] == {"check": "branch_1_sol_1", "pass": True, "components": ["Jc"]}
+    assert lines[-1] == {"check": "branch_34_sol_33", "pass": True, "components": ["d=0"]}
 
 
-def test_verify_variety_respects_tolerance_flag(capsys):
-    code, out, _ = run(capsys, "verify", "variety", "--json", "--tol", "1e-30")
-    # demanding residuals below double precision fails some branches: exit 2
+def test_verify_variety_exits_2_on_a_perturbed_branch(capsys, monkeypatch):
+    sol27 = next(br for br in quotient.BRANCHES if br.label == "sol_27")
+    minus_three = quotient.BranchValue(((-3, (0, 1), 0),), "-3")
+    bad = dataclasses.replace(sol27, assignments=tuple(sorted({**dict(sol27.assignments), "b": minus_three}.items())))
+    monkeypatch.setattr(quotient, "BRANCHES", quotient.BRANCHES + (bad,))
+    code, out, _ = run(capsys, "verify", "variety", "--json")
     assert code == 2
     lines = [json.loads(line) for line in out.splitlines()]
-    assert any(not obj["pass"] for obj in lines[1:])
+    assert lines[0] == {"check": "branch_list", "raw_count": 35, "distinct_count": 27}
+    assert all(obj["pass"] for obj in lines[1:-1])
+    assert lines[-1] == {"check": "branch_28_sol_27", "pass": False, "components": []}
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf"])
-def test_verify_variety_rejects_non_finite_tolerance(capsys, tol):
-    code, out, err = run(capsys, "verify", "variety", "--tol", tol)
-    assert (code, out) == (1, "")
-    assert len(err.splitlines()) == 1 and err.startswith("error: tolerance")
+@pytest.mark.parametrize("flag", [["--tol", "1e-9"], ["--samples", "4"]], ids=["tol", "samples"])
+def test_verify_variety_rejects_removed_flags(capsys, flag):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "variety", *flag])
+    assert exit_info.value.code == 64
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cases", ["0", "-1"])

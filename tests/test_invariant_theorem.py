@@ -18,8 +18,8 @@ from hypothesis import given, settings, strategies as st
 from qbracket.bracket3 import ambient3, ambient_from_raw, bracket3_raw, tl_evaluate
 from qbracket.classical import LaurentPolynomial, bracket_from_raw, parse_laurent, writhe_normalize
 from qbracket.diagram import BraidWord, closure, writhe
-from qbracket.multipoly import Polynomial, format_poly, remainder
-from qbracket.quotient import IDEAL_GENERATORS, normal_form
+from qbracket.multipoly import Polynomial, buchberger, format_poly, reduce_basis, remainder
+from qbracket.quotient import COMPONENTS, GROEBNER_BASIS, IDEAL_GENERATORS, normal_form
 from qbracket.search import bundled_table_path, load_table
 
 import state_oracle
@@ -129,6 +129,31 @@ def test_from_classical_rejects_values_that_are_no_bracket(text):
         from_classical(parse_laurent(text))
 
 
+#: The generators of J, where I = d*J.
+J = (
+    A**2 + A * B * D * 2 + B**2 - D,
+    (D**2 - 1) * (B**4 + B**2 * D + 1),
+    (D**2 - 1) * (A + B**3 + B * D),
+)
+
+
+def test_move_two_ideal_is_d_times_j_and_j_lies_in_each_component():
+    # in-repo certificates: each basis element of I is d times an element of
+    # J, d times each generator of J lies in I, and J lies in each line or
+    # curve component; the reverse inclusion, Jc & J+ & J- inside J, needs an
+    # elimination and is certified with sympy below
+    j_basis = reduce_basis(buchberger(list(J)))
+    for g in GROEBNER_BASIS:
+        assert remainder(_exact(g, D, "g/d"), j_basis).is_zero, format_poly(g)
+    for j in J:
+        assert normal_form(D * j).is_zero, format_poly(j)
+    assert [name for name, _ in COMPONENTS] == ["d=0", "Jc", "J+", "J-"]
+    for name, gens in COMPONENTS[1:]:
+        basis = reduce_basis(buchberger(list(gens)))
+        for j in J:
+            assert remainder(j, basis).is_zero, (name, format_poly(j))
+
+
 def test_move_two_ideal_decomposes():
     import sympy as sp
 
@@ -142,12 +167,11 @@ def test_move_two_ideal_decomposes():
         return [p for p in basis([t * x for x in f] + [(1 - t) * x for x in g], t, a, b, d)
                 if not p.has(t)]
 
-    ideal = [sp.sympify(format_poly(g).replace("^", "**")) for g in IDEAL_GENERATORS]
-    j = [a**2 + 2 * a * b * d + b**2 - d, (d**2 - 1) * (b**4 + b**2 * d + 1),
-         (d**2 - 1) * (a + b**3 + b * d)]
-    assert basis(ideal, a, b, d) == basis([d * x for x in j], a, b, d)
-    jc = [a * b - 1, d + a**2 + b**2]
-    j_plus = [d - 1, (a + b)**2 - 1]
-    j_minus = [d + 1, (a - b)**2 + 1]
+    def sympy_of(polys):
+        return [sp.sympify(format_poly(p).replace("^", "**")) for p in polys]
+
+    j = sympy_of(J)
+    assert basis(sympy_of(IDEAL_GENERATORS), a, b, d) == basis([d * x for x in j], a, b, d)
+    jc, j_plus, j_minus = (sympy_of(gens) for _, gens in COMPONENTS[1:])
     meet = intersect(intersect(jc, j_plus), j_minus)
     assert basis(meet, a, b, d) == basis(j, a, b, d)

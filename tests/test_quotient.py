@@ -1,5 +1,7 @@
 """Normal forms, the ideal-equality report, variety branches, specialization."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,9 +10,10 @@ from qbracket.classical import CIRCLE, LaurentPolynomial
 from qbracket.multipoly import Polynomial, parse_poly
 from qbracket.quotient import (
     BRANCHES,
-    FREE_SAMPLES,
     GROEBNER_BASIS,
     IDEAL_GENERATORS,
+    BranchCheck,
+    BranchValue,
     branches,
     distinct_branches,
     is_normal,
@@ -170,50 +173,67 @@ def test_known_duplicate_pairs_collapse():
         assert by_ordinal[dup].canonical_key() == by_ordinal[original].canonical_key()
 
 
+ONE = (1, 0, 0, 0)  # the cyclotomic coordinates of 1
+
+
 def test_branch_sol1_assignments():
     sol1 = BRANCHES[0]
     assert sol1.label == "sol_1"
     assert sol1.free == {"a"}
     values = dict(sol1.assignments)
-    alpha = 2 + 0j
-    assert values["b"].evaluate(alpha) == pytest.approx(0.5)
-    assert values["d"].evaluate(alpha) == pytest.approx(-17 / 4)
+    assert values["b"].canonical() == ((-1, ONE),)  # 1/a
+    assert values["d"].canonical() == ((-2, (-1, 0, 0, 0)), (2, (-1, 0, 0, 0)))  # -a^-2 - a^2
 
 
 def test_branch_sol33_is_delta_zero():
     sol33 = BRANCHES[-1]
     assert sol33.label == "sol_33"
     assert sol33.free == {"a", "b"}
-    assert dict(sol33.assignments)["d"].evaluate(1j) == 0
+    assert dict(sol33.assignments)["d"].canonical() == ()
 
 
 def test_branch_sol27_is_rational_point():
     sol27 = next(br for br in BRANCHES if br.label == "sol_27")
     assert sol27.free == set()
-    values = {v: val.evaluate(0j) for v, val in sol27.assignments}
-    assert values == {"a": 1, "b": -2, "d": 1}
+    values = {v: val.canonical() for v, val in sol27.assignments}
+    assert values == {"a": ((0, ONE),), "b": ((0, (-2, 0, 0, 0)),), "d": ((0, ONE),)}
 
 
 def test_verify_branch_examples():
-    sol1 = BRANCHES[0]
-    chk = verify_branch(sol1)
-    assert chk.passed and chk.max_residual < 1e-9 and chk.samples_used == len(FREE_SAMPLES)
-    sol33 = BRANCHES[-1]
-    chk = verify_branch(sol33)
-    assert chk.passed and chk.max_residual == 0.0  # every generator term carries d
+    assert verify_branch(BRANCHES[0]) == BranchCheck(1, "sol_1", True, ["Jc"])
+    assert verify_branch(BRANCHES[-1]) == BranchCheck(34, "sol_33", True, ["d=0"])
     sol27 = next(br for br in BRANCHES if br.label == "sol_27")
-    chk = verify_branch(sol27)
-    assert chk.passed and chk.max_residual == 0.0 and chk.samples_used == 1
+    assert verify_branch(sol27) == BranchCheck(28, "sol_27", True, ["J+"])
 
 
-def test_verify_branch_argument_validation():
-    with pytest.raises(ValueError):
-        verify_branch(BRANCHES[0], samples=0)
-    with pytest.raises(ValueError):
-        verify_branch(BRANCHES[0], tol=0.0)
-    for tol in (float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            verify_branch(BRANCHES[0], tol=tol)
+def perturbed(label: str, var: str, value: BranchValue):
+    branch = next(br for br in BRANCHES if br.label == label)
+    return dataclasses.replace(branch, assignments=tuple(sorted({**dict(branch.assignments), var: value}.items())))
+
+
+@pytest.mark.parametrize(
+    "branch",
+    [
+        perturbed("sol_27", "b", BranchValue(((-3, (0, 1), 0),), "-3")),
+        perturbed("sol_1", "d", BranchValue(((-1, (0, 1), 2), (1, (0, 1), 0), (-1, (0, 1), -2)), "-a^2 + 1 - a^-2")),
+    ],
+    ids=["sol_27_b", "sol_1_d"],
+)
+def test_a_perturbed_branch_fails(branch):
+    check = verify_branch(branch)
+    assert not check.passed and check.components == []
+
+
+#: The components of V(I) each distinct branch lies on, by ordinal: sol_1 is
+#: the curve Jc, sol_2/3 the lines of J-, sol_4/5 those of J+ and sol_33 the
+#: plane d = 0; the other 20 are points on those lines, eight of them where
+#: the lines meet Jc.
+ON_COMPONENT = {
+    "d=0": {34},
+    "Jc": {1, 6, 7, 8, 9, 11, 13, 17, 20},
+    "J+": {4, 5, 8, 9, 16, 17, 18, 19, 20, 21, 28, 29},
+    "J-": {2, 3, 6, 7, 10, 11, 12, 13, 14, 15, 22, 23},
+}
 
 
 def test_all_distinct_branches_satisfy_both_relations():
@@ -221,8 +241,10 @@ def test_all_distinct_branches_satisfy_both_relations():
     assert report.raw_count == 34
     assert report.distinct_count == 26
     assert report.all_passed
-    assert all(chk.max_residual < 1e-9 for chk in report.checks)
-    assert all(not chk.skipped for chk in report.checks)
+    assert {chk.ordinal: chk.components for chk in report.checks} == {
+        br.ordinal: [name for name, ordinals in ON_COMPONENT.items() if br.ordinal in ordinals]
+        for br in distinct_branches()
+    }
 
 
 # -- classical specialization ----------------------------------------------------------
