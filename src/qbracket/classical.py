@@ -17,7 +17,6 @@ w the writhe is invariant under all three moves.
 
 from __future__ import annotations
 
-import functools
 import re
 from typing import Mapping
 
@@ -177,25 +176,26 @@ def parse_laurent(text: str) -> LaurentPolynomial:
 CIRCLE = LaurentPolynomial({-2: -1, 2: -1})
 
 
-@functools.cache
 def circle_power(k: int) -> LaurentPolynomial:
     """CIRCLE^k = (-1)^k sum_i C(k, i) a^(4i-2k), the value of k extra
-    disjoint circles.
-
-    Its k+1 coefficients have up to k bits each; when that bound exceeds
-    TERM_LIMIT 64-bit words, it is refused before any of them is built.
-    """
-    if (k + 1) * (k // 64 + 1) > TERM_LIMIT:
-        raise TermLimitError(
-            f"the value of {k} extra circles has {k + 1} terms of up to {k} bits, "
-            f"over the cap of {TERM_LIMIT} 64-bit words"
-        )
+    disjoint circles."""
+    _refuse_circles(k)
     terms: dict[int, int] = {}
     coeff = -1 if k % 2 else 1
     for i in range(k + 1):
         terms[4 * i - 2 * k] = coeff
         coeff = coeff * (k - i) // (i + 1)  # exact: the next C(k, i+1), signed
     return LaurentPolynomial(terms)
+
+
+def _refuse_circles(k: int) -> None:
+    """CIRCLE^k has k+1 coefficients of up to k bits each; when that bound
+    exceeds TERM_LIMIT 64-bit words, it is refused before any of them is built."""
+    if (k + 1) * (k // 64 + 1) > TERM_LIMIT:
+        raise TermLimitError(
+            f"the value of {k} extra circles has {k + 1} terms of up to {k} bits, "
+            f"over the cap of {TERM_LIMIT} 64-bit words"
+        )
 
 
 def kauffman_bracket(d: Diagram) -> LaurentPolynomial:
@@ -208,14 +208,26 @@ def kauffman_bracket(d: Diagram) -> LaurentPolynomial:
 def bracket_from_raw(raw: Polynomial) -> LaurentPolynomial:
     """The bracket folded out of the raw three-variable state sum: b -> a^-1
     and one circle fewer, so each raw term c*a^i*b^j*d^k (k >= 1, as every
-    state has a circle) becomes c*a^(i-j)*CIRCLE^(k-1), folded into one
-    exponent -> coefficient map."""
-    total: dict[int, int] = {}
+    state has a circle) becomes c*a^(i-j)*CIRCLE^(k-1).
+
+    The terms are grouped by circle count k and folded by Horner's rule in
+    CIRCLE from the largest k down, then multiplied once by CIRCLE^(kmin-1),
+    so only one power of CIRCLE is ever built.
+    """
+    by_circles: dict[int, dict[int, int]] = {}
     for (i, j, k), coeff in raw:
-        shift = i - j
-        for e, c in circle_power(k - 1)._terms.items():
-            total[e + shift] = total.get(e + shift, 0) + c * coeff
-    return LaurentPolynomial(total)
+        group = by_circles.setdefault(k, {})
+        group[i - j] = group.get(i - j, 0) + coeff
+    low, high = min(by_circles, default=1), max(by_circles, default=0)
+    _refuse_circles(high - 1)  # the fold is as wide as the highest power
+    total: dict[int, int] = {}
+    for k in range(high, low - 1, -1):
+        step = by_circles.get(k, {})  # becomes total * CIRCLE + the k-circle terms
+        for e, c in total.items():
+            step[e - 2] = step.get(e - 2, 0) - c
+            step[e + 2] = step.get(e + 2, 0) - c
+        total = step
+    return LaurentPolynomial(total) * circle_power(low - 1)
 
 
 def writhe_normalize(bracket: LaurentPolynomial, w: int) -> LaurentPolynomial:

@@ -290,138 +290,77 @@ def parse_pd(text: str) -> Diagram:
 class Orientation:
     signs: tuple[int, ...]       # one per crossing
     components: int              # including free loops
-    successor: tuple[tuple[int, int], ...]  # arc -> next arc along the strand
 
 
 @functools.lru_cache(maxsize=4096)
 def orient(d: Diagram) -> Orientation:
     """Infer strand directions from the labels-increase convention.
 
-    The under-strand of X(a,b,c,d) runs a -> c.  Over-strand directions are
-    forced by requiring every arc to leave exactly one crossing and enter
-    exactly one; leftover freedom is resolved by label continuity (successor
-    label = label + 1, wrapping once per component).  A crossing whose over
-    direction points from slot d to slot b is positive.  Inconsistencies
-    raise DiagramError rather than guessing.
+    Port 4k+s is slot s of crossing k.  A strand that enters at slot s
+    leaves at the opposite slot s^2 and runs along that slot's arc to the
+    arc's other port.  Each component is walked once, from its start:
+
+    - a component that passes under somewhere starts at the first crossing
+      (by index) where it does, going a -> c, and must never enter a crossing
+      at c, where an under-strand leaves;
+    - a component that only passes over starts at the first crossing whose
+      over labels step by one, entering at the lower label.  A two-arc such
+      component reads the same both ways, so it is accepted only when its
+      two crossing signs cancel and the writhe does not hang on the choice.
+
+    A crossing is positive when its over-strand enters at slot d.  Along each
+    component the labels go up by one at every step but one (the wrap).
+    Inconsistencies raise DiagramError rather than guessing.
     """
-    n = len(d.crossings)
-    if n == 0:
-        return Orientation((), d.free_loops, ())
-
-    # occurrences[label] = list of (crossing, slot)
-    occurrences: dict[int, list[tuple[int, int]]] = {}
-    for k, quad in enumerate(d.crossings):
-        for slot, label in enumerate(quad):
-            occurrences.setdefault(label, []).append((k, slot))
-
-    # in/out assignment per port; under-strand ports are fixed.
-    inbound: dict[tuple[int, int], bool] = {}
-    for k in range(n):
-        inbound[(k, 0)] = True    # slot a: under-strand enters
-        inbound[(k, 2)] = False   # slot c: under-strand leaves
-
-    def propagate() -> None:
-        changed = True
-        while changed:
-            changed = False
-            for ports in occurrences.values():
-                p0, p1 = ports
-                if (p0 in inbound) != (p1 in inbound):
-                    known, unknown = (p0, p1) if p0 in inbound else (p1, p0)
-                    inbound[unknown] = not inbound[known]
-                    changed = True
-            for k in range(n):
-                pb, pd_ = (k, 1), (k, 3)
-                if (pb in inbound) != (pd_ in inbound):
-                    known, unknown = (pb, pd_) if pb in inbound else (pd_, pb)
-                    inbound[unknown] = not inbound[known]
-                    changed = True
-
-    propagate()
-    # components that only ever pass over leave their crossings undetermined;
-    # resolve one crossing at a time by label continuity, re-propagating after
-    # each choice.  (A two-arc such component reads the same in either
-    # direction; the continuity rule then just picks deterministically, and
-    # the sign guard below rejects the codes where the choice would matter.)
-    while True:
-        undetermined = [k for k in range(n) if (k, 1) not in inbound]
-        if not undetermined:
-            break
-        for k in undetermined:
-            lb, ld = d.crossings[k][1], d.crossings[k][3]
-            if lb == ld:
-                raise DiagramError(f"crossing {k}: over-strand direction is ambiguous")
-            if ld == lb + 1:
-                inbound[(k, 1)], inbound[(k, 3)] = True, False
-                break
-            if lb == ld + 1:
-                inbound[(k, 1)], inbound[(k, 3)] = False, True
-                break
+    labels = [label for quad in d.crossings for label in quad]
+    mate = [0] * len(labels)  # port -> the other port of its arc
+    first: dict[int, int] = {}
+    for port, label in enumerate(labels):
+        if label in first:
+            mate[port], mate[first[label]] = first[label], port
         else:
-            raise DiagramError("cannot orient over-strands from arc labels")
-        propagate()
+            first[label] = port
+    signs = [0] * d.n
+    entered = [False] * len(labels)
 
-    for label, ports in occurrences.items():
-        p0, p1 = ports
-        if inbound[p0] == inbound[p1]:
-            kind = "enters" if inbound[p0] else "leaves"
-            raise DiagramError(f"arc {label} {kind} two crossings; orientation failed")
-
-    # successor map on arcs and crossing signs
-    successor: dict[int, int] = {}
-    signs: list[int] = []
-    for k, quad in enumerate(d.crossings):
-        a, b, c, e = quad
-        successor[a] = c
-        if inbound[(k, 3)]:       # enters at slot d, leaves at slot b: positive
-            successor[e] = b
-            signs.append(1)
-        else:
-            successor[b] = e
-            signs.append(-1)
-
-    # components = cycles of the successor map; labels must step by one with
-    # a single wrap per cycle, else the numbering convention was violated.
-    seen: set[int] = set()
-    components = 0
-    for start in successor:
-        if start in seen:
-            continue
-        components += 1
-        drops = 0
-        cur = start
+    def walk(start: int) -> list[int]:
+        """Walk the component entering at port ``start``; its crossings in order."""
+        port, path, wraps = start, [], 0
         while True:
-            seen.add(cur)
-            nxt = successor[cur]
-            if nxt != cur + 1:
-                drops += 1
-            cur = nxt
-            if cur == start:
+            k, slot = divmod(port, 4)
+            if slot == 2:
+                raise DiagramError(f"arc {labels[port]} leaves two crossings; orientation failed")
+            entered[port] = True
+            if slot % 2:
+                signs[k] = 1 if slot == 3 else -1
+            path.append(k)
+            wraps += labels[port ^ 2] != labels[port] + 1
+            port = mate[port ^ 2]
+            if port == start:
                 break
-        if drops != 1:
+        if wraps != 1:
             raise DiagramError("arc labels do not increase along a component")
+        return path
 
-    # a two-arc component that only passes over reads identically in both
-    # directions, so its orientation was a free choice above; that is harmless
-    # exactly when its two crossing signs cancel, and a lie about the writhe
-    # otherwise, so the latter codes are rejected.
-    under_labels = {quad[0] for quad in d.crossings} | {quad[2] for quad in d.crossings}
-    for label, ports in occurrences.items():
-        partner = successor[label]
-        if (
-            partner != label
-            and successor[partner] == label
-            and label not in under_labels
-            and partner not in under_labels
-            and label < partner
-        ):
-            k1, k2 = (ports[0][0], ports[1][0])
-            if signs[k1] + signs[k2] != 0:
-                raise DiagramError(
-                    f"arcs {label},{partner}: over-only component with writhe-dependent orientation"
-                )
-
-    return Orientation(tuple(signs), components + d.free_loops, tuple(successor.items()))
+    components = d.free_loops
+    for k in range(d.n):
+        if not entered[4 * k]:
+            walk(4 * k)
+            components += 1
+    for k, (_, lb, _, ld) in enumerate(d.crossings):
+        if lb == ld:
+            raise DiagramError(f"crossing {k}: over-strand direction is ambiguous")
+        if signs[k] or abs(ld - lb) != 1:
+            continue
+        path = walk(4 * k + (1 if ld == lb + 1 else 3))
+        components += 1
+        if len(path) == 2 and signs[path[0]] + signs[path[1]]:
+            raise DiagramError(
+                f"arcs {min(lb, ld)},{max(lb, ld)}: over-only component with writhe-dependent orientation"
+            )
+    if not all(signs):
+        raise DiagramError("cannot orient over-strands from arc labels")
+    return Orientation(tuple(signs), components)
 
 
 def writhe(d: Diagram) -> int:
@@ -438,64 +377,47 @@ def components(d: Diagram) -> int:
 def closure(b: BraidWord) -> Diagram:
     """The trace closure of a braid word as a PD diagram.
 
-    Arcs are labelled sequentially along each component so the resulting code
-    satisfies the same conventions as table PD codes; crossing count equals
-    the letter count and unused strands become free circles.
+    Port 4k+s is corner s of crossing k: bottom-left, bottom-right, top-left,
+    top-right.  A strand enters a crossing at the bottom and leaves at the
+    opposite top corner, then rises along its position to the bottom of the
+    next crossing there, wrapping through the closure past the top.  That
+    next-crossing-up map is built once; then each component is walked from
+    the first crossing at the lowest position it occupies, and its arcs are
+    labelled 1, 2, ... in walking order, so the code satisfies the same
+    conventions as table PD codes.  The crossing count equals the letter
+    count, and strands no letter touches become free circles.
     """
-    m = len(b.letters)
-    n = b.strands
-    if m == 0:
-        return Diagram((), n)
-
-    # only the strands the letters touch: an untouched one is a free circle
-    touches: dict[int, list[int]] = {}
+    up: dict[int, int] = {}  # top port -> bottom port of the next crossing up
+    lowest: dict[int, int] = {}  # position -> bottom port of its first crossing
+    top: dict[int, int] = {}  # position -> top port of its last crossing so far
     for k, letter in enumerate(b.letters):
         i = abs(letter)
-        touches.setdefault(i, []).append(k)
-        touches.setdefault(i + 1, []).append(k)
+        for position, bottom in ((i, 4 * k), (i + 1, 4 * k + 1)):
+            if position in top:
+                up[top[position]] = bottom
+            else:
+                lowest[position] = bottom
+            top[position] = bottom + 2
+    for position, port in top.items():
+        up[port] = lowest[position]  # wrap through the closure
 
-    def first_crossing_at_or_above(position: int, height: int) -> tuple[int, str] | None:
-        for k in touches[position]:
-            if k >= height:
-                side = "bl" if abs(b.letters[k]) == position else "br"
-                return k, side
-        return None
-
-    def next_entry(position: int, height: int) -> tuple[int, str]:
-        hit = first_crossing_at_or_above(position, height)
-        if hit is None:
-            hit = first_crossing_at_or_above(position, 0)  # wrap through the closure
-            assert hit is not None
-        return hit
-
-    # port labels: ports[(crossing, port)] = arc label
-    ports: dict[tuple[int, str], int] = {}
-    visited: set[tuple[int, str]] = set()
+    labels = [0] * (4 * len(b.letters))
     label = 0
-    for p in sorted(touches):
-        start = next_entry(p, 0)
-        if start in visited:
+    for position in sorted(lowest):
+        start = entry = lowest[position]
+        if labels[start]:
             continue
-        entry = start
         while True:
-            visited.add(entry)
-            k, side = entry
-            i = abs(b.letters[k])
-            # strands cross: bottom-left leaves at top-right and vice versa
-            exit_side, exit_pos = ("tr", i + 1) if side == "bl" else ("tl", i)
+            out = entry ^ 3  # bottom-left leaves top-right and vice versa
             label += 1
-            ports[(k, exit_side)] = label
-            entry = next_entry(exit_pos, k + 1)
-            ports[entry] = label
+            entry = up[out]
+            labels[out] = labels[entry] = label
             if entry == start:
                 break
 
     quads: list[Quad] = []
     for k, letter in enumerate(b.letters):
-        bl, br = ports[(k, "bl")], ports[(k, "br")]
-        tl, tr = ports[(k, "tl")], ports[(k, "tr")]
-        if letter > 0:
-            quads.append((br, tr, tl, bl))   # under-strand enters bottom-right
-        else:
-            quads.append((bl, br, tr, tl))   # under-strand enters bottom-left
-    return Diagram(tuple(quads), n - len(touches))
+        bl, br, tl, tr = labels[4 * k:4 * k + 4]
+        # the under-strand enters bottom-right for a positive letter, bottom-left for a negative one
+        quads.append((br, tr, tl, bl) if letter > 0 else (bl, br, tr, tl))
+    return Diagram(tuple(quads), b.strands - len(lowest))

@@ -5,8 +5,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
-from qbracket import BraidWord, closure, parse_braid
+from qbracket import BraidWord, Diagram, closure, parse_braid
 
 #: Base words whose closures exercise every code path: a two-crossing unknot
 #: (destabilizes twice), the Hopf link, both torus knots on two strands, and
@@ -28,6 +29,33 @@ def corpus() -> dict[str, BraidWord]:
 @pytest.fixture(scope="session")
 def corpus_diagrams(corpus):
     return {name: closure(word) for name, word in corpus.items()}
+
+
+@st.composite
+def pd_codes(draw, max_strands: int = 5, max_letters: int = 10) -> tuple[BraidWord, Diagram]:
+    """A braid word and its closure as a PD code that orientation must infer:
+    the crossings shuffled and, for a one-component closure, the labels
+    shifted cyclically, so neither the crossing order nor where the labels
+    wrap follows the braid.  Writhe, components and raw sum are the word's."""
+    n = draw(st.integers(min_value=2, max_value=max_strands))
+    letter = st.integers(min_value=1, max_value=n - 1).flatmap(lambda i: st.sampled_from([i, -i]))
+    word = BraidWord(n, tuple(draw(st.lists(letter, min_size=1, max_size=max_letters))))
+    d = closure(word)
+    quads = draw(st.permutations(d.crossings))
+    if word.cycle_count() == 1:
+        arcs = 2 * d.n
+        shift = draw(st.integers(min_value=0, max_value=arcs - 1))
+        quads = [tuple((label - 1 + shift) % arcs + 1 for label in quad) for quad in quads]
+    return word, Diagram(tuple(quads), d.free_loops)
+
+
+@st.composite
+def label_arrangements(draw, max_crossings: int = 4) -> Diagram:
+    """Any placement of the labels 1..2n, each twice, on 1..``max_crossings``
+    crossings: every one is a valid ``Diagram``, most are not orientable."""
+    n = draw(st.integers(min_value=1, max_value=max_crossings))
+    labels = draw(st.permutations([label for label in range(1, 2 * n + 1) for _ in range(2)]))
+    return Diagram(tuple(tuple(labels[4 * k:4 * k + 4]) for k in range(n)))
 
 
 @pytest.fixture

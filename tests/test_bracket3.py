@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import state_oracle
+from conftest import pd_codes
 from qbracket.bracket3 import (
     CURL_MINUS,
     CURL_PLUS,
@@ -323,6 +324,13 @@ def test_tl_equals_naive_on_corpus(corpus):
 @given(braid_words())
 def test_tl_equals_naive_random_words(word):
     assert tl_evaluate(word) == bracket3_raw(closure(word))
+
+
+@settings(max_examples=40, deadline=None)
+@given(pd_codes())
+def test_tl_equals_naive_on_shuffled_relabelled_codes(case):
+    word, d = case
+    assert bracket3_raw(d) == tl_evaluate(word)
 
 
 @settings(max_examples=40, deadline=None)

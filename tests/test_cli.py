@@ -113,6 +113,15 @@ def test_bracket_on_5000_strands_is_the_closed_form(capped_cli):
     )
 
 
+def test_bracket_folds_many_circle_counts_under_the_cap(capped_cli):
+    # 200 crossings beside 6,998 free circles: the raw sum spans about 200
+    # circle counts near 7,000, and a power of the circle factor per count
+    # would not fit in 1 GiB; the fold builds only the lowest one
+    done = capped_cli("bracket", "braid:7000:" + ",".join(["1"] * 200), timeout=60.0)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines()[1] == "writhe: 200"
+
+
 @pytest.mark.parametrize("strands", [100_000, 100_000_000])
 def test_bracket_of_too_many_circles_exits_1_early(capped_cli, strands):
     # the value of 99,999 circles or more cannot be held under the term cap:
@@ -333,11 +342,11 @@ def test_search_max_crossings_filter(tmp_path, capsys):
 
 def test_search_reports_load_errors(tmp_path, capsys):
     table = tmp_path / "t.tsv"
-    table.write_text("ok\tbraid:2:1,1,1\nbad\tbraid:2:9\n")
+    table.write_text("ok\tbraid:2:1,1,1\nbad\tbraid:2:9\nunorientable\tPD[X(1,4,4,3),X(2,2,3,1)]\n")
     code, out, _ = run(capsys, "search", "--table", str(table), "--json")
     assert code == 0
     header = json.loads(out.splitlines()[0])
-    assert len(header["load_errors"]) == 1
+    assert len(header["load_errors"]) == 2
 
 
 # -- error handling -------------------------------------------------------------------
@@ -358,6 +367,12 @@ def test_bad_input_exits_1(capsys):
     code, _, err = run(capsys, "bracket", "braid:2:7,1")
     assert code == 1
     assert "position 0" in err
+    # a code whose walk enters an under-strand where it leaves
+    for command in ("bracket", "bracket3"):
+        code, out, err = run(capsys, command, "PD[X(1,4,4,3),X(2,2,3,1)]")
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
 
 
 def test_missing_table_exits_1(capsys):

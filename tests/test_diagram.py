@@ -1,18 +1,22 @@
 """Braid and PD parsing, closures, orientation, smoothing, rewrites."""
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import label_arrangements, pd_codes
 from qbracket.diagram import (
     BraidWord,
     Diagram,
     DiagramError,
+    Orientation,
     add_kink,
     closure,
     components,
     conjugate,
+    orient,
     parse_braid,
     parse_pd,
     pd_text,
@@ -74,9 +78,38 @@ def test_closure_counts_components_by_permutation_cycles():
     assert components(closure(parse_braid("braid:3:"))) == 3
 
 
+#: Closure codes pinned as first written: labels run along each component
+#: from its lowest strand position, and unused strands are free circles.
+PINNED_CLOSURES = {
+    "braid:2:1": "PD[X(1,1,2,2)]",
+    "braid:3:": "PD[O,O,O]",
+    "braid:5:2,-3,2": "PD[X(1,2,2,3),X(3,6,4,5),X(6,1,5,4),O,O]",
+    "braid:3:-1,2,-1,2": "PD[X(2,6,3,5),X(4,7,5,8),X(6,2,7,1),X(8,3,1,4)]",
+    "braid:4:1,2,3,1": "PD[X(3,3,4,2),X(4,2,5,1),X(5,8,6,7),X(8,1,7,6)]",
+    "braid:6:-4,-4,-4,2": "PD[X(1,1,2,2),X(4,7,5,8),X(6,3,7,4),X(8,5,3,6),O,O]",
+    "braid:4:1,-3,1,-3": "PD[X(1,4,2,3),X(4,1,3,2),X(6,8,5,7),X(7,5,8,6)]",
+    "braid:4:1,2,-3,3": "PD[X(2,8,3,7),X(3,8,4,7),X(4,2,5,1),X(5,1,6,6)]",
+}
+
+
 def test_closure_crossing_count_equals_letter_count():
     w = parse_braid("braid:3:1,-2,1,-2")
     assert closure(w).n == 4
+    for text, pd in PINNED_CLOSURES.items():
+        word = parse_braid(text)
+        assert closure(word).n == len(word.letters)
+        assert pd_text(closure(word)) == pd, text
+
+
+def test_long_closure_is_linear_time():
+    # each strand position's next crossing up is looked up, not rescanned
+    word = BraidWord(3, (1, -2, 2, 1, -1, -2, 2, 2) * 2000)
+    start = time.perf_counter()
+    d = closure(word)
+    elapsed = time.perf_counter() - start
+    assert d.n == 16_000
+    assert writhe(d) == word.writhe and components(d) == word.cycle_count()
+    assert elapsed < 1.0, f"closing a 16,000-letter word took {elapsed:.2f}s"
 
 
 def test_closure_single_positive_kink_is_the_one_crossing_kink_code():
@@ -125,6 +158,13 @@ def test_parse_pd_rejects_bad_labels_and_syntax():
         parse_pd("PD[X(1,1,2,2]")
     with pytest.raises(DiagramError):
         parse_pd("X(1,1,2,2)")
+    # the walk from crossing 0 enters crossing 1 at slot c, where its
+    # under-strand leaves, so arc 3 would leave two crossings
+    with pytest.raises(DiagramError, match="arc 3 leaves two crossings"):
+        parse_pd("PD[X(1,4,4,3),X(2,2,3,1)]")
+    # the trefoil with labels 1 and 2 swapped: orientable, but labels drop twice
+    with pytest.raises(DiagramError, match="do not increase"):
+        parse_pd("PD[X(2,4,1,5),X(3,6,4,2),X(5,1,6,3)]")
 
 
 def test_parse_pd_accepts_whitespace_and_free_circles():
@@ -163,6 +203,29 @@ def test_over_only_component_with_cancelling_signs_is_accepted():
     d = closure(word)
     assert writhe(d) == word.writhe
     assert components(d) == word.cycle_count()
+    # strand 1 passes over all four crossings; with more than two arcs its
+    # labels fix its direction, so every sign is its letter's
+    d = closure(parse_braid("braid:3:1,2,-2,-1"))
+    assert orient(d) == Orientation((1, 1, -1, -1), 3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(pd_codes())
+def test_orient_reads_shuffled_and_relabelled_closures(case):
+    word, d = case
+    assert writhe(d) == word.writhe
+    assert components(d) == word.cycle_count()
+
+
+@settings(max_examples=500, deadline=None)
+@given(label_arrangements())
+def test_orient_answers_or_raises_diagram_error_on_any_labels(d):
+    try:
+        orientation = orient(d)
+    except DiagramError:
+        return
+    assert isinstance(orientation, Orientation)
+    assert len(orientation.signs) == d.n and set(orientation.signs) <= {1, -1}
 
 
 def test_over_only_component_with_writhe_ambiguity_is_rejected():
