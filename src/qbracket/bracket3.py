@@ -20,8 +20,8 @@ state counts per matching (Kronecker substitution, see :func:`_unpack`).
 merging the partial states that join the open arcs alike (Bar-Natan, JKTR 16
 (2007)); ``tl`` carries planar matchings (the Temperley-Lieb basis) across a
 braid word, one letter at a time.  They are checked against each other in
-the tests and can be cross-asserted at runtime; a per-state enumeration in
-the test suite is the oracle for both.
+the tests, and a per-state enumeration in the test suite is the oracle for
+both.
 
 Every readout of a diagram is derived from its one raw sum: the normal form,
 :func:`ambient_from_raw`, :func:`circle_variant`, and the classical bracket
@@ -312,31 +312,13 @@ def tl_evaluate(b: BraidWord) -> Polynomial:
     return _unpack(total, len(b.letters), width, stride)
 
 
-class EngineMismatchError(AssertionError):
-    """The naive and transfer-matrix engines gave different raw sums."""
-
-
 def raw_bracket(source: BraidWord | Diagram, engine: str = "naive") -> Polynomial:
-    """Raw bracket through a named engine: ``naive``, ``tl``, or ``both``.
-
-    ``tl`` requires a braid word; ``both`` runs the two engines and insists
-    on exact agreement.
-    """
-    if engine not in ("naive", "tl", "both"):
+    """Raw bracket through a named engine: ``naive`` or ``tl``; ``tl``
+    requires a braid word."""
+    if engine == "naive":
+        return bracket3_raw(source if isinstance(source, Diagram) else closure(source))
+    if engine != "tl":
         raise ValueError(f"unknown engine {engine!r}")
-    word = source if isinstance(source, BraidWord) else None
-    diagram = source if isinstance(source, Diagram) else None
-    if engine in ("tl", "both") and word is None:
+    if not isinstance(source, BraidWord):
         raise ValueError("the transfer-matrix engine needs a braid word input")
-    if engine == "tl":
-        return tl_evaluate(word)
-    if diagram is None:
-        diagram = closure(word)
-    naive = bracket3_raw(diagram)
-    if engine == "both":
-        tl = tl_evaluate(word)
-        if tl != naive:
-            raise EngineMismatchError(
-                f"engine disagreement on {word.text}: naive={naive} tl={tl}"
-            )
-    return naive
+    return tl_evaluate(source)

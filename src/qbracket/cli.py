@@ -21,10 +21,10 @@ from .bracket3 import (
     CONVENTION,
     TL_STRAND_CAP,
     CapacityError,
-    EngineMismatchError,
     ambient_from_normal,
+    bracket3_raw,
     circle_variant,
-    raw_bracket,
+    tl_evaluate,
 )
 from .classical import bracket_from_raw, format_laurent, writhe_normalize
 from .diagram import DiagramError, conjugate, parse_braid, rewrite_moves
@@ -70,7 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_b3 = sub.add_parser("bracket3", help="three-variable bracket invariants")
     p_b3.add_argument("input")
     p_b3.add_argument("--json", action="store_true")
-    p_b3.add_argument("--engine", choices=["naive", "tl", "both"], default="naive")
 
     p_verify = sub.add_parser("verify", help="re-check the algebraic claims")
     vsub = p_verify.add_subparsers(dest="what", required=True)
@@ -85,13 +84,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_m.add_argument("--json", action="store_true")
     p_m.add_argument("--seed", type=int, default=7)
     p_m.add_argument("--cases", type=int, default=200)
-    p_m.add_argument("--engine", choices=["naive", "tl", "both"], default="tl")
 
     p_s = sub.add_parser("search", help="f-bucket consistency check over a knot table")
     p_s.add_argument("--table", default=None, help="TSV file (default: bundled table)")
     p_s.add_argument("--max-crossings", type=int, default=None)
     p_s.add_argument("--cache", default=None)
-    p_s.add_argument("--engine", choices=["naive", "tl"], default="naive")
     fmt = p_s.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")
     fmt.add_argument("--csv", action="store_true")
@@ -115,9 +112,9 @@ def cmd_bracket(args: argparse.Namespace) -> int:
     entry = parse_presentation(args.input)
     # the transfer pass for braid words it can hold, the frontier pass for the rest
     if entry.word is not None and entry.word.strands <= TL_STRAND_CAP:
-        raw = raw_bracket(entry.word, "tl")
+        raw = tl_evaluate(entry.word)
     else:
-        raw = raw_bracket(entry.diagram)
+        raw = bracket3_raw(entry.diagram)
     bracket = bracket_from_raw(raw)
     w = entry.writhe
     payload = {
@@ -132,14 +129,13 @@ def cmd_bracket(args: argparse.Namespace) -> int:
 
 def cmd_bracket3(args: argparse.Namespace) -> int:
     entry = parse_presentation(args.input)
-    source = entry.word if entry.word is not None and args.engine != "naive" else entry.diagram
-    raw = raw_bracket(source, args.engine)
+    raw = bracket3_raw(entry.diagram)
     w = entry.writhe
     nf = normal_form(raw)
     amb = ambient_from_normal(nf, w)
     payload = {
         "input": entry.presentation,
-        "engine": args.engine,
+        "engine": "naive",
         "convention": CONVENTION,
         "writhe": w,
         "raw": format_poly(raw),
@@ -199,19 +195,19 @@ def cmd_verify_moves(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "cases": args.cases,
         "moves_per_case": MOVES_PER_CASE,
-        "engine": args.engine,
+        "engine": "tl",
     }
     _print_line(header, args.json)
     all_ok = True
     references = []
     for name, text in MOVE_BASE_WORDS:
         base = parse_braid(text)
-        reference = normal_form(raw_bracket(base, args.engine))
+        reference = normal_form(tl_evaluate(base))
         references.append((name, base, reference))
         failures = 0
         for case in range(args.cases):
             variant = rewrite_moves(base, seed=args.seed + case, count=MOVES_PER_CASE)
-            if normal_form(raw_bracket(variant, args.engine)) != reference:
+            if normal_form(tl_evaluate(variant)) != reference:
                 failures += 1
         ok = failures == 0
         all_ok = all_ok and ok
@@ -223,7 +219,7 @@ def cmd_verify_moves(args: argparse.Namespace) -> int:
             1
             for g in range(1, base.strands)
             for sign in (1, -1)
-            if normal_form(raw_bracket(conjugate(base, sign * g), args.engine)) != reference
+            if normal_form(tl_evaluate(conjugate(base, sign * g))) != reference
         )
         ok = failures == 0
         all_ok = all_ok and ok
@@ -239,7 +235,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     if args.max_crossings is not None:
         entries = [e for e in entries if e.crossings <= args.max_crossings]
     cache = RecordCache(args.cache) if args.cache else None
-    report = conjecture_scan(entries, engine=args.engine, cache=cache)
+    report = conjecture_scan(entries, cache)
     report.load_errors = loaded.errors
 
     status = 2 if any(p.verdict == "ENGINE_MISMATCH" for p in report.pairs) else 0
@@ -252,7 +248,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         "table": str(table),
         "entries": report.entry_count,
         "fingerprint": report.fingerprint,
-        "engine": args.engine,
+        "engine": "naive",
         "nontrivial_buckets": report.bucket_sizes,
         "load_errors": report.load_errors,
         "cache_warnings": report.cache_warnings,
@@ -290,9 +286,6 @@ def main(argv: list[str] | None = None) -> int:
     except (DiagramError, CapacityError, TermLimitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except EngineMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     raise AssertionError("unreachable")
 
 

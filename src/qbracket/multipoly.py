@@ -420,7 +420,6 @@ class BuchbergerRun:
     """Completion trace: the basis plus bookkeeping for honest reporting."""
 
     basis: list[Polynomial]
-    pairs_processed: int = 0
     #: (polynomial text, content divided out) for every element that was not
     #: primitive when adjoined; empty means the run never left Z[a,b,d]
     #: combinations of the inputs.
@@ -444,7 +443,6 @@ def buchberger_run(gens: list[Polynomial]) -> BuchbergerRun:
     pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
     while pairs:
         i, j = pairs.pop(0)
-        run.pairs_processed += 1
         lm_i, _ = basis[i].leading()
         lm_j, _ = basis[j].leading()
         if mono_lcm(lm_i, lm_j) == mono_mul(lm_i, lm_j):

@@ -76,7 +76,6 @@ def is_normal(p: Polynomial) -> bool:
 class Check:
     name: str
     passed: bool
-    detail: str = ""
     witness: str | None = None
 
 
@@ -119,9 +118,7 @@ def verify_groebner() -> GroebnerReport:
                 break
         if bad:
             break
-    report.checks.append(
-        Check("spolys_reduce_to_zero", bad is None, "all S-polynomials of the stored basis", bad)
-    )
+    report.checks.append(Check("spolys_reduce_to_zero", bad is None, bad))
 
     bad = None
     for k, gen in enumerate(IDEAL_GENERATORS, start=1):
@@ -129,9 +126,7 @@ def verify_groebner() -> GroebnerReport:
         if not rem.is_zero:
             bad = f"generator {k} -> {format_poly(rem)}"
             break
-    report.checks.append(
-        Check("generators_reduce_to_zero", bad is None, "ideal generators against stored basis", bad)
-    )
+    report.checks.append(Check("generators_reduce_to_zero", bad is None, bad))
 
     run = buchberger_run(list(IDEAL_GENERATORS))
     report.computed_basis = reduce_basis(run.basis)
@@ -143,16 +138,13 @@ def verify_groebner() -> GroebnerReport:
         if not rem.is_zero:
             bad = f"basis element {k} -> {format_poly(rem)}"
             break
-    report.checks.append(
-        Check("basis_reduces_against_computed", bad is None, "stored basis against Buchberger output", bad)
-    )
+    report.checks.append(Check("basis_reduces_against_computed", bad is None, bad))
 
     match = set(report.computed_basis) == set(basis)
     report.checks.append(
         Check(
             "reduced_computed_basis_matches",
             match,
-            "reduce_basis(buchberger(generators)) vs stored basis",
             None if match else "; ".join(format_poly(g) for g in report.computed_basis),
         )
     )

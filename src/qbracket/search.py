@@ -156,8 +156,9 @@ def compute_record(entry: TableEntry, engine: str = "naive") -> InvariantRecord:
 class RecordCache:
     """Line-oriented JSON cache keyed by (name, presentation, fingerprint).
 
-    Corrupt lines are skipped with a warning and never fatal; lookups hit
-    only on exact key matches, so convention changes invalidate everything.
+    Corrupt lines, and lines whose fields have the wrong JSON type, are
+    skipped with a warning and never fatal; lookups hit only on exact key
+    matches, so convention changes invalidate everything.
     """
 
     def __init__(self, path: str | Path | None):
@@ -176,10 +177,13 @@ class RecordCache:
                 try:
                     obj = json.loads(line)
                     rec = InvariantRecord(
-                        obj["name"], obj["presentation"], int(obj["writhe"]),
+                        obj["name"], obj["presentation"], obj["writhe"],
                         obj["f"], obj["ambient3"], obj["engine"], obj["fingerprint"],
                     )
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                    texts = (rec.name, rec.presentation, rec.f_text, rec.ambient3_text, rec.engine, rec.fingerprint)
+                    if type(rec.writhe) is not int or not all(isinstance(text, str) for text in texts):
+                        raise TypeError("writhe must be an integer and every other field a string")
+                except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON
                     self.warnings.append(f"cache line {lineno} skipped: {exc}")
                     continue
                 self.records[(rec.name, rec.presentation, rec.fingerprint)] = rec
@@ -197,17 +201,13 @@ class RecordCache:
                 fh.write(json.dumps(rec.to_json(), sort_keys=True) + "\n")
 
 
-def compute_records(
-    entries: list[TableEntry],
-    engine: str = "naive",
-    cache: RecordCache | None = None,
-) -> list[InvariantRecord]:
+def compute_records(entries: list[TableEntry], cache: RecordCache | None = None) -> list[InvariantRecord]:
     """Records for all entries, cache-first, sorted by name."""
     records: list[InvariantRecord] = []
     for entry in sorted(entries, key=lambda e: e.name):
         rec = cache.lookup(entry) if cache else None
         if rec is None:
-            rec = compute_record(entry, engine)
+            rec = compute_record(entry)
             if cache:
                 cache.store(rec)
         records.append(rec)
@@ -247,11 +247,7 @@ class ScanReport:
     load_errors: list[tuple[int, str]] = field(default_factory=list)
 
 
-def conjecture_scan(
-    entries: list[TableEntry],
-    engine: str = "naive",
-    cache: RecordCache | None = None,
-) -> ScanReport:
+def conjecture_scan(entries: list[TableEntry], cache: RecordCache | None = None) -> ScanReport:
     """Compare the quotient invariant inside every classical-equal bucket.
 
     Each entry's record is computed (or read from the cache) once.  A pair
@@ -259,7 +255,7 @@ def conjecture_scan(
     equal f forces equal ``ambient3``, so a difference can only be a fault.
     The scan is fully deterministic for a fixed table.
     """
-    records = compute_records(entries, engine, cache)
+    records = compute_records(entries, cache)
     buckets = bucket_by_classical(records)
     pairs: list[PairVerdict] = []
     for f_text, group in buckets.items():

@@ -1,5 +1,6 @@
 """Command dispatch, output stability, and exit codes."""
 
+import argparse
 import dataclasses
 import importlib
 import importlib.util
@@ -163,21 +164,12 @@ TREFOIL_BRACKET3 = {
 
 
 def test_bracket3_golden_json(capsys):
-    code, out, _ = run(capsys, "bracket3", "braid:2:1,1,1", "--json", "--engine", "both")
+    code, out, _ = run(capsys, "bracket3", "braid:2:1,1,1", "--json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["engine"] == "both"
+    assert payload["engine"] == "naive"
     assert {key: payload[key] for key in TREFOIL_BRACKET3} == TREFOIL_BRACKET3
     assert "ambient3_circle_variant" in payload
-
-
-def test_bracket3_tl_engine_builds_no_closure(capsys, forbid_closure):
-    forbid_closure()
-    code, out, _ = run(capsys, "bracket3", "braid:2:1,1,1", "--json", "--engine", "tl")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["engine"] == "tl"
-    assert {key: payload[key] for key in TREFOIL_BRACKET3} == TREFOIL_BRACKET3
 
 
 def test_bracket3_unknot_text(capsys):
@@ -187,10 +179,11 @@ def test_bracket3_unknot_text(capsys):
     assert "ambient3: +d\n" in out
 
 
-def test_bracket3_tl_engine_runs_past_the_enumeration_cap(capsys):
-    # 26 crossings, over the naive cap of 24: every readout comes from the tl raw sum
+def test_bracket3_on_26_crossings_equals_the_padded_transfer_pass(capsys):
+    # a 26-crossing closure of a 3-strand word: the frontier pass's ambient3
+    # equals the curl-padded normal form of the transfer pass's raw sum
     text = "braid:3:" + ",".join(["1,-2"] * 12 + ["1,1"])
-    code, out, err = run(capsys, "bracket3", text, "--engine", "tl", "--json")
+    code, out, err = run(capsys, "bracket3", text, "--json")
     assert (code, err) == (0, "")
     payload = json.loads(out)
     assert payload["writhe"] == 2
@@ -198,9 +191,8 @@ def test_bracket3_tl_engine_runs_past_the_enumeration_cap(capsys):
     assert payload["ambient3"] == format_poly(normal_form(padded))
 
 
-@pytest.mark.parametrize("engine", ["naive", "tl", "both"])
 @pytest.mark.parametrize("text", ["braid:2:1,1,1", "braid:3:1,-2,1,-2"])
-def test_bracket3_reduces_the_raw_sum_once(capsys, monkeypatch, engine, text):
+def test_bracket3_reduces_the_raw_sum_once(capsys, monkeypatch, text):
     bracket3_module = importlib.import_module("qbracket.bracket3")
     raw = tl_evaluate(parse_braid(text))
     seen: list = []
@@ -211,16 +203,10 @@ def test_bracket3_reduces_the_raw_sum_once(capsys, monkeypatch, engine, text):
 
     for module in (cli, bracket3_module):
         monkeypatch.setattr(module, "normal_form", recording)
-    code, out, _ = run(capsys, "bracket3", text, "--engine", engine, "--json")
+    code, out, _ = run(capsys, "bracket3", text, "--json")
     assert code == 0
     assert sum(p == raw for p in seen) == 1
     assert json.loads(out)["normal_form"] == format_poly(normal_form(raw))
-
-
-def test_bracket3_tl_engine_rejects_pd(capsys):
-    code, _, err = run(capsys, "bracket3", "PD[X(1,1,2,2)]", "--engine", "tl")
-    assert code == 1
-    assert "braid word" in err
 
 
 # -- verify ------------------------------------------------------------------------
@@ -261,6 +247,20 @@ def test_verify_variety_exits_2_on_a_perturbed_branch(capsys, monkeypatch):
 def test_verify_variety_rejects_removed_flags(capsys, flag):
     with pytest.raises(SystemExit) as exit_info:
         main(["verify", "variety", *flag])
+    assert exit_info.value.code == 64
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["bracket3", "braid:2:1,1,1", "--engine", "naive"], ["verify", "moves", "--engine", "tl"],
+     ["search", "--engine", "naive"]],
+    ids=["bracket3", "verify-moves", "search"],
+)
+def test_removed_engine_option_is_a_usage_error(capsys, argv):
+    # each command's former default value is refused like any other
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
     assert exit_info.value.code == 64
     assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -387,19 +387,34 @@ def test_term_limit_exits_1_with_one_error_line(capsys, monkeypatch):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
-def test_engine_disagreement_exits_2_with_one_error_line(capsys, monkeypatch):
-    bracket3_module = importlib.import_module("qbracket.bracket3")
-    real = bracket3_module.tl_evaluate
-    monkeypatch.setattr(bracket3_module, "tl_evaluate", lambda word, *args: real(word, *args) + 1)
-    code, out, err = run(capsys, "bracket3", "braid:2:1,1,1", "--engine", "both")
-    assert (code, out) == (2, "")
-    assert len(err.splitlines()) == 1 and err.startswith("error: engine disagreement")
-
-
 def test_deterministic_output_same_invocation(capsys):
     first = run(capsys, "bracket3", "braid:3:1,-2,1,-2", "--json")
     second = run(capsys, "bracket3", "braid:3:1,-2,1,-2", "--json")
     assert first == second
+
+
+def _parser_flags(parser: argparse.ArgumentParser, words: tuple = ()) -> dict[tuple, set[str]]:
+    """The ``--`` options of every leaf command, keyed by its subcommand words."""
+    subs = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    if not subs:
+        return {words: {flag for action in parser._actions for flag in action.option_strings
+                        if flag.startswith("--") and flag != "--help"}}
+    return {key: flags for name, child in subs[0].choices.items()
+            for key, flags in _parser_flags(child, words + (name,)).items()}
+
+
+def test_readme_synopsis_lists_every_command_and_option():
+    # the "Command line" block: one line per command, indented lines continue it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    synopsis: dict[tuple, set[str]] = {}
+    for line in block.splitlines():
+        if line.startswith("qbracket "):
+            command = tuple(re.match(r"qbracket((?: [a-z0-9]+)+)", line).group(1).split())
+            synopsis[command] = set()
+        if line.strip():
+            synopsis[command] |= set(re.findall(r"--[a-z][a-z-]*", line))
+    assert synopsis == _parser_flags(cli.build_parser())
 
 
 def test_traced_bench_names_resolve():

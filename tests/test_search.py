@@ -170,14 +170,42 @@ def test_cache_misses_on_fingerprint_change(tmp_path):
     assert cache.lookup(e) is None
 
 
+def _mistyped(rec: InvariantRecord, **fields) -> str:
+    """A cache line for ``rec`` with some fields replaced."""
+    return json.dumps({**rec.to_json(), **fields}) + "\n"
+
+
+#: Cache fields of the wrong JSON type: an int ``f`` once crashed the bucket
+#: sort, a null ``ambient3`` was reported as an ENGINE_MISMATCH, and a list
+#: ``presentation`` crashed the cache load as an unhashable key.
+MISTYPED_FIELDS = [{"f": 1}, {"ambient3": None}, {"presentation": ["braid:2:1,1,1"]},
+                   {"writhe": True}, {"writhe": "3"}, {"writhe": 3.0}]
+
+
 def test_cache_skips_corrupt_lines(tmp_path):
     path = tmp_path / "cache.jsonl"
     e = entry("trefoil", "braid:2:1,1,1")
     rec = compute_record(e)
-    path.write_text("{not json\n" + json.dumps(rec.to_json()) + "\n" + '{"name": "partial"}\n')
+    mistyped = "".join(_mistyped(rec, name=f"t{k}", **fields) for k, fields in enumerate(MISTYPED_FIELDS))
+    path.write_text("{not json\n" + json.dumps(rec.to_json()) + "\n" + '{"name": "partial"}\n' + mistyped)
     cache = RecordCache(path)
-    assert len(cache.warnings) == 2
-    assert cache.lookup(e) == rec
+    assert len(cache.warnings) == 2 + len(MISTYPED_FIELDS)
+    assert list(cache.records.values()) == [rec]
+
+
+@pytest.mark.parametrize("fields", MISTYPED_FIELDS[:2], ids=["int-f", "null-ambient3"])
+def test_search_recomputes_an_entry_whose_cache_line_is_mistyped(tmp_path, capsys, fields):
+    table = tmp_path / "t.tsv"
+    table.write_text("3_1\tbraid:2:1,1,1\n3_1pad\tbraid:2:1,1,-1,1,1\n")
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text(_mistyped(compute_record(entry("3_1", "braid:2:1,1,1")), **fields))
+    code = main(["search", "--json", "--table", str(table), "--cache", str(cache)])
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert code == 0
+    assert len(lines[0]["cache_warnings"]) == 1
+    assert lines[1]["verdict"] == "SAME"
+    # the recomputed record is appended after the skipped line
+    assert len(RecordCache(cache).records) == 2
 
 
 def test_partial_cache_only_recomputes_missing(tmp_path, monkeypatch):
@@ -294,8 +322,8 @@ def test_scan_reports_a_differing_pair_as_engine_mismatch(monkeypatch):
     monkeypatch.setattr(search, "compute_record", _stub_records(MISMATCHED, calls))
     entries = [entry("k1", "braid:2:1,1,1"), entry("k2", "PD[X(1,5,2,4),X(3,1,4,6),X(5,3,6,2)]"),
                entry("k3", "braid:1:")]
-    report = search.conjecture_scan(entries, engine="tl")
-    assert report.pairs == [search.PairVerdict("k1", "k2", search.bucket_digest("F"), "ENGINE_MISMATCH", "tl,naive")]
+    report = search.conjecture_scan(entries)
+    assert report.pairs == [search.PairVerdict("k1", "k2", search.bucket_digest("F"), "ENGINE_MISMATCH", "naive,naive")]
     assert report.bucket_sizes == {search.bucket_digest("F"): 2}
     assert calls == {"k1": 1, "k2": 1, "k3": 1}  # no member is recomputed
 
