@@ -55,7 +55,6 @@ from .quotient import (
     BRANCHES,
     GROEBNER_BASIS,
     IDEAL_GENERATORS,
-    branches,
     distinct_branches,
     normal_form,
     specialize_classical,

@@ -18,7 +18,6 @@ suite, which validates rather than assumes it).
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass
 
@@ -292,7 +291,6 @@ class Orientation:
     components: int              # including free loops
 
 
-@functools.lru_cache(maxsize=4096)
 def orient(d: Diagram) -> Orientation:
     """Infer strand directions from the labels-increase convention.
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -149,7 +150,7 @@ class Polynomial:
         """Positive gcd of the coefficients (0 for the zero polynomial)."""
         g = 0
         for c in self._terms.values():
-            g = _gcd(g, abs(c))
+            g = gcd(g, abs(c))
             if g == 1:
                 break
         return g
@@ -256,12 +257,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({format_poly(self)!r})"
-
-
-def _gcd(x: int, y: int) -> int:
-    while y:
-        x, y = y, x % y
-    return x
 
 
 # -- canonical text form ----------------------------------------------------
@@ -411,7 +406,7 @@ def s_poly(p: Polynomial, q: Polynomial) -> Polynomial:
     (mp, cp) = p.leading()
     (mq, cq) = q.leading()
     lcm_m = mono_lcm(mp, mq)
-    lcm_c = abs(cp * cq) // _gcd(abs(cp), abs(cq))
+    lcm_c = lcm(cp, cq)
     return p.mul_term(lcm_c // cp, mono_div(lcm_m, mp)) - q.mul_term(lcm_c // cq, mono_div(lcm_m, mq))
 
 

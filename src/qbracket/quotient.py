@@ -10,19 +10,22 @@ and d (disjoint circle):
 Everything here lives modulo the ideal I generated by those two polynomials.
 The module carries a Groebner basis for I under lex a > b > d, the normal
 form map that picks the canonical coset representative, the 34 solution
-branches of the variety rel1 = rel2 = 0 (kept exactly as catalogued: one
-label appears twice), their exact verification and component labels, and
-the specialization b -> 1/a, d -> -a^-2 - a^2 that recovers the classical
-one-variable bracket.
+branches of the variety rel1 = rel2 = 0 (stored as their catalogued text,
+one label appearing twice, and read exactly by :func:`parse_exact`), their
+exact verification and component labels, and the specialization
+b -> 1/a, d -> -a^-2 - a^2 that recovers the classical one-variable bracket.
 
 The Groebner basis is not taken on trust: :func:`verify_groebner` recomputes
 a basis from the generators with Buchberger's algorithm and certifies both
-inclusions with explicit zero remainders.
+inclusions with explicit zero remainders, each against the basis it
+certifies.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .classical import LaurentPolynomial, bracket_from_raw
 from .multipoly import (
@@ -98,6 +101,15 @@ class GroebnerReport:
         return all(c.passed for c in self.checks)
 
 
+def _zero_remainders(name: str, remainders: Iterator[tuple[str, Polynomial]]) -> Check:
+    """Passes when every ``(label, remainder)`` has a zero remainder; else the
+    witness names the first nonzero one, and no later remainder is computed."""
+    for label, rem in remainders:
+        if not rem.is_zero:
+            return Check(name, False, f"{label} -> {format_poly(rem)}")
+    return Check(name, True)
+
+
 def verify_groebner() -> GroebnerReport:
     """Certify that the stored basis and the generated ideal agree.
 
@@ -108,37 +120,17 @@ def verify_groebner() -> GroebnerReport:
     """
     report = GroebnerReport()
     basis = list(GROEBNER_BASIS)
-
-    bad: str | None = None
-    for i in range(len(basis)):
-        for j in range(i, len(basis)):
-            rem = remainder(s_poly(basis[i], basis[j]), basis)
-            if not rem.is_zero:
-                bad = f"S(g{i + 1},g{j + 1}) -> {format_poly(rem)}"
-                break
-        if bad:
-            break
-    report.checks.append(Check("spolys_reduce_to_zero", bad is None, bad))
-
-    bad = None
-    for k, gen in enumerate(IDEAL_GENERATORS, start=1):
-        rem = normal_form(gen)
-        if not rem.is_zero:
-            bad = f"generator {k} -> {format_poly(rem)}"
-            break
-    report.checks.append(Check("generators_reduce_to_zero", bad is None, bad))
+    pairs = [(i, j) for i in range(len(basis)) for j in range(i, len(basis))]
+    report.checks.append(_zero_remainders("spolys_reduce_to_zero", (
+        (f"S(g{i + 1},g{j + 1})", remainder(s_poly(basis[i], basis[j]), basis)) for i, j in pairs)))
+    report.checks.append(_zero_remainders("generators_reduce_to_zero", (
+        (f"generator {k}", remainder(gen, basis)) for k, gen in enumerate(IDEAL_GENERATORS, start=1))))
 
     run = buchberger_run(list(IDEAL_GENERATORS))
     report.computed_basis = reduce_basis(run.basis)
     report.content_events = list(run.content_events)
-
-    bad = None
-    for k, g in enumerate(basis, start=1):
-        rem = remainder(g, run.basis)
-        if not rem.is_zero:
-            bad = f"basis element {k} -> {format_poly(rem)}"
-            break
-    report.checks.append(Check("basis_reduces_against_computed", bad is None, bad))
+    report.checks.append(_zero_remainders("basis_reduces_against_computed", (
+        (f"basis element {k}", remainder(g, run.basis)) for k, g in enumerate(basis, start=1))))
 
     match = set(report.computed_basis) == set(basis)
     report.checks.append(
@@ -173,18 +165,9 @@ _ZETA_COORDS: tuple[tuple[int, int, int, int], ...] = (
     (0, 1, 0, -1),   # z^11
 )
 
-Root = tuple[int, int]  # (-1)^(p/q), stored as written
-
 #: An element of Z[z][a, 1/a, b]: (power of a, power of b, power of z) ->
 #: coefficient, with the powers of z reduced only by :func:`_coords`.
 Exact = dict[tuple[int, int, int], int]
-
-
-def _zeta_exponent(root: Root) -> int:
-    p, q = root
-    if q <= 0 or (6 * p) % q:
-        raise ValueError(f"root (-1)^({p}/{q}) is not a 12th root of unity")
-    return (6 * p // q) % 12
 
 
 def _coords(p: Exact) -> dict[tuple[int, int], tuple[int, int, int, int]]:
@@ -208,145 +191,111 @@ def _mul(p: Exact, q: Exact) -> Exact:
     return out
 
 
-@dataclass(frozen=True)
-class BranchValue:
-    """One assigned value: an integer combination of terms coeff * root * a^k.
+# One signed term: an optional "c*" scale, then an integer, a^k, I or (-1)^(p/q).
+_TERM = re.compile(
+    r"\s*([+-])\s*(?:(\d+)\s*\*\s*)?(?:(\d+)|a(?:\^(-?\d+))?|(I)|\(-1\)\^\((\d+)/(\d+)\))\s*"
+)
 
-    ``terms`` keeps the expression as written (root-of-unity tokens intact);
-    :meth:`canonical` maps it to exact cyclotomic coordinates per power of a,
-    which is what deduplication compares.
+
+def parse_exact(text: str) -> Exact:
+    """A catalogued value, such as ``-I + (-1)^(1/6)`` or ``-a^2 - a^-2``, exactly.
+
+    The text is an integer sum of terms ``c``, ``a^k``, ``I`` and
+    ``(-1)^(p/q)``; any other text, and a root that is not a 12th root of
+    unity, raises ValueError.
     """
-
-    terms: tuple[tuple[int, Root, int], ...]
-    text: str
-
-    def exact(self) -> Exact:
-        out: Exact = {}
-        for coeff, root, apow in self.terms:
-            key = (apow, 0, _zeta_exponent(root))
-            out[key] = out.get(key, 0) + coeff
-        return out
-
-    def canonical(self) -> tuple[tuple[int, tuple[int, int, int, int]], ...]:
-        return tuple(sorted((ea, row) for (ea, _), row in _coords(self.exact()).items()))
-
-
-def _bv(text: str, *terms: tuple[int, Root, int]) -> BranchValue:
-    return BranchValue(tuple(terms), text)
-
-
-_ONE: Root = (0, 1)
-_I: Root = (1, 2)
-_R6: Root = (1, 6)     # (-1)^(1/6)
-_R56: Root = (5, 6)    # (-1)^(5/6)
-_R3: Root = (1, 3)     # (-1)^(1/3)
-_R23: Root = (2, 3)    # (-1)^(2/3)
+    s = text if text.lstrip()[:1] in ("+", "-") else "+" + text
+    out: Exact = {}
+    pos = 0
+    while pos < len(s):
+        m = _TERM.match(s, pos)
+        if m is None:
+            raise ValueError(f"cannot read branch value {text!r} at {s[pos:]!r}")
+        sign, scale, const, apow, i, p, q = m.groups()
+        coeff = (-1 if sign == "-" else 1) * int(scale or 1)
+        if const is not None:
+            coeff, key = coeff * int(const), (0, 0, 0)
+        elif i:
+            key = (0, 0, 3)
+        elif p is not None:
+            if int(q) == 0 or 6 * int(p) % int(q):
+                raise ValueError(f"root (-1)^({p}/{q}) is not a 12th root of unity")
+            key = (0, 0, 6 * int(p) // int(q) % 12)
+        else:
+            key = (int(apow or 1), 0, 0)
+        out[key] = out.get(key, 0) + coeff
+        pos = m.end()
+    return {key: c for key, c in out.items() if c}
 
 
 @dataclass(frozen=True)
 class BranchSubstitution:
-    """One catalogued solution branch: a partial assignment of a, b, d."""
+    """One catalogued solution branch: a partial assignment of a, b, d,
+    each value kept as its catalogued text (see :func:`parse_exact`)."""
 
     ordinal: int            # 1-based position in the catalogued list
     label: str              # label as written (one label occurs twice)
-    assignments: tuple[tuple[str, BranchValue], ...]
-
-    @property
-    def free(self) -> frozenset[str]:
-        return frozenset("abd") - {v for v, _ in self.assignments}
+    assignments: tuple[tuple[str, str], ...]
 
     def canonical_key(self) -> tuple:
-        return tuple(sorted((v, val.canonical()) for v, val in self.assignments))
+        """Each assigned value in exact cyclotomic coordinates per power of
+        a, which is what deduplication compares."""
+        return tuple(
+            (var, tuple(sorted((ea, row) for (ea, _), row in _coords(parse_exact(text)).items())))
+            for var, text in self.assignments
+        )
 
 
-def _branch(ordinal: int, label: str, **vals: BranchValue) -> BranchSubstitution:
+def _branch(ordinal: int, label: str, **vals: str) -> BranchSubstitution:
     return BranchSubstitution(ordinal, label, tuple(sorted(vals.items())))
 
 
-_MINUS_ONE = _bv("-1", (-1, _ONE, 0))
-_PLUS_ONE = _bv("1", (1, _ONE, 0))
-
 #: The solution list exactly as catalogued: 34 entries, labels sol_1..sol_33
-#: with sol_12 appearing twice.  Deduplication happens in `branch_report`.
+#: with sol_12 appearing twice.  Deduplication happens in `distinct_branches`.
 BRANCHES: tuple[BranchSubstitution, ...] = (
-    _branch(1, "sol_1",
-            b=_bv("1/a", (1, _ONE, -1)),
-            d=_bv("(-a^4-1)/a^2", (-1, _ONE, 2), (-1, _ONE, -2))),
-    _branch(2, "sol_2", d=_MINUS_ONE, b=_bv("a - I", (1, _ONE, 1), (-1, _I, 0))),
-    _branch(3, "sol_3", d=_MINUS_ONE, b=_bv("a + I", (1, _ONE, 1), (1, _I, 0))),
-    _branch(4, "sol_4", d=_PLUS_ONE, b=_bv("-a - 1", (-1, _ONE, 1), (-1, _ONE, 0))),
-    _branch(5, "sol_5", d=_PLUS_ONE, b=_bv("1 - a", (-1, _ONE, 1), (1, _ONE, 0))),
-    _branch(6, "sol_6", b=_bv("-(-1)^(1/6)", (-1, _R6, 0)), d=_MINUS_ONE,
-            a=_bv("(-1)^(5/6)", (1, _R56, 0))),
-    _branch(7, "sol_7", b=_bv("(-1)^(1/6)", (1, _R6, 0)), d=_MINUS_ONE,
-            a=_bv("-(-1)^(5/6)", (-1, _R56, 0))),
-    _branch(8, "sol_8", b=_bv("-(-1)^(1/3)", (-1, _R3, 0)), d=_PLUS_ONE,
-            a=_bv("(-1)^(2/3)", (1, _R23, 0))),
-    _branch(9, "sol_9", b=_bv("(-1)^(1/3)", (1, _R3, 0)), d=_PLUS_ONE,
-            a=_bv("-(-1)^(2/3)", (-1, _R23, 0))),
-    _branch(10, "sol_10", b=_bv("-I - (-1)^(1/6)", (-1, _I, 0), (-1, _R6, 0)), d=_MINUS_ONE,
-            a=_bv("-(-1)^(1/6)", (-1, _R6, 0))),
-    _branch(11, "sol_11", b=_bv("I - (-1)^(1/6)", (1, _I, 0), (-1, _R6, 0)), d=_MINUS_ONE,
-            a=_bv("-(-1)^(1/6)", (-1, _R6, 0))),
-    _branch(12, "sol_12", b=_bv("2*I - (-1)^(1/6)", (2, _I, 0), (-1, _R6, 0)), d=_MINUS_ONE,
-            a=_bv("(-1)^(5/6)", (1, _R56, 0))),
-    _branch(13, "sol_12", b=_bv("-I + (-1)^(1/6)", (-1, _I, 0), (1, _R6, 0)), d=_MINUS_ONE,
-            a=_bv("(-1)^(1/6)", (1, _R6, 0))),
-    _branch(14, "sol_13", b=_bv("I + (-1)^(1/6)", (1, _I, 0), (1, _R6, 0)), d=_MINUS_ONE,
-            a=_bv("(-1)^(1/6)", (1, _R6, 0))),
-    _branch(15, "sol_14", b=_bv("-2*I + (-1)^(1/6)", (-2, _I, 0), (1, _R6, 0)), d=_MINUS_ONE,
-            a=_bv("-(-1)^(5/6)", (-1, _R56, 0))),
-    _branch(16, "sol_15", b=_bv("-1 - (-1)^(1/3)", (-1, _ONE, 0), (-1, _R3, 0)), d=_PLUS_ONE,
-            a=_bv("(-1)^(1/3)", (1, _R3, 0))),
-    _branch(17, "sol_16", b=_bv("1 - (-1)^(1/3)", (1, _ONE, 0), (-1, _R3, 0)), d=_PLUS_ONE,
-            a=_bv("(-1)^(1/3)", (1, _R3, 0))),
-    _branch(18, "sol_17", b=_bv("2 - (-1)^(1/3)", (2, _ONE, 0), (-1, _R3, 0)), d=_PLUS_ONE,
-            a=_bv("(-1)^(2/3)", (1, _R23, 0))),
-    _branch(19, "sol_18", b=_bv("-2 + (-1)^(1/3)", (-2, _ONE, 0), (1, _R3, 0)), d=_PLUS_ONE,
-            a=_bv("-(-1)^(2/3)", (-1, _R23, 0))),
-    _branch(20, "sol_19", b=_bv("-1 + (-1)^(1/3)", (-1, _ONE, 0), (1, _R3, 0)), d=_PLUS_ONE,
-            a=_bv("-(-1)^(1/3)", (-1, _R3, 0))),
-    _branch(21, "sol_20", b=_bv("1 + (-1)^(1/3)", (1, _ONE, 0), (1, _R3, 0)), d=_PLUS_ONE,
-            a=_bv("-(-1)^(1/3)", (-1, _R3, 0))),
-    _branch(22, "sol_21", d=_MINUS_ONE, b=_bv("-2*I", (-2, _I, 0)), a=_bv("-I", (-1, _I, 0))),
-    _branch(23, "sol_22", d=_MINUS_ONE, b=_bv("2*I", (2, _I, 0)), a=_bv("I", (1, _I, 0))),
-    _branch(24, "sol_23", d=_MINUS_ONE, b=_bv("I - (-1)^(1/6)", (1, _I, 0), (-1, _R6, 0)),
-            a=_bv("-(-1)^(1/6)", (-1, _R6, 0))),
-    _branch(25, "sol_24", d=_MINUS_ONE, b=_bv("-I + (-1)^(1/6)", (-1, _I, 0), (1, _R6, 0)),
-            a=_bv("(-1)^(1/6)", (1, _R6, 0))),
-    _branch(26, "sol_25", d=_MINUS_ONE, b=_bv("I - (-1)^(5/6)", (1, _I, 0), (-1, _R56, 0)),
-            a=_bv("-(-1)^(5/6)", (-1, _R56, 0))),
-    _branch(27, "sol_26", d=_MINUS_ONE, b=_bv("-I + (-1)^(5/6)", (-1, _I, 0), (1, _R56, 0)),
-            a=_bv("(-1)^(5/6)", (1, _R56, 0))),
-    _branch(28, "sol_27", d=_PLUS_ONE, b=_bv("-2", (-2, _ONE, 0)), a=_bv("1", (1, _ONE, 0))),
-    _branch(29, "sol_28", d=_PLUS_ONE, b=_bv("2", (2, _ONE, 0)), a=_bv("-1", (-1, _ONE, 0))),
-    _branch(30, "sol_29", d=_PLUS_ONE, b=_bv("1 - (-1)^(1/3)", (1, _ONE, 0), (-1, _R3, 0)),
-            a=_bv("(-1)^(1/3)", (1, _R3, 0))),
-    _branch(31, "sol_30", d=_PLUS_ONE, b=_bv("-1 + (-1)^(1/3)", (-1, _ONE, 0), (1, _R3, 0)),
-            a=_bv("-(-1)^(1/3)", (-1, _R3, 0))),
-    _branch(32, "sol_31", d=_PLUS_ONE, b=_bv("-1 - (-1)^(2/3)", (-1, _ONE, 0), (-1, _R23, 0)),
-            a=_bv("(-1)^(2/3)", (1, _R23, 0))),
-    _branch(33, "sol_32", d=_PLUS_ONE, b=_bv("1 + (-1)^(2/3)", (1, _ONE, 0), (1, _R23, 0)),
-            a=_bv("-(-1)^(2/3)", (-1, _R23, 0))),
-    _branch(34, "sol_33", d=_bv("0")),
+    _branch(1, "sol_1", b="a^-1", d="-a^2 - a^-2"),
+    _branch(2, "sol_2", d="-1", b="a - I"),
+    _branch(3, "sol_3", d="-1", b="a + I"),
+    _branch(4, "sol_4", d="1", b="-a - 1"),
+    _branch(5, "sol_5", d="1", b="1 - a"),
+    _branch(6, "sol_6", b="-(-1)^(1/6)", d="-1", a="(-1)^(5/6)"),
+    _branch(7, "sol_7", b="(-1)^(1/6)", d="-1", a="-(-1)^(5/6)"),
+    _branch(8, "sol_8", b="-(-1)^(1/3)", d="1", a="(-1)^(2/3)"),
+    _branch(9, "sol_9", b="(-1)^(1/3)", d="1", a="-(-1)^(2/3)"),
+    _branch(10, "sol_10", b="-I - (-1)^(1/6)", d="-1", a="-(-1)^(1/6)"),
+    _branch(11, "sol_11", b="I - (-1)^(1/6)", d="-1", a="-(-1)^(1/6)"),
+    _branch(12, "sol_12", b="2*I - (-1)^(1/6)", d="-1", a="(-1)^(5/6)"),
+    _branch(13, "sol_12", b="-I + (-1)^(1/6)", d="-1", a="(-1)^(1/6)"),
+    _branch(14, "sol_13", b="I + (-1)^(1/6)", d="-1", a="(-1)^(1/6)"),
+    _branch(15, "sol_14", b="-2*I + (-1)^(1/6)", d="-1", a="-(-1)^(5/6)"),
+    _branch(16, "sol_15", b="-1 - (-1)^(1/3)", d="1", a="(-1)^(1/3)"),
+    _branch(17, "sol_16", b="1 - (-1)^(1/3)", d="1", a="(-1)^(1/3)"),
+    _branch(18, "sol_17", b="2 - (-1)^(1/3)", d="1", a="(-1)^(2/3)"),
+    _branch(19, "sol_18", b="-2 + (-1)^(1/3)", d="1", a="-(-1)^(2/3)"),
+    _branch(20, "sol_19", b="-1 + (-1)^(1/3)", d="1", a="-(-1)^(1/3)"),
+    _branch(21, "sol_20", b="1 + (-1)^(1/3)", d="1", a="-(-1)^(1/3)"),
+    _branch(22, "sol_21", d="-1", b="-2*I", a="-I"),
+    _branch(23, "sol_22", d="-1", b="2*I", a="I"),
+    _branch(24, "sol_23", d="-1", b="I - (-1)^(1/6)", a="-(-1)^(1/6)"),
+    _branch(25, "sol_24", d="-1", b="-I + (-1)^(1/6)", a="(-1)^(1/6)"),
+    _branch(26, "sol_25", d="-1", b="I - (-1)^(5/6)", a="-(-1)^(5/6)"),
+    _branch(27, "sol_26", d="-1", b="-I + (-1)^(5/6)", a="(-1)^(5/6)"),
+    _branch(28, "sol_27", d="1", b="-2", a="1"),
+    _branch(29, "sol_28", d="1", b="2", a="-1"),
+    _branch(30, "sol_29", d="1", b="1 - (-1)^(1/3)", a="(-1)^(1/3)"),
+    _branch(31, "sol_30", d="1", b="-1 + (-1)^(1/3)", a="-(-1)^(1/3)"),
+    _branch(32, "sol_31", d="1", b="-1 - (-1)^(2/3)", a="(-1)^(2/3)"),
+    _branch(33, "sol_32", d="1", b="1 + (-1)^(2/3)", a="-(-1)^(2/3)"),
+    _branch(34, "sol_33", d="0"),
 )
-
-
-def branches() -> list[BranchSubstitution]:
-    """All catalogued branches, as written (including the duplicated label)."""
-    return list(BRANCHES)
 
 
 def distinct_branches() -> list[BranchSubstitution]:
     """Branches deduplicated by exact assignment equality, first occurrence kept."""
-    seen: set[tuple] = set()
-    out = []
+    first: dict[tuple, BranchSubstitution] = {}
     for br in BRANCHES:
-        key = br.canonical_key()
-        if key not in seen:
-            seen.add(key)
-            out.append(br)
-    return out
+        first.setdefault(br.canonical_key(), br)
+    return list(first.values())
 
 
 #: The components of V(I) = V(d) u V(Jc) u V(J+) u V(J-) by name, each with
@@ -384,7 +333,7 @@ def verify_branch(branch: BranchSubstitution) -> BranchCheck:
     """Substitute the branch into both ideal generators and every component's
     generators, exactly, over Z[z][a, 1/a, b] with the free variables kept."""
     values: dict[str, Exact] = {"a": {(1, 0, 0): 1}, "b": {(0, 1, 0): 1}}
-    values.update((var, val.exact()) for var, val in branch.assignments)
+    values.update((var, parse_exact(text)) for var, text in branch.assignments)
     return BranchCheck(
         branch.ordinal,
         branch.label,

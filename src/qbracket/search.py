@@ -94,33 +94,36 @@ def parse_presentation(text: str, name: str = "") -> TableEntry:
 def load_table(path: str | Path) -> LoadResult:
     """Read ``name<TAB>presentation`` lines; blank lines and # comments skip.
 
-    Every malformed line lands in the error list with its line number, and
-    duplicate names are rejected; parsing continues either way.  Braid lines
-    are parsed and validated but not closed: a search answered from the
-    cache builds no diagram.
+    Every malformed line, one that is not UTF-8 included, lands in the
+    error list with its line number, and duplicate names are rejected;
+    parsing continues either way.  Braid lines are parsed and validated but
+    not closed: a search answered from the cache builds no diagram.
     """
     result = LoadResult(entries=[])
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            s = line.strip()
-            if not s or s.startswith("#"):
-                continue
-            if "\t" not in s:
-                result.errors.append((lineno, "expected 'name<TAB>presentation'"))
-                continue
-            name, presentation = s.split("\t", 1)
-            name = name.strip()
-            if name in seen:
-                result.errors.append((lineno, f"duplicate name {name!r}"))
-                continue
-            try:
-                entry = parse_presentation(presentation, name)
-            except (DiagramError, ValueError) as exc:
-                result.errors.append((lineno, str(exc)))
-                continue
-            seen.add(name)
-            result.entries.append(entry)
+    for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        try:
+            s = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            result.errors.append((lineno, str(exc)))
+            continue
+        if not s or s.startswith("#"):
+            continue
+        if "\t" not in s:
+            result.errors.append((lineno, "expected 'name<TAB>presentation'"))
+            continue
+        name, presentation = s.split("\t", 1)
+        name = name.strip()
+        if name in seen:
+            result.errors.append((lineno, f"duplicate name {name!r}"))
+            continue
+        try:
+            entry = parse_presentation(presentation, name)
+        except (DiagramError, ValueError) as exc:
+            result.errors.append((lineno, str(exc)))
+            continue
+        seen.add(name)
+        result.entries.append(entry)
     return result
 
 
@@ -156,9 +159,9 @@ def compute_record(entry: TableEntry, engine: str = "naive") -> InvariantRecord:
 class RecordCache:
     """Line-oriented JSON cache keyed by (name, presentation, fingerprint).
 
-    Corrupt lines, and lines whose fields have the wrong JSON type, are
-    skipped with a warning and never fatal; lookups hit only on exact key
-    matches, so convention changes invalidate everything.
+    Corrupt lines (not UTF-8 or not JSON), and lines whose fields have the
+    wrong JSON type, are skipped with a warning and never fatal; lookups hit
+    only on exact key matches, so convention changes invalidate everything.
     """
 
     def __init__(self, path: str | Path | None):
@@ -170,23 +173,23 @@ class RecordCache:
 
     def _load(self) -> None:
         assert self.path is not None
-        with open(self.path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
+        for lineno, raw in enumerate(self.path.read_bytes().splitlines(), start=1):
+            try:
+                line = raw.decode("utf-8")
                 if not line.strip():
                     continue
-                try:
-                    obj = json.loads(line)
-                    rec = InvariantRecord(
-                        obj["name"], obj["presentation"], obj["writhe"],
-                        obj["f"], obj["ambient3"], obj["engine"], obj["fingerprint"],
-                    )
-                    texts = (rec.name, rec.presentation, rec.f_text, rec.ambient3_text, rec.engine, rec.fingerprint)
-                    if type(rec.writhe) is not int or not all(isinstance(text, str) for text in texts):
-                        raise TypeError("writhe must be an integer and every other field a string")
-                except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON
-                    self.warnings.append(f"cache line {lineno} skipped: {exc}")
-                    continue
-                self.records[(rec.name, rec.presentation, rec.fingerprint)] = rec
+                obj = json.loads(line)
+                rec = InvariantRecord(
+                    obj["name"], obj["presentation"], obj["writhe"],
+                    obj["f"], obj["ambient3"], obj["engine"], obj["fingerprint"],
+                )
+                texts = (rec.name, rec.presentation, rec.f_text, rec.ambient3_text, rec.engine, rec.fingerprint)
+                if type(rec.writhe) is not int or not all(isinstance(text, str) for text in texts):
+                    raise TypeError("writhe must be an integer and every other field a string")
+            except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad UTF-8 and JSON
+                self.warnings.append(f"cache line {lineno} skipped: {exc}")
+                continue
+            self.records[(rec.name, rec.presentation, rec.fingerprint)] = rec
 
     def lookup(self, entry: TableEntry) -> InvariantRecord | None:
         return self.records.get((entry.name, entry.presentation, fingerprint()))

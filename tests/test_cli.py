@@ -219,6 +219,23 @@ def test_verify_groebner_passes(capsys):
     assert lines[-1]["z_exact"] is True
 
 
+def test_verify_groebner_names_the_first_nonzero_remainder_of_a_wrong_basis(capsys, monkeypatch):
+    # every remainder certificate divides by the basis it certifies, so a
+    # wrong stored basis fails each of them, the generators' one included
+    g1, g2, g3 = quotient.GROEBNER_BASIS
+    monkeypatch.setattr(quotient, "GROEBNER_BASIS", (g1, g2, g3 + multipoly.parse_poly("+d")))
+    code, out, _ = run(capsys, "verify", "groebner", "--json")
+    assert code == 2
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert [obj["pass"] for obj in lines] == [False] * 5
+    assert [obj.get("witness") for obj in lines[:3]] == [
+        "S(g1,g3) -> +b^2*d^4 -b^2*d^2 +d^3 -d",
+        "generator 1 -> -d",
+        "basis element 3 -> +d",
+    ]
+    assert lines[3]["check"] == "reduced_computed_basis_matches" and lines[3]["witness"]
+
+
 def test_verify_variety_passes(capsys):
     code, out, _ = run(capsys, "verify", "variety", "--json")
     assert code == 0
@@ -232,8 +249,7 @@ def test_verify_variety_passes(capsys):
 
 def test_verify_variety_exits_2_on_a_perturbed_branch(capsys, monkeypatch):
     sol27 = next(br for br in quotient.BRANCHES if br.label == "sol_27")
-    minus_three = quotient.BranchValue(((-3, (0, 1), 0),), "-3")
-    bad = dataclasses.replace(sol27, assignments=tuple(sorted({**dict(sol27.assignments), "b": minus_three}.items())))
+    bad = dataclasses.replace(sol27, assignments=tuple(sorted({**dict(sol27.assignments), "b": "-3"}.items())))
     monkeypatch.setattr(quotient, "BRANCHES", quotient.BRANCHES + (bad,))
     code, out, _ = run(capsys, "verify", "variety", "--json")
     assert code == 2
@@ -347,6 +363,18 @@ def test_search_reports_load_errors(tmp_path, capsys):
     assert code == 0
     header = json.loads(out.splitlines()[0])
     assert len(header["load_errors"]) == 2
+
+
+def test_search_reports_a_table_line_that_is_not_utf8(tmp_path, capsys):
+    table = tmp_path / "t.tsv"
+    table.write_bytes(b"3_1\tbraid:2:1,1,1\r\nbad\xff\tbraid:2:1\r\n3_1b\tbraid:2:1,1,1\r\n")
+    code, out, _ = run(capsys, "search", "--table", str(table), "--json")
+    assert code == 0
+    header = json.loads(out.splitlines()[0])
+    assert header["entries"] == 2
+    assert [lineno for lineno, _ in header["load_errors"]] == [2]
+    assert "utf-8" in header["load_errors"][0][1]
+    assert json.loads(out.splitlines()[1])["verdict"] == "SAME"
 
 
 # -- error handling -------------------------------------------------------------------

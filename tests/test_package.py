@@ -1,0 +1,24 @@
+"""The package depends only on the standard library (README, pyproject's
+``dependencies = []``)."""
+
+import ast
+import sys
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qbracket"
+
+
+def test_every_absolute_import_is_in_the_standard_library():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    outside = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}: {m}" for m in modules if m.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == []

@@ -1,6 +1,7 @@
 """Normal forms, the ideal-equality report, variety branches, specialization."""
 
 import dataclasses
+import hashlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,11 +14,10 @@ from qbracket.quotient import (
     GROEBNER_BASIS,
     IDEAL_GENERATORS,
     BranchCheck,
-    BranchValue,
-    branches,
     distinct_branches,
     is_normal,
     normal_form,
+    parse_exact,
     specialize_classical,
     verify_all_branches,
     verify_branch,
@@ -157,7 +157,7 @@ def test_verify_groebner_certifies_over_z():
 # -- branches ------------------------------------------------------------------------
 
 def test_branch_list_counts():
-    raw = branches()
+    raw = BRANCHES
     assert len(raw) == 34  # the catalogued list has 34 displayed entries
     labels = [br.label for br in raw]
     assert labels.count("sol_12") == 2  # one label occurs twice, as catalogued
@@ -176,26 +176,51 @@ def test_known_duplicate_pairs_collapse():
 ONE = (1, 0, 0, 0)  # the cyclotomic coordinates of 1
 
 
+#: sha256 of every (ordinal, variable, exact coordinates per power of a) of
+#: the catalogue, in catalogue order; pins each value against a changed text.
+CATALOGUE_DIGEST = "adf3e31dfbd97c4fe57a24ee8a2d8b36a0597dd8fdb37c4f2c62837de88aa4fc"
+
+
+def test_catalogue_values_are_pinned():
+    data = [(br.ordinal, var, coords) for br in BRANCHES for var, coords in br.canonical_key()]
+    assert len(data) == 95
+    assert hashlib.sha256(repr(data).encode()).hexdigest() == CATALOGUE_DIGEST
+
+
+def test_parse_exact_reads_each_kind_of_term():
+    # keys are (power of a, power of b, power of z), z = exp(i*pi/6)
+    assert parse_exact("-a^2 + 1 - a^-2") == {(2, 0, 0): -1, (0, 0, 0): 1, (-2, 0, 0): -1}
+    assert parse_exact("-2*I + (-1)^(1/6)") == {(0, 0, 3): -2, (0, 0, 1): 1}
+    assert parse_exact("-(-1)^(2/3)") == {(0, 0, 4): -1}
+    assert parse_exact("a - a") == parse_exact("0") == {}
+
+
+@pytest.mark.parametrize(
+    "text", ["", "1/a", "a*b", "2*", "a^", "--1", "2 3", "(-1)^(1/5)", "(-1)^(1/0)"]
+)
+def test_parse_exact_rejects_other_text(text):
+    with pytest.raises(ValueError):
+        parse_exact(text)
+
+
 def test_branch_sol1_assignments():
     sol1 = BRANCHES[0]
     assert sol1.label == "sol_1"
-    assert sol1.free == {"a"}
-    values = dict(sol1.assignments)
-    assert values["b"].canonical() == ((-1, ONE),)  # 1/a
-    assert values["d"].canonical() == ((-2, (-1, 0, 0, 0)), (2, (-1, 0, 0, 0)))  # -a^-2 - a^2
+    assert dict(sol1.assignments) == {"b": "a^-1", "d": "-a^2 - a^-2"}  # a is free
+    values = dict(sol1.canonical_key())
+    assert values["b"] == ((-1, ONE),)  # 1/a
+    assert values["d"] == ((-2, (-1, 0, 0, 0)), (2, (-1, 0, 0, 0)))  # -a^-2 - a^2
 
 
 def test_branch_sol33_is_delta_zero():
     sol33 = BRANCHES[-1]
     assert sol33.label == "sol_33"
-    assert sol33.free == {"a", "b"}
-    assert dict(sol33.assignments)["d"].canonical() == ()
+    assert dict(sol33.canonical_key()) == {"d": ()}  # a and b are free
 
 
 def test_branch_sol27_is_rational_point():
     sol27 = next(br for br in BRANCHES if br.label == "sol_27")
-    assert sol27.free == set()
-    values = {v: val.canonical() for v, val in sol27.assignments}
+    values = dict(sol27.canonical_key())  # no variable is free
     assert values == {"a": ((0, ONE),), "b": ((0, (-2, 0, 0, 0)),), "d": ((0, ONE),)}
 
 
@@ -206,7 +231,7 @@ def test_verify_branch_examples():
     assert verify_branch(sol27) == BranchCheck(28, "sol_27", True, ["J+"])
 
 
-def perturbed(label: str, var: str, value: BranchValue):
+def perturbed(label: str, var: str, value: str):
     branch = next(br for br in BRANCHES if br.label == label)
     return dataclasses.replace(branch, assignments=tuple(sorted({**dict(branch.assignments), var: value}.items())))
 
@@ -214,8 +239,8 @@ def perturbed(label: str, var: str, value: BranchValue):
 @pytest.mark.parametrize(
     "branch",
     [
-        perturbed("sol_27", "b", BranchValue(((-3, (0, 1), 0),), "-3")),
-        perturbed("sol_1", "d", BranchValue(((-1, (0, 1), 2), (1, (0, 1), 0), (-1, (0, 1), -2)), "-a^2 + 1 - a^-2")),
+        perturbed("sol_27", "b", "-3"),
+        perturbed("sol_1", "d", "-a^2 + 1 - a^-2"),
     ],
     ids=["sol_27_b", "sol_1_d"],
 )

@@ -208,6 +208,22 @@ def test_search_recomputes_an_entry_whose_cache_line_is_mistyped(tmp_path, capsy
     assert len(RecordCache(cache).records) == 2
 
 
+def test_search_recomputes_an_entry_whose_cache_line_is_not_utf8(tmp_path, capsys):
+    table = tmp_path / "t.tsv"
+    table.write_text("3_1\tbraid:2:1,1,1\n3_1pad\tbraid:2:1,1,-1,1,1\n")
+    good = _mistyped(compute_record(entry("3_1pad", "braid:2:1,1,-1,1,1")))
+    bad = _mistyped(compute_record(entry("3_1", "braid:2:1,1,1")), engine="naive?")
+    cache = tmp_path / "cache.jsonl"
+    cache.write_bytes((good + bad).replace("\n", "\r\n").replace("?", "\xff").encode("latin-1"))
+    code = main(["search", "--json", "--table", str(table), "--cache", str(cache)])
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert code == 0
+    assert len(lines[0]["cache_warnings"]) == 1 and lines[0]["cache_warnings"][0].startswith("cache line 2 ")
+    assert lines[1]["verdict"] == "SAME"
+    # the CRLF line is served; only the recomputed 3_1 is appended
+    assert len(cache.read_bytes().splitlines()) == 3
+
+
 def test_partial_cache_only_recomputes_missing(tmp_path, monkeypatch):
     path = tmp_path / "cache.jsonl"
     e1, e2 = entry("t", "braid:2:1,1,1"), entry("f", "braid:3:1,-2,1,-2")
