@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 
 from .diagram import BraidWord, Diagram, Quad, closure, writhe
-from .multipoly import Monomial, Polynomial, parse_poly
+from .multipoly import Monomial, Polynomial, format_poly, parse_poly
 from .quotient import normal_form
 
 #: Closed-diagram multiplier of one positive / negative curl on the raw sum.
@@ -43,7 +43,10 @@ CURL_MINUS: Polynomial = parse_poly("+a +b*d")
 DELTA: Polynomial = Polynomial.variable("d")
 
 #: Everything that pins the state-sum conventions, for cache keys and reports.
-CONVENTION = "order:a>b>d;A(positive)=vertical;circles:d^k;curl+:+a*d +b;curl-:+a +b*d"
+CONVENTION = (
+    "order:a>b>d;A(positive)=vertical;circles:d^k;"
+    f"curl+:{format_poly(CURL_PLUS)};curl-:{format_poly(CURL_MINUS)}"
+)
 
 #: Open-arc cap of the frontier pass: the boundary of a 12-strand closure.
 OPEN_ARC_CAP = 24

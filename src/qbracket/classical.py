@@ -17,11 +17,10 @@ w the writhe is invariant under all three moves.
 
 from __future__ import annotations
 
-import re
 from typing import Mapping
 
 from .diagram import Diagram, writhe
-from .multipoly import TERM_LIMIT, Polynomial, TermLimitError
+from .multipoly import TERM_LIMIT, Polynomial, TermLimitError, read_terms
 
 
 class LaurentPolynomial:
@@ -81,7 +80,7 @@ class LaurentPolynomial:
 
     def __pow__(self, n: int) -> "LaurentPolynomial":
         if n < 0:
-            raise ValueError("use mirror()/shift() to build negative powers explicitly")
+            raise ValueError("negative powers are not built; shift() multiplies by a^k for any k")
         acc = LaurentPolynomial.one()
         base = self
         while n:
@@ -94,10 +93,6 @@ class LaurentPolynomial:
     def shift(self, k: int) -> "LaurentPolynomial":
         """Multiply by a^k."""
         return LaurentPolynomial({e + k: c for e, c in self._terms.items()})
-
-    def mirror(self) -> "LaurentPolynomial":
-        """Substitute a -> a^-1 (the effect of mirroring a diagram)."""
-        return LaurentPolynomial({-e: c for e, c in self._terms.items()})
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
@@ -134,41 +129,14 @@ def format_laurent(p: LaurentPolynomial) -> str:
     return " ".join(chunks)
 
 
-_LAURENT_TERM = re.compile(
-    r"(?P<sign>[+-])\s*(?P<mag>\d+)?\s*(?:\*?\s*a(?:\s*\^\s*(?P<exp>-?\d+))?)?"
-)
-
-
 def parse_laurent(text: str) -> LaurentPolynomial:
-    """Parse the canonical Laurent grammar with arbitrary whitespace."""
-    s = text.strip()
-    if s in ("0", "+0", "-0"):
-        return LaurentPolynomial.zero()
-    if not s:
-        raise ValueError("empty Laurent polynomial text")
-    if s[0] not in "+-":
-        s = "+" + s
-    terms: list[tuple[int, int]] = []
-    pos = 0
-    while pos < len(s):
-        m = _LAURENT_TERM.match(s, pos)
-        if not m or m.end() == pos:
-            raise ValueError(f"bad Laurent syntax at position {pos}: {s[pos:pos + 16]!r}")
-        body = m.group(0)
-        mag = int(m.group("mag")) if m.group("mag") else 1
-        if m.group("mag") is None and "a" not in body:
-            raise ValueError(f"term with neither coefficient nor variable at position {pos}")
-        coeff = -mag if m.group("sign") == "-" else mag
-        if "a" not in body:
-            exp = 0
-        elif m.group("exp") is not None:
-            exp = int(m.group("exp"))
-        else:
-            exp = 1
-        terms.append((exp, coeff))
-        pos = m.end()
-        while pos < len(s) and s[pos].isspace():
-            pos += 1
+    """A Laurent polynomial in a, such as ``a^2 - a^-2``, in the grammar of
+    :func:`.multipoly.read_terms`; a factor b, d or a root raises ValueError."""
+    terms = []
+    for coeff, (ea, eb, ed, ez) in read_terms(text):
+        if eb or ed or ez:
+            raise ValueError(f"{text!r} has a factor other than a")
+        terms.append((ea, coeff))
     return LaurentPolynomial(terms)
 
 

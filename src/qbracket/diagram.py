@@ -52,30 +52,6 @@ class BraidWord:
     def writhe(self) -> int:
         return sum(1 if l > 0 else -1 for l in self.letters)
 
-    def permutation(self) -> tuple[int, ...]:
-        """Image of each strand position (0-based) under the word."""
-        perm = list(range(self.strands))
-        pos_of = list(range(self.strands))  # strand currently at each position
-        for letter in self.letters:
-            i = abs(letter) - 1
-            pos_of[i], pos_of[i + 1] = pos_of[i + 1], pos_of[i]
-        for i, s in enumerate(pos_of):
-            perm[s] = i
-        return tuple(perm)
-
-    def cycle_count(self) -> int:
-        perm = self.permutation()
-        seen = [False] * self.strands
-        cycles = 0
-        for i in range(self.strands):
-            if not seen[i]:
-                cycles += 1
-                j = i
-                while not seen[j]:
-                    seen[j] = True
-                    j = perm[j]
-        return cycles
-
     @property
     def text(self) -> str:
         return f"braid:{self.strands}:" + ",".join(str(l) for l in self.letters)

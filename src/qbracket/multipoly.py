@@ -288,50 +288,65 @@ def format_poly(p: Polynomial) -> str:
     return " ".join(chunks)
 
 
-_TERM_RE = re.compile(
-    r"""
-    (?P<sign>[+-])\s*
-    (?P<mag>\d+)?\s*
-    (?P<factors>(?:\*?\s*[abd](?:\s*\^\s*\d+)?\s*)*)
-    """,
-    re.VERBOSE,
+# One factor of a term, with the whitespace around it (see read_terms).
+_FACTOR = re.compile(
+    r"\s*(?:(\d+)|([abd])(?:\s*\^\s*(-?\d+))?|(I)"
+    r"|\(\s*-\s*1\s*\)\s*\^\s*\(\s*(\d+)\s*/\s*(\d+)\s*\))\s*"
 )
 
 
-def parse_poly(text: str) -> Polynomial:
-    """Parse the canonical polynomial grammar, tolerating arbitrary whitespace.
+def read_terms(text: str) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Each signed term of ``text`` as (coefficient, (a, b, d, z) exponents).
 
-    Accepts an optional sign on the first term and elided 1-coefficients,
-    so ``a^2*d + 2*a*b*d^2`` and ``+a^2*d+2*a*b*d^2`` parse identically.
+    A term is a sign and factors joined by ``*``; the first term's sign is
+    optional, the ``*`` may be left out after an integer, and whitespace is
+    free.  A factor is an integer, ``a``/``b``/``d`` with an optional power
+    ``^k`` (k may be negative), ``I`` (z^3) or ``(-1)^(p/q)`` (z^(6p/q)), with
+    z = e^(i*pi/6).  A root that is not a 12th root of unity, and any other
+    text, raises ValueError with the position where reading stopped.
     """
-    s = text.strip()
-    if s in ("0", "+0", "-0"):
-        return Polynomial.zero()
-    if not s:
-        raise ValueError("empty polynomial text")
-    if s[0] not in "+-":
-        s = "+" + s
-    terms: list[tuple[Monomial, int]] = []
-    pos = 0
-    while pos < len(s):
-        m = _TERM_RE.match(s, pos)
-        if not m or m.end() == pos:
-            raise ValueError(f"bad polynomial syntax at position {pos}: {s[pos:pos + 20]!r}")
-        mag_str = m.group("mag")
-        factors_str = m.group("factors") or ""
-        factor_list = re.findall(r"([abd])(?:\s*\^\s*(\d+))?", factors_str)
-        if mag_str is None and not factor_list:
-            raise ValueError(f"term with neither coefficient nor variables at position {pos}")
-        coeff = int(mag_str) if mag_str is not None else 1
-        if m.group("sign") == "-":
-            coeff = -coeff
-        exps = [0, 0, 0]
-        for name, exp in factor_list:
-            exps[VARIABLES.index(name)] += int(exp) if exp else 1
-        terms.append(((exps[0], exps[1], exps[2]), coeff))
-        pos = m.end()
-        while pos < len(s) and s[pos].isspace():
+    pos = len(text) - len(text.lstrip())
+    while True:
+        coeff, exps = 1, [0, 0, 0, 0]
+        if text.startswith(("+", "-"), pos):
+            coeff = -1 if text[pos] == "-" else 1
             pos += 1
+        while True:
+            m = _FACTOR.match(text, pos)
+            if m is None:
+                raise ValueError(f"cannot read {text!r} at position {pos}")
+            num, var, power, unit, p, q = m.groups()
+            if num:
+                coeff *= int(num)
+            elif var:
+                exps[VARIABLES.index(var)] += int(power or 1)
+            elif unit:
+                exps[3] += 3
+            elif int(q) == 0 or 6 * int(p) % int(q):
+                raise ValueError(f"cannot read {text!r} at position {pos}: not a 12th root of unity")
+            else:
+                exps[3] += 6 * int(p) // int(q)
+            pos = m.end()
+            if text.startswith("*", pos):
+                pos += 1
+            elif not (num and text.startswith(("a", "b", "d", "I", "("), pos)):
+                break
+        yield coeff, tuple(exps)
+        if pos == len(text):
+            return
+        if not text.startswith(("+", "-"), pos):
+            raise ValueError(f"cannot read {text!r} at position {pos}")
+
+
+def parse_poly(text: str) -> Polynomial:
+    """A polynomial of Z[a, b, d] in the grammar of :func:`read_terms`, such
+    as ``a^2*d + 2*a*b*d^2``; a root of unity raises ValueError, and so does
+    a negative power, in ``Polynomial``'s own check."""
+    terms = []
+    for coeff, (ea, eb, ed, ez) in read_terms(text):
+        if ez:
+            raise ValueError(f"{text!r} has a root of unity, which Z[a, b, d] lacks")
+        terms.append(((ea, eb, ed), coeff))
     return Polynomial(terms)
 
 

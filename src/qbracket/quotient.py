@@ -11,7 +11,8 @@ Everything here lives modulo the ideal I generated by those two polynomials.
 The module carries a Groebner basis for I under lex a > b > d, the normal
 form map that picks the canonical coset representative, the 34 solution
 branches of the variety rel1 = rel2 = 0 (stored as their catalogued text,
-one label appearing twice, and read exactly by :func:`parse_exact`), their
+one label appearing twice, and read exactly by :func:`parse_exact`, a map
+over the package's one value reader, :func:`.multipoly.read_terms`), their
 exact verification and component labels, and the specialization
 b -> 1/a, d -> -a^-2 - a^2 that recovers the classical one-variable bracket.
 
@@ -23,7 +24,6 @@ certifies.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -35,6 +35,7 @@ from .multipoly import (
     mono_divides,
     parse_poly,
     prepare_reducers,
+    read_terms,
     reduce_basis,
     remainder,
     remainder_by,
@@ -191,40 +192,16 @@ def _mul(p: Exact, q: Exact) -> Exact:
     return out
 
 
-# One signed term: an optional "c*" scale, then an integer, a^k, I or (-1)^(p/q).
-_TERM = re.compile(
-    r"\s*([+-])\s*(?:(\d+)\s*\*\s*)?(?:(\d+)|a(?:\^(-?\d+))?|(I)|\(-1\)\^\((\d+)/(\d+)\))\s*"
-)
-
-
 def parse_exact(text: str) -> Exact:
-    """A catalogued value, such as ``-I + (-1)^(1/6)`` or ``-a^2 - a^-2``, exactly.
-
-    The text is an integer sum of terms ``c``, ``a^k``, ``I`` and
-    ``(-1)^(p/q)``; any other text, and a root that is not a 12th root of
-    unity, raises ValueError.
-    """
-    s = text if text.lstrip()[:1] in ("+", "-") else "+" + text
+    """A catalogued value, such as ``-I + (-1)^(1/6)`` or ``-a^2 - a^-2``,
+    exactly, in the grammar of :func:`.multipoly.read_terms`; a factor b or
+    d raises ValueError."""
     out: Exact = {}
-    pos = 0
-    while pos < len(s):
-        m = _TERM.match(s, pos)
-        if m is None:
-            raise ValueError(f"cannot read branch value {text!r} at {s[pos:]!r}")
-        sign, scale, const, apow, i, p, q = m.groups()
-        coeff = (-1 if sign == "-" else 1) * int(scale or 1)
-        if const is not None:
-            coeff, key = coeff * int(const), (0, 0, 0)
-        elif i:
-            key = (0, 0, 3)
-        elif p is not None:
-            if int(q) == 0 or 6 * int(p) % int(q):
-                raise ValueError(f"root (-1)^({p}/{q}) is not a 12th root of unity")
-            key = (0, 0, 6 * int(p) // int(q) % 12)
-        else:
-            key = (int(apow or 1), 0, 0)
+    for coeff, (ea, eb, ed, ez) in read_terms(text):
+        if eb or ed:
+            raise ValueError(f"branch value {text!r} has a factor b or d")
+        key = (ea, 0, ez % 12)
         out[key] = out.get(key, 0) + coeff
-        pos = m.end()
     return {key: c for key, c in out.items() if c}
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -160,8 +161,9 @@ class RecordCache:
     """Line-oriented JSON cache keyed by (name, presentation, fingerprint).
 
     Corrupt lines (not UTF-8 or not JSON), and lines whose fields have the
-    wrong JSON type, are skipped with a warning and never fatal; lookups hit
-    only on exact key matches, so convention changes invalidate everything.
+    wrong JSON type, are skipped with a warning and never fatal, and dropped
+    from the file, so they warn once; lookups hit only on exact key matches,
+    so convention changes invalidate everything.
     """
 
     def __init__(self, path: str | Path | None):
@@ -173,9 +175,11 @@ class RecordCache:
 
     def _load(self) -> None:
         assert self.path is not None
-        for lineno, raw in enumerate(self.path.read_bytes().splitlines(), start=1):
+        data = self.path.read_bytes()
+        kept: list[bytes] = []
+        for lineno, raw in enumerate(data.splitlines(keepends=True), start=1):
             try:
-                line = raw.decode("utf-8")
+                line = raw.rstrip(b"\r\n").decode("utf-8")
                 if not line.strip():
                     continue
                 obj = json.loads(line)
@@ -189,7 +193,15 @@ class RecordCache:
             except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad UTF-8 and JSON
                 self.warnings.append(f"cache line {lineno} skipped: {exc}")
                 continue
+            kept.append(raw)
             self.records[(rec.name, rec.presentation, rec.fingerprint)] = rec
+        if self.warnings or data and not data.endswith((b"\n", b"\r")):
+            # rewritten without the skipped lines, every good line's bytes kept
+            # and the last one ended, so the next stored record starts a line
+            tmp = self.path.with_name(self.path.name + ".tmp")
+            ended = (line if line.endswith((b"\n", b"\r")) else line + b"\n" for line in kept)
+            tmp.write_bytes(b"".join(ended))
+            os.replace(tmp, self.path)
 
     def lookup(self, entry: TableEntry) -> InvariantRecord | None:
         return self.records.get((entry.name, entry.presentation, fingerprint()))

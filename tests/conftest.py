@@ -21,6 +21,34 @@ CORPUS_WORDS = {
 }
 
 
+def permutation(word: BraidWord) -> tuple[int, ...]:
+    """Image of each strand position (0-based) under the word."""
+    perm = list(range(word.strands))
+    pos_of = list(range(word.strands))  # strand currently at each position
+    for letter in word.letters:
+        i = abs(letter) - 1
+        pos_of[i], pos_of[i + 1] = pos_of[i + 1], pos_of[i]
+    for i, s in enumerate(pos_of):
+        perm[s] = i
+    return tuple(perm)
+
+
+def cycle_count(word: BraidWord) -> int:
+    """The number of components of the word's closure, by its permutation:
+    the oracle that ``diagram.components`` is checked against."""
+    perm = permutation(word)
+    seen = [False] * word.strands
+    cycles = 0
+    for i in range(word.strands):
+        if not seen[i]:
+            cycles += 1
+            j = i
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j]
+    return cycles
+
+
 @pytest.fixture(scope="session")
 def corpus() -> dict[str, BraidWord]:
     return {name: parse_braid(text) for name, text in CORPUS_WORDS.items()}
@@ -42,7 +70,7 @@ def pd_codes(draw, max_strands: int = 5, max_letters: int = 10) -> tuple[BraidWo
     word = BraidWord(n, tuple(draw(st.lists(letter, min_size=1, max_size=max_letters))))
     d = closure(word)
     quads = draw(st.permutations(d.crossings))
-    if word.cycle_count() == 1:
+    if cycle_count(word) == 1:
         arcs = 2 * d.n
         shift = draw(st.integers(min_value=0, max_value=arcs - 1))
         quads = [tuple((label - 1 + shift) % arcs + 1 for label in quad) for quad in quads]

@@ -23,13 +23,18 @@ def bracket_of(text: str) -> LaurentPolynomial:
     return kauffman_bracket(closure(parse_braid(text)))
 
 
+def mirror(p: LaurentPolynomial) -> LaurentPolynomial:
+    """Substitute a -> a^-1 (the effect of mirroring a diagram)."""
+    return LaurentPolynomial({-e: c for e, c in p.terms.items()})
+
+
 # -- Laurent arithmetic and text ------------------------------------------------
 
 def test_laurent_round_trip():
     p = LaurentPolynomial({-7: 1, -3: -1, 5: -1})
     assert parse_laurent(format_laurent(p)) == p
     assert format_laurent(p) == "-1*a^5 -1*a^-3 +1*a^-7"
-    assert format_laurent(p) != format_laurent(p.mirror())
+    assert format_laurent(p) != format_laurent(mirror(p))
 
 
 def test_laurent_parse_flexibility():
@@ -104,7 +109,7 @@ def test_mirror_property():
         mirror_word = parse_braid(
             f"braid:{word.strands}:" + ",".join(str(-l) for l in word.letters)
         )
-        assert kauffman_bracket(closure(mirror_word)) == kauffman_bracket(closure(word)).mirror()
+        assert kauffman_bracket(closure(mirror_word)) == mirror(kauffman_bracket(closure(word)))
 
 
 def test_kink_multiplies_bracket_by_minus_a_cubed():
@@ -133,7 +138,7 @@ def test_trefoil_and_mirror_differ_but_swap_under_mirroring():
     left = f_invariant(closure(parse_braid("braid:2:-1,-1,-1")))
     right = f_invariant(closure(parse_braid("braid:2:1,1,1")))
     assert left != right
-    assert left == right.mirror()
+    assert left == mirror(right)
 
 
 # -- the bracket folded out of the raw sum ----------------------------------------------

@@ -11,11 +11,13 @@ from qbracket.multipoly import (
     format_poly,
     mono_mul,
     parse_poly,
+    read_terms,
     reduce_basis,
     remainder,
     s_poly,
 )
-from qbracket.quotient import GROEBNER_BASIS, IDEAL_GENERATORS, normal_form
+from qbracket.classical import LaurentPolynomial, format_laurent, parse_laurent
+from qbracket.quotient import GROEBNER_BASIS, IDEAL_GENERATORS, normal_form, parse_exact
 
 from division_oracle import divide_by_max_scan
 
@@ -83,6 +85,54 @@ def test_parse_rejects_garbage():
     for bad in ("", "+", "a^-1", "2**a", "x+1"):
         with pytest.raises(ValueError):
             parse_poly(bad)
+
+
+#: Coefficients well past 2^64, both signs.
+big_coefficients = st.integers(min_value=-(2**80), max_value=2**80)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(monomials, big_coefficients, max_size=8).map(Polynomial))
+def test_parse_poly_reads_back_format_poly(p):
+    assert parse_poly(format_poly(p)) == p
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.integers(min_value=-40, max_value=40), big_coefficients, max_size=8)
+       .map(LaurentPolynomial))
+def test_parse_laurent_reads_back_format_laurent(p):
+    assert parse_laurent(format_laurent(p)) == p
+
+
+def test_read_terms_yields_each_signed_term():
+    # (coefficient, (a, b, d, z) exponents), z = exp(i*pi/6); the "*" may be
+    # left out after an integer, and powers of a variable add up
+    assert list(read_terms(" 2a*b^2 - 3 I*(-1)^(1/6)+a^-1*a^3 ")) == [
+        (2, (1, 2, 0, 0)), (-3, (0, 0, 0, 4)), (1, (2, 0, 0, 0))]
+    assert list(read_terms("-(-1) ^ (2/3) * 2 * 5d")) == [(-10, (0, 0, 1, 4))]
+    assert list(read_terms("0")) == [(0, (0, 0, 0, 0))]
+
+
+READERS = {"parse_poly": parse_poly, "parse_laurent": parse_laurent, "parse_exact": parse_exact}
+
+#: Text no reader accepts, then the factors each ring lacks: roots of unity
+#: and negative powers in Z[a, b, d], b and d in both Laurent rings.
+REJECTED = [(reader, text) for reader in READERS for text in (
+    "", "+", "2**a", "x+1", "2 3", "a^", "--1", "(-1)^(1/5)", "a b")] + [
+    ("parse_poly", "I"), ("parse_poly", "a^-1"), ("parse_laurent", "b^2"), ("parse_exact", "a*b")]
+
+
+@pytest.mark.parametrize("reader, text", REJECTED)
+def test_readers_reject_text_outside_their_ring(reader, text):
+    with pytest.raises(ValueError):
+        READERS[reader](text)
+
+
+def test_a_rejection_names_where_reading_stopped():
+    with pytest.raises(ValueError, match="position 4"):
+        parse_poly("+a +x")
+    with pytest.raises(ValueError, match="position 3: not a 12th root of unity"):
+        parse_exact("1 -(-1)^(1/4)")
 
 
 def test_canonical_text_is_lex_descending():

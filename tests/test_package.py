@@ -1,8 +1,9 @@
 """The package depends only on the standard library (README, pyproject's
-``dependencies = []``)."""
+``dependencies = []``), and every module compiles without a warning."""
 
 import ast
 import sys
+import warnings
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qbracket"
@@ -22,3 +23,14 @@ def test_every_absolute_import_is_in_the_standard_library():
                 continue
             outside += [f"{path.name}: {m}" for m in modules if m.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_every_module_compiles_with_warnings_as_errors():
+    # an invalid escape such as "\d" in a plain string literal is only a
+    # DeprecationWarning on Python 3.11; as an error it fails the compile
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for path in sources:
+            compile(path.read_text(encoding="utf-8"), str(path), "exec")

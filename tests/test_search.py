@@ -157,6 +157,12 @@ def test_cache_round_trip(tmp_path):
     assert reloaded.warnings == []
 
 
+def test_fingerprint_is_pinned():
+    # every cache key and the bench's golden digests carry it, so a changed
+    # convention, a curl factor included, must change it on purpose
+    assert fingerprint() == "8cf46868cf04ccdb"
+
+
 def test_cache_misses_on_fingerprint_change(tmp_path):
     path = tmp_path / "cache.jsonl"
     e = entry("trefoil", "braid:2:1,1,1")
@@ -220,8 +226,51 @@ def test_search_recomputes_an_entry_whose_cache_line_is_not_utf8(tmp_path, capsy
     assert code == 0
     assert len(lines[0]["cache_warnings"]) == 1 and lines[0]["cache_warnings"][0].startswith("cache line 2 ")
     assert lines[1]["verdict"] == "SAME"
-    # the CRLF line is served; only the recomputed 3_1 is appended
-    assert len(cache.read_bytes().splitlines()) == 3
+    # the CRLF line is served and kept byte for byte, the bad line dropped,
+    # and the recomputed 3_1 appended
+    kept = cache.read_bytes().splitlines(keepends=True)
+    assert len(kept) == 2 and kept[0] == good.replace("\n", "\r\n").encode()
+
+
+def _search_header(table: Path, cache: Path, capsys) -> dict:
+    code = main(["search", "--json", "--table", str(table), "--cache", str(cache)])
+    header = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert code == 0
+    return header
+
+
+def test_a_skipped_cache_line_is_reported_by_one_run_only(tmp_path, capsys):
+    table = tmp_path / "t.tsv"
+    table.write_text("3_1\tbraid:2:1,1,1\n")
+    cache = tmp_path / "c.jsonl"
+    cache.write_text("{bad\n")
+    warnings = [_search_header(table, cache, capsys)["cache_warnings"] for _ in range(3)]
+    assert len(warnings[0]) == 1 and warnings[0][0].startswith("cache line 1 skipped: ")
+    assert warnings[1:] == [[], []]
+    assert [json.loads(line)["name"] for line in cache.read_text().splitlines()] == ["3_1"]
+
+
+def test_a_truncated_last_cache_line_does_not_swallow_the_next_record(tmp_path, capsys, monkeypatch):
+    table = tmp_path / "t.tsv"
+    table.write_text("3_1\tbraid:2:1,1,1\n")
+    cache = tmp_path / "c.jsonl"
+    cache.write_text('{"name": "3_1", "presen')  # a killed run's last line
+    assert len(_search_header(table, cache, capsys)["cache_warnings"]) == 1
+    monkeypatch.setattr(search, "compute_record", _forbid("compute_record"))
+    assert _search_header(table, cache, capsys)["cache_warnings"] == []  # served from the cache
+
+
+def test_only_a_cache_with_a_skipped_or_unended_line_is_rewritten(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    t, f = (compute_record(entry(*e)) for e in (("t", "braid:2:1,1,1"), ("f", "braid:3:1,-2,1,-2")))
+    path.write_text(json.dumps(t.to_json()) + "\n")
+    inode = path.stat().st_ino
+    RecordCache(path)
+    assert path.stat().st_ino == inode  # a clean cache is left alone
+    path.write_text(json.dumps(t.to_json()))  # a good last line without its end
+    RecordCache(path).store(f)
+    reloaded = RecordCache(path)
+    assert reloaded.warnings == [] and set(reloaded.records.values()) == {t, f}
 
 
 def test_partial_cache_only_recomputes_missing(tmp_path, monkeypatch):
