@@ -14,14 +14,20 @@ d*((a*d + b)*(a + b*d) - 1) is the second ideal generator).  Padding with
 |w| opposite-sign curl factors before reducing therefore yields an invariant
 of the ambient isotopy class.
 
-Two engines compute the same raw polynomial, each with one packed int of
-state counts per matching (Kronecker substitution, see :func:`_unpack`).
-``naive`` (:func:`bracket3_raw`) takes any diagram, one crossing at a time,
-merging the partial states that join the open arcs alike (Bar-Natan, JKTR 16
-(2007)); ``tl`` carries planar matchings (the Temperley-Lieb basis) across a
-braid word, one letter at a time.  They are checked against each other in
-the tests, and a per-state enumeration in the test suite is the oracle for
-both.
+Two engines compute the same raw polynomial.  ``naive`` (:func:`bracket3_raw`)
+takes any planar diagram, one crossing at a time, merging the partial states
+that join the open arcs alike (Bar-Natan, JKTR 16 (2007)); ``tl`` carries
+planar matchings (the Temperley-Lieb basis) across a braid word, one letter
+at a time.  Each keeps one packed int of state counts per matching
+(Kronecker substitution), its slots sized to Kauffman's state diamond
+(Topology 26 (1987)): in a planar diagram, switching one smoothing moves the
+circle count by exactly one, so a state with j B-smoothings has k circles
+within j of the all-A state's and within n-j of the all-B state's, and k-j
+has one parity.  The count of a^(n-j) b^j d^k sits in slot alpha*j + beta*k
+(see :func:`_unpack`), so a B-smoothing and a closed circle each shift a
+matching's counts by a constant.  The engines are checked against each
+other in the tests, and a per-state enumeration in the test suite is the
+oracle for both.
 
 Every readout of a diagram is derived from its one raw sum: the normal form,
 :func:`ambient_from_raw`, :func:`circle_variant`, and the classical bracket
@@ -32,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 
-from .diagram import BraidWord, Diagram, Quad, closure, writhe
+from .diagram import BraidWord, Diagram, Quad, closure, count_cycles, port_mates, writhe
 from .multipoly import Monomial, Polynomial, format_poly, parse_poly
 from .quotient import normal_form
 
@@ -110,9 +116,10 @@ def bracket3_raw(d: Diagram) -> Polynomial:
     the order.  Each partial curve ends on two open arcs (labels seen once so
     far), so partial states merge by their matching of the open arcs: each
     arc's partner, in an arc order all states share.  A matching carries one
-    packed int of state counts, a^(n-j) b^j d^k in slot j*(2n+1) + k for n
-    crossings (see :func:`_unpack`).  A smoothing shifts it one b-row if it
-    is B and one d-slot per circle it closes, so the cost is set by the
+    packed int of state counts, a^(n-j) b^j d^k in slot alpha*j + beta*k for
+    n crossings (see :func:`_unpack`; the diagram must be planar, as
+    :func:`.diagram.parse_pd` checks).  A smoothing shifts it alpha slots if
+    it is B and beta slots per circle it closes, so the cost is set by the
     number of matchings, which the width of the open boundary bounds.  The
     f free loops multiply the unpacked sum by d^f once, at the end.
 
@@ -128,11 +135,13 @@ def bracket3_raw(d: Diagram) -> Polynomial:
                 f"crossing order tried, over the frontier pass's cap of {OPEN_ARC_CAP}"
             )
     n = d.n
-    width, stride = n + 1, 2 * n + 1  # at most 2n circles meet a crossing
+    k_a, k_b = _extreme_circles(d.crossings)
+    width, beta = _layout(n, k_a, k_b)
+    circle = width * beta
     table: dict[tuple[int, ...], int] = {(): 1}
     for port, ext, after, index in steps:
         a, b, c, e = port
-        choices = ((0, ((a, b), (c, e))), (width * stride, ((a, e), (b, c))))
+        choices = ((0, ((a, b), (c, e))), (circle + width, ((a, e), (b, c))))
         nxt: dict[tuple[int, ...], int] = {}
         get = nxt.get
         for m, packed in table.items():
@@ -141,7 +150,7 @@ def bracket3_raw(d: Diagram) -> Polynomial:
                 for x, y in joins:
                     fx, fy = mate[x], mate[y]
                     if fx == y:  # the join closes a circle; x and y are spent either way
-                        shift += width
+                        shift += circle
                     mate[fx], mate[fy] = fy, fx
                 key = tuple([index[mate[node]] for node in after])
                 # a first arrival is stored as is: 0 + x would copy the bigint
@@ -149,7 +158,24 @@ def bracket3_raw(d: Diagram) -> Polynomial:
                 prev = get(key)
                 nxt[key] = x if prev is None else prev + x
         table = nxt
-    return _unpack(table[()], n, width, stride).mul_term(1, (0, 0, d.free_loops))
+    return _unpack(table[()], n, width, k_a, beta).mul_term(1, (0, 0, d.free_loops))
+
+
+def _extreme_circles(crossings: tuple[Quad, ...]) -> tuple[int, int]:
+    """Circles of the all-A and of the all-B state of ``crossings``, free
+    loops aside.  Each circle is two cycles of "to the port the smoothing
+    joins, then along its arc": one per direction."""
+    mate = port_mates(crossings)
+    # the A-smoothing joins slots 0-1 and 2-3 (port ^ 1), the B-smoothing 0-3 and 1-2 (port ^ 3)
+    k_a, k_b = (count_cycles([mate[p ^ flip] for p in range(len(mate))]) // 2 for flip in (1, 3))
+    return k_a, k_b
+
+
+def _layout(n: int, k_a: int, k_b: int) -> tuple[int, int]:
+    """Bits per slot and slots per circle (beta) of the packed counts of a
+    sum over n smoothed crossings whose all-A and all-B states have k_a and
+    k_b circles; a B-smoothing takes beta + 1 slots (see :func:`_unpack`)."""
+    return n + 1, (n + k_a - k_b + 2) // 4
 
 
 def bracket3(d: Diagram) -> Polynomial:
@@ -242,77 +268,114 @@ def _close_trace(m: Matching, n: int) -> int:
     return circles
 
 
-def tl_transfer(b: BraidWord) -> dict[Matching, int]:
+class PackedTable(dict[Matching, int]):
+    """Packed state counts per matching, with the layout they are packed in
+    (see :func:`_unpack`): the all-A circle count ``k_a``, the bits per slot
+    ``width`` and the slots per circle ``beta``."""
+
+    def __init__(self, counts: dict[Matching, int], k_a: int, width: int, beta: int):
+        super().__init__(counts)
+        self.k_a, self.width, self.beta = k_a, width, beta
+
+
+def tl_transfer(b: BraidWord) -> PackedTable:
     """The braid word as a combination of planar matchings, before closure.
 
     Each letter maps the running element T to weight_vert * T plus
     weight_cup * T e_i, where e_i is the cup-cap generator at the letter's
     position; a circle split off during composition contributes a factor d.
     Every state has weight +1, so each matching carries its state counts
-    per monomial a^(L-j) b^j d^k, for a word of L letters on n strands,
-    packed into one int: slot j*(L+n+1) + k, L+1 bits wide (see
-    :func:`_unpack`).  Every count of a matching takes the same exponent
-    step, so a letter costs two shifted additions per matching: by 0 or by
-    one b-row, plus one d-slot when a circle splits off.
+    per monomial a^(L-j) b^j d^k, for a word of L letters, packed into one
+    int: slot alpha*j + beta*k, L+1 bits wide, with the diamond of the
+    closure's extreme states, untouched strands included (see
+    :func:`_unpack`); the table carries that layout.  Every count of a
+    matching takes the same exponent step, so a letter costs two shifted
+    additions per matching: by 0 or by alpha slots, plus beta slots when a
+    circle splits off.
     """
     n = b.strands
     if n > TL_STRAND_CAP:
         raise CapacityError(f"{n} strands exceeds the transfer-matrix cap {TL_STRAND_CAP}")
-    width, stride = _slot_layout(b)
-    b_row = width * stride
+    k_a, k_b = _tl_extremes(b)
+    width, beta = _layout(len(b.letters), k_a, k_b)
+    circle = width * beta
+    b_step = circle + width
     table: dict[Matching, int] = {_identity_matching(n): 1}
     for letter in b.letters:
         i = abs(letter)
         u, v = n + i - 1, n + i
-        vert, cup = (0, b_row) if letter > 0 else (b_row, 0)
+        vert, cup = (0, b_step) if letter > 0 else (b_step, 0)
         nxt: dict[Matching, int] = {}
         get = nxt.get
         for m, packed in table.items():
-            m2, circle = _apply_cupcap(m, u, v)
+            m2, split = _apply_cupcap(m, u, v)
             # a first arrival is stored as is: 0 + x would copy the bigint
             x = packed << vert
             prev = get(m)
             nxt[m] = x if prev is None else prev + x
-            x = packed << (cup + width if circle else cup)
+            x = packed << (cup + circle if split else cup)
             prev = get(m2)
             nxt[m2] = x if prev is None else prev + x
         table = nxt
-    return table
+    return PackedTable(table, k_a, width, beta)
 
 
-def _slot_layout(b: BraidWord) -> tuple[int, int]:
-    """Bits per slot and slots per b-row of the packed tables of ``b``."""
-    letters = len(b.letters)
-    return letters + 1, letters + b.strands + 1
+def _tl_extremes(b: BraidWord) -> tuple[int, int]:
+    """Circles of the closure of ``b`` in its all-A and all-B states,
+    untouched strands included: one walk over the letters per extreme.  A
+    positive letter's A-smoothing is the identity and its B-smoothing the
+    cup-cap; a negative letter's are the other way round."""
+    n = b.strands
+    identity = _identity_matching(n)
+    extremes = []
+    for all_b in (False, True):
+        m, circles = identity, 0
+        for letter in b.letters:
+            if (letter > 0) == all_b:
+                i = abs(letter)
+                m, split = _apply_cupcap(m, n + i - 1, n + i)
+                circles += split
+        extremes.append(circles + _close_trace(m, n))
+    return extremes[0], extremes[1]
 
 
-def _unpack(packed: int, letters: int, width: int, stride: int) -> Polynomial:
-    """The polynomial whose state counts ``packed`` holds, for a sum over
-    ``letters`` smoothed crossings: the count of a^(letters-j) b^j d^k sits
-    in slot j*stride + k, and each slot is ``width`` = letters+1 bits wide,
-    because no count exceeds the 2^letters states."""
+def _unpack(packed: int, n: int, width: int, k_a: int, beta: int) -> Polynomial:
+    """The polynomial whose state counts ``packed`` holds, for a sum over n
+    smoothed crossings whose all-A state has k_a circles.
+
+    The count of a^(n-j) b^j d^k sits in slot alpha*j + beta*k, with
+    alpha = beta + 1, and each slot is ``width`` = n+1 bits wide, because no
+    count exceeds the 2^n states.  That slot is x*S + y + beta*k_a for the
+    state's diamond coordinates x = (j+k-k_a)/2 and y = (j-k+k_a)/2, which
+    are integers because k-j has the parity of k_a.  y is at most
+    Y = (n+k_a-k_b)/2, for k_b circles in the all-B state, and S = 2*beta + 1
+    is the least odd integer above Y, so each slot holds one (j, k).  Partial states of one matching share
+    every completion, so they too share a slot only with the same (j, k).
+    """
     bits = format(packed, "b")[::-1]  # bit s*width starts slot s
     counts: dict[Monomial, int] = {}
     for start in range(0, len(bits), width):
         chunk = bits[start:start + width]
         if "1" in chunk:
-            j, k = divmod(start // width, stride)
-            counts[(letters - j, j, k)] = int(chunk[::-1], 2)
-    return Polynomial._from_clean(counts)  # nonzero counts, j <= letters
+            x, y = divmod(start // width - beta * k_a, 2 * beta + 1)
+            counts[(n - x - y, x + y, x - y + k_a)] = int(chunk[::-1], 2)
+    return Polynomial._from_clean(counts)  # nonzero counts, j <= n
 
 
 def tl_evaluate(b: BraidWord) -> Polynomial:
     """Raw three-variable bracket of the closure via the transfer pass.
 
     Runs :func:`tl_transfer` and then joins top to bottom, shifting each
-    matching's packed counts up one d-slot per closure circle; the sum is
-    unpacked once.  Equals bracket3_raw(closure(b)) exactly.
+    matching's packed counts up beta slots per closure circle; the sum is
+    unpacked once, in the table's layout.  Equals bracket3_raw(closure(b))
+    exactly.
     """
-    width, stride = _slot_layout(b)
+    table = tl_transfer(b)
+    circle = table.width * table.beta
     total = 0
-    for m, packed in tl_transfer(b).items():
-        total += packed << (width * _close_trace(m, b.strands))
-    return _unpack(total, len(b.letters), width, stride)
+    for m, packed in table.items():
+        total += packed << (circle * _close_trace(m, b.strands))
+    return _unpack(total, len(b.letters), table.width, table.k_a, table.beta)
 
 
 def raw_bracket(source: BraidWord | Diagram, engine: str = "naive") -> Polynomial:

@@ -256,7 +256,67 @@ def parse_pd(text: str) -> Diagram:
     d = Diagram(tuple(crossings), free)
     if d.crossings:
         orient(d)  # reject diagrams whose orientation cannot be inferred
+        check_planar(d)
     return d
+
+
+# -- ports, faces and planarity ------------------------------------------------
+
+def port_mates(crossings: tuple[Quad, ...]) -> list[int]:
+    """Port 4k+s is slot s of crossing k; entry p is the other port of p's
+    arc, the other slot that carries its label."""
+    mate = [0] * (4 * len(crossings))
+    first: dict[int, int] = {}
+    for port, label in enumerate(label for quad in crossings for label in quad):
+        if label in first:
+            mate[port], mate[first[label]] = first[label], port
+        else:
+            first[label] = port
+    return mate
+
+
+def count_cycles(perm: list[int]) -> int:
+    """The number of cycles of ``perm``, a permutation of range(len(perm))."""
+    seen = [False] * len(perm)
+    cycles = 0
+    for start in range(len(perm)):
+        if not seen[start]:
+            cycles += 1
+            x = start
+            while not seen[x]:
+                seen[x] = True
+                x = perm[x]
+    return cycles
+
+
+def check_planar(d: Diagram) -> None:
+    """Raise DiagramError unless the crossings of ``d`` can be drawn in the plane.
+
+    The faces are the cycles of: run along a port's arc to its other port,
+    then turn to the next slot counterclockwise at that crossing.  By Euler's
+    formula, n crossings in c connected pieces bound n + 2c faces in the
+    plane and fewer on any surface of higher genus.
+    """
+    mate = port_mates(d.crossings)
+    faces = count_cycles([q + 1 if q % 4 < 3 else q - 3 for q in mate])
+    pieces = 0
+    reached = [False] * d.n
+    for k in range(d.n):
+        if not reached[k]:
+            pieces += 1
+            reached[k] = True
+            stack = [k]
+            while stack:
+                c = stack.pop()
+                for q in mate[4 * c:4 * c + 4]:
+                    if not reached[q // 4]:
+                        reached[q // 4] = True
+                        stack.append(q // 4)
+    if faces != d.n + 2 * pieces:
+        raise DiagramError(
+            f"not a planar diagram: {d.n} crossings in {pieces} connected "
+            f"piece(s) bound {faces} faces, where the plane has {d.n + 2 * pieces}"
+        )
 
 
 # -- orientation: crossing signs and component count ---------------------------
@@ -287,13 +347,7 @@ def orient(d: Diagram) -> Orientation:
     Inconsistencies raise DiagramError rather than guessing.
     """
     labels = [label for quad in d.crossings for label in quad]
-    mate = [0] * len(labels)  # port -> the other port of its arc
-    first: dict[int, int] = {}
-    for port, label in enumerate(labels):
-        if label in first:
-            mate[port], mate[first[label]] = first[label], port
-        else:
-            first[label] = port
+    mate = port_mates(d.crossings)
     signs = [0] * d.n
     entered = [False] * len(labels)
 

@@ -1,3 +1,4 @@
+import itertools
 import os
 import resource
 import subprocess
@@ -84,6 +85,19 @@ def label_arrangements(draw, max_crossings: int = 4) -> Diagram:
     n = draw(st.integers(min_value=1, max_value=max_crossings))
     labels = draw(st.permutations([label for label in range(1, 2 * n + 1) for _ in range(2)]))
     return Diagram(tuple(tuple(labels[4 * k:4 * k + 4]) for k in range(n)))
+
+
+def every_arrangement(n: int) -> list[Diagram]:
+    """Every placement of the labels 1..2n, each twice, on n crossings, in
+    sorted order (2,520 for two crossings)."""
+    placements = sorted(set(itertools.permutations([label for label in range(1, 2 * n + 1) for _ in range(2)])))
+    return [Diagram(tuple(p[4 * k:4 * k + 4] for k in range(n))) for p in placements]
+
+
+def pd_code(d: Diagram) -> str:
+    """The PD text of ``d`` with its crossings in their own order (``pd_text``
+    sorts them)."""
+    return "PD[" + ",".join("X({},{},{},{})".format(*quad) for quad in d.crossings) + "]"
 
 
 @pytest.fixture

@@ -7,10 +7,10 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import state_oracle
-from conftest import pd_codes
+from conftest import every_arrangement, pd_codes
 from qbracket.bracket3 import (
     CURL_MINUS,
     CURL_PLUS,
@@ -26,8 +26,10 @@ from qbracket.bracket3 import (
     tl_evaluate,
     tl_transfer,
     _apply_cupcap,
+    _close_trace,
+    _extreme_circles,
     _identity_matching,
-    _slot_layout,
+    _tl_extremes,
     _unpack,
 )
 from qbracket.classical import CIRCLE, bracket_from_raw, writhe_normalize
@@ -35,7 +37,9 @@ from qbracket.cli import main
 from qbracket.diagram import (
     BraidWord,
     Diagram,
+    DiagramError,
     add_kink,
+    check_planar,
     closure,
     conjugate,
     parse_braid,
@@ -107,16 +111,34 @@ def raw_state_by_state(d: Diagram) -> Polynomial:
     return Polynomial(counts)
 
 
+def assert_extremes(d: Diagram, raw: Polynomial) -> None:
+    """The j = 0 and j = n terms of ``raw`` are a^n d^k_A and b^n d^k_B for
+    the circle counts that :func:`_extreme_circles` walks, which size the
+    packed slots (the free loops are counted on top)."""
+    n, f = d.n, d.free_loops
+    k_a, k_b = _extreme_circles(d.crossings)
+    extremes = {mono: c for mono, c in raw.terms.items() if mono[1] in (0, n)}
+    assert extremes == {(n, 0, k_a + f): 1, (0, n, k_b + f): 1}
+
+
 @settings(max_examples=40, deadline=None)
 @given(braid_words(max_strands=4, max_letters=8), st.integers(min_value=0, max_value=3))
+@example(BraidWord(2, ()), 0)
+@example(BraidWord(3, ()), 2)
+@example(BraidWord(2, (1,)), 3)
 def test_depth_first_walk_equals_state_by_state_count(word, unused):
     # the frontier pass against each state on its own, exact in all three
     # exponents, unlike the classical fold (only i - j); the name is kept from
     # the depth-first walk that the frontier pass replaced.  The unused strands
-    # are free circles, which the transfer pass closes one by one
+    # are free circles, which the transfer pass closes one by one, so its
+    # extreme walks count them
     word = BraidWord(word.strands + unused, word.letters)
     d = closure(word)
-    assert bracket3_raw(d) == raw_state_by_state(d) == tl_evaluate(word)
+    raw = raw_state_by_state(d)
+    assert bracket3_raw(d) == raw == tl_evaluate(word)
+    assert_extremes(d, raw)
+    k_a, k_b = _extreme_circles(d.crossings)
+    assert _tl_extremes(word) == (k_a + d.free_loops, k_b + d.free_loops)
 
 
 @settings(max_examples=40, deadline=None)
@@ -132,7 +154,9 @@ def test_frontier_pass_equals_state_by_state_count_in_any_crossing_order(word, u
     shuffled = list(d.crossings)
     rng.shuffle(shuffled)
     d = Diagram(tuple(shuffled), d.free_loops)
-    assert bracket3_raw(d) == raw_state_by_state(d)
+    raw = raw_state_by_state(d)
+    assert bracket3_raw(d) == raw
+    assert_extremes(d, raw)
 
 
 #: Raw sums of fixed PD codes without free loops: an arc that starts and ends
@@ -154,6 +178,25 @@ def test_frontier_pass_on_kinks_split_codes_and_free_loops(crossings, free_loops
     d = Diagram(crossings, free_loops)
     expected = parse_poly(KINK_AND_SPLIT_RAW[crossings]) * parse_poly("+d") ** free_loops
     assert bracket3_raw(d) == expected == raw_state_by_state(d)
+    assert_extremes(d, expected)
+
+
+@pytest.mark.parametrize("n, planar", [(1, 4), (2, 960)])
+def test_frontier_pass_equals_state_by_state_count_on_every_planar_arrangement(n, planar):
+    # every placement of the labels on one or two crossings that the plane
+    # can hold, orientable or not: the packed slots are sized for planar
+    # diagrams, where switching one smoothing moves the circle count by one
+    checked = 0
+    for d in every_arrangement(n):
+        try:
+            check_planar(d)
+        except DiagramError:
+            continue
+        raw = raw_state_by_state(d)
+        assert bracket3_raw(d) == raw, d.crossings
+        assert_extremes(d, raw)
+        checked += 1
+    assert checked == planar
 
 
 def test_depth_first_walk_equals_state_by_state_count_on_table_pd_entries():
@@ -189,6 +232,25 @@ def test_naive_24_crossing_poke_pairs_are_fast():
     elapsed = time.perf_counter() - start
     assert elapsed < 0.5, f"bracket3_raw at 24 crossings took {elapsed:.2f}s"
     assert raw == tl_evaluate(word)
+
+
+def test_torus_400_is_fast_in_both_engines():
+    # T(2,400): with one b-power row per circle count, tl_evaluate took 7.0 s
+    # and bracket3_raw 11.8 s on a 2-core machine (Python 3.11); with slots
+    # sized to the state diamond, 3 slots per crossing, about 0.02 s each.
+    # The bounds are a fifth of the old times
+    word = BraidWord(2, (1,) * 400)
+    d = closure(word)
+    start = time.perf_counter()
+    by_tl = tl_evaluate(word)
+    tl_elapsed = time.perf_counter() - start
+    start = time.perf_counter()
+    by_frontier = bracket3_raw(d)
+    frontier_elapsed = time.perf_counter() - start
+    assert tl_elapsed < 1.4, f"tl_evaluate of T(2,400) took {tl_elapsed:.2f}s"
+    assert frontier_elapsed < 2.3, f"bracket3_raw of T(2,400) took {frontier_elapsed:.2f}s"
+    assert by_tl == by_frontier
+    assert len(by_tl) == 401 and sum(c for _, c in by_tl) == 2**400
 
 
 #: The full twist on 13 strands: 156 crossings whose closure is 26 open arcs
@@ -309,7 +371,7 @@ def test_kink_pair_absorption():
 # -- transfer-matrix engine -------------------------------------------------------------
 
 def test_tl_identity_braids():
-    # the empty word packs d^n into the top d-slot of one-bit slots
+    # the empty word's one state is both extremes: d^n packed into one one-bit slot
     for n in range(1, 13):
         word = BraidWord(n, ())
         assert tl_evaluate(word) == parse_poly("+d") ** n == bracket3_raw(closure(word)), n
@@ -427,15 +489,21 @@ def test_tl_evaluate_40_letters_on_10_strands_is_fast():
 
 def test_poke_composition_locks_the_convention():
     # composing the two crossings of a move-II poke must give exactly
-    # a*b on the identity matching and a^2+b^2+a*b*d on the cup-cap
+    # a*b on the identity matching and a^2+b^2+a*b*d on the cup-cap, each
+    # times d per circle of its closure (2 and 1); the slots are laid out for
+    # closed states, so each matching is decoded after its closure shift
     word = parse_braid("braid:2:1,-1")
     table = tl_transfer(word)
     identity = _identity_matching(2)
     cupcap = (1, 0, 3, 2)
     assert set(table) == {identity, cupcap}
-    layout = (len(word.letters), *_slot_layout(word))
-    assert _unpack(table[identity], *layout) == parse_poly("+a*b")
-    assert _unpack(table[cupcap], *layout) == parse_poly("+a^2 +b^2 +a*b*d")
+
+    def closed(m):
+        packed = table[m] << (table.width * table.beta * _close_trace(m, word.strands))
+        return _unpack(packed, len(word.letters), table.width, table.k_a, table.beta)
+
+    assert closed(identity) == parse_poly("+a*b*d^2")
+    assert closed(cupcap) == parse_poly("+a^2*d +b^2*d +a*b*d^2")
 
 
 def reachable_matchings(word: BraidWord) -> set:

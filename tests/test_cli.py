@@ -123,6 +123,18 @@ def test_bracket_folds_many_circle_counts_under_the_cap(capped_cli):
     assert done.stdout.splitlines()[1] == "writhe: 200"
 
 
+def test_bracket_of_a_long_two_strand_twist_beside_many_circles_is_fast(capped_cli):
+    # T(2,400) beside 3,998 free circles, through the frontier pass: slots
+    # of one b-power per circle count took about 14 s on a 2-core machine
+    # (Python 3.11); slots sized to the state diamond, about 1.5 s
+    start = time.perf_counter()
+    done = capped_cli("bracket", "braid:4000:" + ",".join(["1"] * 400))
+    elapsed = time.perf_counter() - start
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines()[1] == "writhe: 400"
+    assert elapsed < 5.0, f"bracket of T(2,400) beside 3,998 circles took {elapsed:.2f}s"
+
+
 @pytest.mark.parametrize("strands", [100_000, 100_000_000])
 def test_bracket_of_too_many_circles_exits_1_early(capped_cli, strands):
     # the value of 99,999 circles or more cannot be held under the term cap:
@@ -358,11 +370,15 @@ def test_search_max_crossings_filter(tmp_path, capsys):
 
 def test_search_reports_load_errors(tmp_path, capsys):
     table = tmp_path / "t.tsv"
-    table.write_text("ok\tbraid:2:1,1,1\nbad\tbraid:2:9\nunorientable\tPD[X(1,4,4,3),X(2,2,3,1)]\n")
+    table.write_text(
+        "ok\tbraid:2:1,1,1\nbad\tbraid:2:9\nunorientable\tPD[X(1,4,4,3),X(2,2,3,1)]\n"
+        "nonplanar\tPD[X(4,2,1,3),X(3,2,4,1)]\n"
+    )
     code, out, _ = run(capsys, "search", "--table", str(table), "--json")
     assert code == 0
     header = json.loads(out.splitlines()[0])
-    assert len(header["load_errors"]) == 2
+    assert [lineno for lineno, _ in header["load_errors"]] == [2, 3, 4]
+    assert header["load_errors"][2][1].startswith("not a planar diagram")
 
 
 def test_search_reports_a_table_line_that_is_not_utf8(tmp_path, capsys):
@@ -395,12 +411,14 @@ def test_bad_input_exits_1(capsys):
     code, _, err = run(capsys, "bracket", "braid:2:7,1")
     assert code == 1
     assert "position 0" in err
-    # a code whose walk enters an under-strand where it leaves
+    # a code whose walk enters an under-strand where it leaves, and an
+    # orientable code that is not planar
     for command in ("bracket", "bracket3"):
-        code, out, err = run(capsys, command, "PD[X(1,4,4,3),X(2,2,3,1)]")
-        assert (code, out) == (1, "")
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
-        assert "Traceback" not in err
+        for pd in ("PD[X(1,4,4,3),X(2,2,3,1)]", "PD[X(4,2,1,3),X(3,2,4,1)]"):
+            code, out, err = run(capsys, command, pd)
+            assert (code, out) == (1, "")
+            assert len(err.splitlines()) == 1 and err.startswith("error: ")
+            assert "Traceback" not in err
 
 
 def test_missing_table_exits_1(capsys):

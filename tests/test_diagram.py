@@ -1,18 +1,20 @@
 """Braid and PD parsing, closures, orientation, smoothing, rewrites."""
 
 import itertools
+import re
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import cycle_count, label_arrangements, pd_codes, permutation
+from conftest import cycle_count, every_arrangement, label_arrangements, pd_code, pd_codes, permutation
 from qbracket.diagram import (
     BraidWord,
     Diagram,
     DiagramError,
     Orientation,
     add_kink,
+    check_planar,
     closure,
     components,
     conjugate,
@@ -167,6 +169,36 @@ def test_parse_pd_rejects_bad_labels_and_syntax():
         parse_pd("PD[X(2,4,1,5),X(3,6,4,2),X(5,1,6,3)]")
 
 
+def test_parse_pd_refuses_a_code_that_only_a_torus_can_hold():
+    # orientable, but its faces (cycles of "along the arc, then turn to the
+    # next slot") number 2, where two crossings in one piece bound 4 in the plane
+    message = "not a planar diagram: 2 crossings in 1 connected piece(s) bound 2 faces, where the plane has 4"
+    orient(Diagram(((4, 2, 1, 3), (3, 2, 4, 1))))
+    with pytest.raises(DiagramError, match=re.escape(message)):
+        parse_pd("PD[X(4,2,1,3),X(3,2,4,1)]")
+    # two disjoint kinks are two pieces, 1 + 2 faces each
+    check_planar(parse_pd("PD[X(1,1,2,2),X(3,4,4,3)]"))
+
+
+def test_parse_pd_accepts_only_the_planar_two_crossing_codes():
+    # of the 2,520 placements of the labels 1..4 on two crossings, 276 orient,
+    # and 156 of those are not planar; the state-sum layout needs planarity
+    accepted = refused = 0
+    for d in every_arrangement(2):
+        try:
+            orient(d)
+        except DiagramError:
+            continue
+        try:
+            parse_pd(pd_code(d))
+        except DiagramError as exc:
+            assert str(exc).startswith("not a planar diagram: 2 crossings"), pd_code(d)
+            refused += 1
+        else:
+            accepted += 1
+    assert (accepted, refused) == (120, 156)
+
+
 def test_parse_pd_accepts_whitespace_and_free_circles():
     d = parse_pd(" PD[ X(1,1,2,2) , O , O ] ")
     assert d.n == 1 and d.free_loops == 2
@@ -215,6 +247,7 @@ def test_orient_reads_shuffled_and_relabelled_closures(case):
     word, d = case
     assert writhe(d) == word.writhe
     assert components(d) == cycle_count(word)
+    check_planar(d)  # closures are planar, however shuffled and relabelled
 
 
 @settings(max_examples=500, deadline=None)
