@@ -182,10 +182,10 @@ def rewrite_moves(b: BraidWord, seed: int, count: int) -> BraidWord:
 class Diagram:
     """A diagram as PD crossings plus any crossing-free circles.
 
-    Arc labels must each occur exactly twice and cover 1..2n for n crossings.
-    ``free_loops`` counts closed curves that meet no crossing; they arise from
-    braid closures (e.g. unused strands) and join the state sum as plain
-    circles.
+    Arc labels must each occur exactly twice and cover 1..2n for n crossings,
+    which must fit in the plane (:func:`check_planar`).  ``free_loops`` counts
+    closed curves that meet no crossing; they arise from braid closures (e.g.
+    unused strands) and join the state sum as plain circles.
     """
 
     crossings: tuple[Quad, ...] = ()
@@ -206,6 +206,7 @@ class Diagram:
             raise DiagramError(f"arc labels must be exactly 1..{2 * n}")
         if not self.crossings and self.free_loops == 0:
             raise DiagramError("empty diagram: no crossings and no circles")
+        check_planar(self)
 
     @property
     def n(self) -> int:
@@ -256,7 +257,6 @@ def parse_pd(text: str) -> Diagram:
     d = Diagram(tuple(crossings), free)
     if d.crossings:
         orient(d)  # reject diagrams whose orientation cannot be inferred
-        check_planar(d)
     return d
 
 
@@ -339,8 +339,10 @@ def orient(d: Diagram) -> Orientation:
       at c, where an under-strand leaves;
     - a component that only passes over starts at the first crossing whose
       over labels step by one, entering at the lower label.  A two-arc such
-      component reads the same both ways, so it is accepted only when its
-      two crossing signs cancel and the writhe does not hang on the choice.
+      component reads the same both ways, but the writhe does not hang on
+      the choice: its two crossings are with one other component, which
+      enters and leaves the disc it bounds, so their signs cancel.  That
+      holds in the plane, and every ``Diagram`` is planar.
 
     A crossing is positive when its over-strand enters at slot d.  Along each
     component the labels go up by one at every step but one (the wrap).
@@ -351,9 +353,9 @@ def orient(d: Diagram) -> Orientation:
     signs = [0] * d.n
     entered = [False] * len(labels)
 
-    def walk(start: int) -> list[int]:
-        """Walk the component entering at port ``start``; its crossings in order."""
-        port, path, wraps = start, [], 0
+    def walk(start: int) -> None:
+        """Walk the component entering at port ``start``, setting its signs."""
+        port, wraps = start, 0
         while True:
             k, slot = divmod(port, 4)
             if slot == 2:
@@ -361,14 +363,12 @@ def orient(d: Diagram) -> Orientation:
             entered[port] = True
             if slot % 2:
                 signs[k] = 1 if slot == 3 else -1
-            path.append(k)
             wraps += labels[port ^ 2] != labels[port] + 1
             port = mate[port ^ 2]
             if port == start:
                 break
         if wraps != 1:
             raise DiagramError("arc labels do not increase along a component")
-        return path
 
     components = d.free_loops
     for k in range(d.n):
@@ -380,12 +380,8 @@ def orient(d: Diagram) -> Orientation:
             raise DiagramError(f"crossing {k}: over-strand direction is ambiguous")
         if signs[k] or abs(ld - lb) != 1:
             continue
-        path = walk(4 * k + (1 if ld == lb + 1 else 3))
+        walk(4 * k + (1 if ld == lb + 1 else 3))
         components += 1
-        if len(path) == 2 and signs[path[0]] + signs[path[1]]:
-            raise DiagramError(
-                f"arcs {min(lb, ld)},{max(lb, ld)}: over-only component with writhe-dependent orientation"
-            )
     if not all(signs):
         raise DiagramError("cannot orient over-strands from arc labels")
     return Orientation(tuple(signs), components)

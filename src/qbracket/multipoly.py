@@ -14,9 +14,9 @@ bases whose leading coefficients are +-1 (every basis this package ships)
 this coincides with division over the rationals and remainders are the usual
 unique normal forms.  Every caller reads the remainder only, so ``remainder``
 keeps no quotients.  It pops each step's term from a heap (Monagan & Pearce,
-CASC 2007) rather than scanning the whole work set for its maximum, by
-reducers prepared once per basis.  Results clean by construction skip every
-constructor check but ``TERM_LIMIT`` (``Polynomial._from_clean``).
+CASC 2007) rather than scanning the whole work set for its maximum.  Results
+clean by construction skip every constructor check but ``TERM_LIMIT``
+(``Polynomial._from_clean``).
 """
 
 from __future__ import annotations
@@ -352,19 +352,6 @@ def parse_poly(text: str) -> Polynomial:
 
 # -- division, S-polynomials, Buchberger ------------------------------------
 
-def prepare_reducers(basis: Iterable[Polynomial]) -> tuple:
-    """The reducers of ``basis``, in its order, for :func:`remainder_by`."""
-    reducers = []
-    for g in basis:
-        if g.is_zero:
-            raise ValueError("division by a basis containing zero")
-        (la, lb, ld), lc = g.leading()
-        # each tail term m as (lm - m, c): mono / lm * m has the key key + (lm - m)
-        tail = [((la - m[0], lb - m[1], ld - m[2]), c) for m, c in g.terms.items() if m != (la, lb, ld)]
-        reducers.append((la, lb, ld, lc, tail))
-    return tuple(reducers)
-
-
 def remainder(p: Polynomial, basis: list[Polynomial]) -> Polynomial:
     """Remainder of multivariate division of p by basis, exactly over Z.
 
@@ -374,12 +361,6 @@ def remainder(p: Polynomial, basis: list[Polynomial]) -> Polynomial:
     Then p minus the result lies in the ideal of the basis; remainders
     against a Groebner basis with unit leading coefficients are the canonical
     normal forms.  The quotients are not kept.
-    """
-    return remainder_by(p, prepare_reducers(basis))
-
-
-def remainder_by(p: Polynomial, reducers: tuple) -> Polynomial:
-    """:func:`remainder` by the prepared reducers of a basis.
 
     The work set is a dict of coefficients keyed by negated exponent
     triples, beside a heap of those keys whose minimum is the largest
@@ -387,6 +368,14 @@ def remainder_by(p: Polynomial, reducers: tuple) -> Polynomial:
     it enters the dict; a cancelled coefficient stays as 0 and is skipped
     when popped.
     """
+    reducers = []
+    for g in basis:
+        if g.is_zero:
+            raise ValueError("division by a basis containing zero")
+        (la, lb, ld), lc = g.leading()
+        # each tail term m as (lm - m, c): mono / lm * m has the key key + (lm - m)
+        tail = [((la - m[0], lb - m[1], ld - m[2]), c) for m, c in g.terms.items() if m != (la, lb, ld)]
+        reducers.append((la, lb, ld, lc, tail))
     rest: dict[Monomial, int] = {}
     work = {(-m[0], -m[1], -m[2]): c for m, c in p.terms.items()}
     get = work.get

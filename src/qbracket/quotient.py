@@ -9,11 +9,12 @@ and d (disjoint circle):
 
 Everything here lives modulo the ideal I generated by those two polynomials.
 The module carries a Groebner basis for I under lex a > b > d, the normal
-form map that picks the canonical coset representative, the 34 solution
-branches of the variety rel1 = rel2 = 0 (stored as their catalogued text,
-one label appearing twice, and read exactly by :func:`parse_exact`, a map
-over the package's one value reader, :func:`.multipoly.read_terms`), their
-exact verification and component labels, and the specialization
+form map that picks the canonical coset representative (reducing each term
+in one step by a closed-form rule read off the factored basis), the 34
+solution branches of the variety rel1 = rel2 = 0 (stored as their catalogued
+text, one label appearing twice, and read exactly by :func:`parse_exact`, a
+map over the package's one value reader, :func:`.multipoly.read_terms`),
+their exact verification and component labels, and the specialization
 b -> 1/a, d -> -a^-2 - a^2 that recovers the classical one-variable bracket.
 
 The Groebner basis is not taken on trust: :func:`verify_groebner` recomputes
@@ -25,6 +26,7 @@ certifies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Iterator
 
 from .classical import LaurentPolynomial, bracket_from_raw
@@ -34,11 +36,9 @@ from .multipoly import (
     format_poly,
     mono_divides,
     parse_poly,
-    prepare_reducers,
     read_terms,
     reduce_basis,
     remainder,
-    remainder_by,
     s_poly,
 )
 
@@ -48,15 +48,13 @@ IDEAL_GENERATORS: tuple[Polynomial, Polynomial] = (
     parse_poly("+a^2*d^2 +a*b*d^3 +a*b*d +b^2*d^2 -d"),
 )
 
-#: Groebner basis of I under lex a > b > d, ordered as stored: the normal
-#: form below divides by these, in this sequence.
+#: Groebner basis of I under lex a > b > d, g1, g2, g3 in the order stored;
+#: :func:`normal_form` reduces by their factored forms.
 GROEBNER_BASIS: tuple[Polynomial, Polynomial, Polynomial] = (
     parse_poly("+b^4*d^3 -b^4*d +b^2*d^4 -b^2*d^2 +d^3 -d"),
     parse_poly("+a*d^3 -a*d +b^3*d^3 -b^3*d +b*d^4 -b*d^2"),
     parse_poly("+a^2*d +2*a*b*d^2 +b^2*d -d^2"),
 )
-
-_GROEBNER_REDUCERS = prepare_reducers(GROEBNER_BASIS)
 
 
 def normal_form(p: Polynomial) -> Polynomial:
@@ -64,8 +62,55 @@ def normal_form(p: Polynomial) -> Polynomial:
 
     No monomial of the result is divisible by b^4*d^3, a*d^3, or a^2*d (the
     basis leading monomials), and the map is idempotent and linear.
+
+    The work set is :func:`.multipoly.remainder`'s, coefficients keyed by
+    negated exponents beside their heap, but each popped term c*a^i*b^j*d^k
+    takes one step, by the factor (``test_groebner_basis_factors``) of the
+    basis element for its class, with k' = 2 - k mod 2:
+
+    - i >= 2, k >= 1, by d*(a^2 + 2abd + b^2 - d), to
+      -c*(2a^(i-1)b^(j+1)d^(k+1) + a^(i-2)b^(j+2)d^k - a^(i-2)b^j*d^(k+1));
+    - i = 1, k >= 3, by (d^3 - d)(a + b^3 + bd), which divides
+      (a + b^3 + bd)(d^k - d^k'), to c*a*b^j*d^k' - c*(b^3 + bd)b^j*(d^k - d^k');
+    - i = 0, j >= 4, k >= 3, by (d^3 - d)(b^4 + b^2*d + 1) likewise, to
+      c*b^j*d^k' - c*(b^2*d + 1)b^(j-4)*(d^k - d^k').
+
+    Other terms are normal.  The heap stays because a step adds only smaller
+    terms, so a monomial, popped largest first, has all its contributions
+    and is reduced once.  Remainders against a Groebner basis do not depend
+    on the step order, so this equals ``remainder(p, list(GROEBNER_BASIS))``.
     """
-    return remainder_by(p, _GROEBNER_REDUCERS)
+    rest: dict[tuple[int, int, int], int] = {}
+    work = {(-m[0], -m[1], -m[2]): c for m, c in p.terms.items()}
+    get = work.get
+    heap = sorted(work)  # a sorted list is a heap
+    while heap:
+        key = heappop(heap)
+        c = work.pop(key)
+        if not c:
+            continue
+        na, nb, nd = key
+        if na <= -2 and nd:
+            steps = (((na + 1, nb - 1, nd - 1), -2 * c), ((na + 2, nb - 2, nd), -c), ((na + 2, nb, nd - 1), c))
+        elif nd <= -3 and (na or nb <= -4):
+            k1 = (nd & 1) - 2  # -k'
+            if na:
+                steps = (((-1, nb, k1), c), ((0, nb - 3, nd), -c), ((0, nb - 3, k1), c),
+                         ((0, nb - 1, nd - 1), -c), ((0, nb - 1, k1 - 1), c))
+            else:
+                steps = (((0, nb, k1), c), ((0, nb + 2, nd - 1), -c), ((0, nb + 2, k1 - 1), c),
+                         ((0, nb + 4, nd), -c), ((0, nb + 4, k1), c))
+        else:
+            rest[(-na, -nb, -nd)] = c
+            continue
+        for tgt, v in steps:
+            old = get(tgt)
+            if old is None:
+                work[tgt] = v
+                heappush(heap, tgt)
+            else:
+                work[tgt] = old + v
+    return Polynomial._from_clean(rest)
 
 
 def is_normal(p: Polynomial) -> bool:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import strategies as st
 
 from qbracket import BraidWord, Diagram, closure, parse_braid
+from qbracket.diagram import Quad
 
 #: Base words whose closures exercise every code path: a two-crossing unknot
 #: (destabilizes twice), the Hopf link, both torus knots on two strands, and
@@ -79,25 +80,25 @@ def pd_codes(draw, max_strands: int = 5, max_letters: int = 10) -> tuple[BraidWo
 
 
 @st.composite
-def label_arrangements(draw, max_crossings: int = 4) -> Diagram:
+def label_arrangements(draw, max_crossings: int = 4) -> tuple[Quad, ...]:
     """Any placement of the labels 1..2n, each twice, on 1..``max_crossings``
-    crossings: every one is a valid ``Diagram``, most are not orientable."""
+    crossings: a valid ``Diagram`` exactly when it is planar, and most are
+    not orientable."""
     n = draw(st.integers(min_value=1, max_value=max_crossings))
     labels = draw(st.permutations([label for label in range(1, 2 * n + 1) for _ in range(2)]))
-    return Diagram(tuple(tuple(labels[4 * k:4 * k + 4]) for k in range(n)))
+    return tuple(tuple(labels[4 * k:4 * k + 4]) for k in range(n))
 
 
-def every_arrangement(n: int) -> list[Diagram]:
+def every_arrangement(n: int) -> list[tuple[Quad, ...]]:
     """Every placement of the labels 1..2n, each twice, on n crossings, in
     sorted order (2,520 for two crossings)."""
     placements = sorted(set(itertools.permutations([label for label in range(1, 2 * n + 1) for _ in range(2)])))
-    return [Diagram(tuple(p[4 * k:4 * k + 4] for k in range(n))) for p in placements]
+    return [tuple(p[4 * k:4 * k + 4] for k in range(n)) for p in placements]
 
 
-def pd_code(d: Diagram) -> str:
-    """The PD text of ``d`` with its crossings in their own order (``pd_text``
-    sorts them)."""
-    return "PD[" + ",".join("X({},{},{},{})".format(*quad) for quad in d.crossings) + "]"
+def pd_code(crossings: tuple[Quad, ...]) -> str:
+    """The PD text of ``crossings`` in their own order (``pd_text`` sorts them)."""
+    return "PD[" + ",".join("X({},{},{},{})".format(*quad) for quad in crossings) + "]"
 
 
 @pytest.fixture

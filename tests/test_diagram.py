@@ -3,11 +3,13 @@
 import itertools
 import re
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import cycle_count, every_arrangement, label_arrangements, pd_code, pd_codes, permutation
+from qbracket.bracket3 import bracket3_raw
 from qbracket.diagram import (
     BraidWord,
     Diagram,
@@ -171,32 +173,29 @@ def test_parse_pd_rejects_bad_labels_and_syntax():
 
 def test_parse_pd_refuses_a_code_that_only_a_torus_can_hold():
     # orientable, but its faces (cycles of "along the arc, then turn to the
-    # next slot") number 2, where two crossings in one piece bound 4 in the plane
+    # next slot") number 2, where two crossings in one piece bound 4 in the
+    # plane; the check is the Diagram's own, so no engine is handed the code
     message = "not a planar diagram: 2 crossings in 1 connected piece(s) bound 2 faces, where the plane has 4"
-    orient(Diagram(((4, 2, 1, 3), (3, 2, 4, 1))))
     with pytest.raises(DiagramError, match=re.escape(message)):
         parse_pd("PD[X(4,2,1,3),X(3,2,4,1)]")
+    with pytest.raises(DiagramError, match=re.escape(message)):
+        bracket3_raw(Diagram(((4, 2, 1, 3), (3, 2, 4, 1))))
     # two disjoint kinks are two pieces, 1 + 2 faces each
     check_planar(parse_pd("PD[X(1,1,2,2),X(3,4,4,3)]"))
 
 
 def test_parse_pd_accepts_only_the_planar_two_crossing_codes():
-    # of the 2,520 placements of the labels 1..4 on two crossings, 276 orient,
-    # and 156 of those are not planar; the state-sum layout needs planarity
-    accepted = refused = 0
-    for d in every_arrangement(2):
+    # of the 2,520 placements of the labels 1..4 on two crossings, 960 are
+    # planar, and 120 of those orient; the state-sum layout needs planarity
+    accepted, refused = 0, Counter()
+    for crossings in every_arrangement(2):
         try:
-            orient(d)
-        except DiagramError:
-            continue
-        try:
-            parse_pd(pd_code(d))
+            parse_pd(pd_code(crossings))
         except DiagramError as exc:
-            assert str(exc).startswith("not a planar diagram: 2 crossings"), pd_code(d)
-            refused += 1
+            refused["planar" if str(exc).startswith("not a planar diagram: 2 crossings") else "orient"] += 1
         else:
             accepted += 1
-    assert (accepted, refused) == (120, 156)
+    assert (accepted, refused["planar"], refused["orient"]) == (120, 1560, 840)
 
 
 def test_parse_pd_accepts_whitespace_and_free_circles():
@@ -252,7 +251,12 @@ def test_orient_reads_shuffled_and_relabelled_closures(case):
 
 @settings(max_examples=500, deadline=None)
 @given(label_arrangements())
-def test_orient_answers_or_raises_diagram_error_on_any_labels(d):
+def test_orient_answers_or_raises_diagram_error_on_any_labels(crossings):
+    try:
+        d = Diagram(crossings)
+    except DiagramError as exc:
+        assert str(exc).startswith("not a planar diagram"), crossings
+        return
     try:
         orientation = orient(d)
     except DiagramError:
@@ -263,8 +267,12 @@ def test_orient_answers_or_raises_diagram_error_on_any_labels(d):
 
 def test_over_only_component_with_writhe_ambiguity_is_rejected():
     # a clasp whose over-only component would make the diagram the positive
-    # or the negative Hopf link depending on an unrecorded orientation
-    with pytest.raises(DiagramError, match="over-only component"):
+    # or the negative Hopf link depending on an unrecorded orientation.  In
+    # the plane, the two crossings of a two-arc over-only component are with
+    # one other component, which enters and leaves the disc it bounds, so
+    # their signs cancel: a clasp whose signs agree fits only on a torus
+    message = "not a planar diagram: 2 crossings in 1 connected piece(s) bound 2 faces, where the plane has 4"
+    with pytest.raises(DiagramError, match=re.escape(message)):
         parse_pd("PD[X(1,3,2,4),X(2,4,1,3)]")
 
 

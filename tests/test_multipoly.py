@@ -16,7 +16,9 @@ from qbracket.multipoly import (
     remainder,
     s_poly,
 )
+from qbracket.bracket3 import CURL_MINUS, tl_evaluate
 from qbracket.classical import LaurentPolynomial, format_laurent, parse_laurent
+from qbracket.diagram import BraidWord
 from qbracket.quotient import GROEBNER_BASIS, IDEAL_GENERATORS, normal_form, parse_exact
 
 from division_oracle import divide_by_max_scan
@@ -405,11 +407,33 @@ big_polynomials = st.dictionaries(
 ).map(Polynomial)
 
 
-@settings(max_examples=200, deadline=None)
-@given(big_polynomials)
+def _near_edges(edges: range) -> st.SearchStrategy[int]:
+    """An exponent up to 40, often one of ``edges``."""
+    return st.one_of(st.sampled_from(edges), st.integers(min_value=0, max_value=40))
+
+
+# degrees up to 40, weighted to the boundaries between normal_form's rules:
+# a^2 and a^1 (i in 0..3), b^4 (j in 3..5), d^1 and d^3 with either parity (k in 0..4)
+edge_polynomials = st.dictionaries(
+    st.tuples(_near_edges(range(4)), _near_edges(range(3, 6)), _near_edges(range(5))),
+    st.integers(min_value=-(10**20), max_value=10**20),
+    max_size=8,
+).map(Polynomial)
+
+
+@settings(max_examples=400, deadline=None)
+@given(big_polynomials | edge_polynomials)
 def test_normal_form_equals_remainder_by_a_freshly_prepared_basis(p):
-    # normal_form divides by reducers prepared once, at import
+    # normal_form reduces by closed-form rules, remainder by the basis itself
     assert normal_form(p) == remainder(p, list(GROEBNER_BASIS))
+
+
+def test_normal_form_equals_remainder_on_padded_torus_sums():
+    # T(2,n) padded by its n curls in one product: few terms of high d
+    # degree, where each rule's single step replaces the most division steps
+    for n in range(10, 41):
+        padded = CURL_MINUS**n * tl_evaluate(BraidWord(2, (1,) * n))
+        assert normal_form(padded) == remainder(padded, list(GROEBNER_BASIS)), n
 
 
 def test_groebner_basis_matches_sympy():

@@ -2,13 +2,16 @@
 
 import dataclasses
 import hashlib
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import state_oracle
+from qbracket.bracket3 import tl_evaluate
 from qbracket.classical import CIRCLE, LaurentPolynomial
-from qbracket.multipoly import Polynomial, parse_poly
+from qbracket.diagram import BraidWord
+from qbracket.multipoly import Polynomial, parse_poly, remainder
 from qbracket.quotient import (
     BRANCHES,
     GROEBNER_BASIS,
@@ -97,6 +100,18 @@ def test_normal_form_single_step():
 def test_normal_form_has_no_reducible_monomial():
     p = parse_poly("+a^4*b^2*d^3 -5*a*d^5 +b^6*d^4")
     assert is_normal(normal_form(p))
+
+
+def test_normal_form_of_torus_120_is_fast():
+    # the raw sum of T(2,120), 121 terms up to d^121: the general division
+    # loop took 0.65 s on a 2-core machine (Python 3.11), bringing each d^k
+    # down two powers a step; one step per term, about 0.16-0.18 s
+    raw = tl_evaluate(BraidWord(2, (1,) * 120))
+    start = time.perf_counter()
+    nf = normal_form(raw)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.4, f"normal_form of the T(2,120) raw sum took {elapsed:.2f}s"
+    assert nf == remainder(raw, list(GROEBNER_BASIS))
 
 
 @settings(max_examples=100, deadline=None)

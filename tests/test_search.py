@@ -408,7 +408,7 @@ def test_search_exits_2_after_reporting_an_engine_mismatch(tmp_path, monkeypatch
     assert fmt == ["--csv"] or "witness_candidates" in lines[-1]  # the full report came first
 
 
-# -- the benchmark's search passes -------------------------------------------------
+# -- the benchmark passes -------------------------------------------------------
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 GOLDEN_SEED = 5
@@ -428,9 +428,9 @@ def bench_child(monkeypatch):
         sys.modules.pop(name, None)
 
 
-@pytest.mark.parametrize("workload", ["scan", "rescan"])
+@pytest.mark.parametrize("workload", ["scan", "rescan", "torus", "words", "moves"])
 def test_bench_search_passes_match_the_golden_digests(bench_child, workload, tmp_path, monkeypatch):
-    # output drift on the search path fails here, before any benchmark run
+    # output drift on any benchmark path fails here, before any benchmark run
     monkeypatch.chdir(tmp_path)
     wl = bench_child.workloads.WORKLOADS[workload](GOLDEN_SEED)
     wl.setup()
