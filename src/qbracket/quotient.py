@@ -9,13 +9,14 @@ and d (disjoint circle):
 
 Everything here lives modulo the ideal I generated by those two polynomials.
 The module carries a Groebner basis for I under lex a > b > d, the normal
-form map that picks the canonical coset representative (reducing each term
-in one step by a closed-form rule read off the factored basis), the 34
-solution branches of the variety rel1 = rel2 = 0 (stored as their catalogued
-text, one label appearing twice, and read exactly by :func:`parse_exact`, a
-map over the package's one value reader, :func:`.multipoly.read_terms`),
-their exact verification and component labels, and the specialization
-b -> 1/a, d -> -a^-2 - a^2 that recovers the classical one-variable bracket.
+form map that picks the canonical coset representative (Horner's rule in a
+modulo the basis factor quadratic in a, then two folds by the factors with
+d^2 - 1, without division), the 34 solution branches of the variety
+rel1 = rel2 = 0 (stored as their catalogued text, one label appearing twice,
+and read exactly by :func:`parse_exact`, a map over the package's one value
+reader, :func:`.multipoly.read_terms`), their exact verification and
+component labels, and the specialization b -> 1/a, d -> -a^-2 - a^2 that
+recovers the classical one-variable bracket.
 
 The Groebner basis is not taken on trust: :func:`verify_groebner` recomputes
 a basis from the generators with Buchberger's algorithm and certifies both
@@ -26,7 +27,6 @@ certifies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
 from typing import Iterator
 
 from .classical import LaurentPolynomial, bracket_from_raw
@@ -49,7 +49,8 @@ IDEAL_GENERATORS: tuple[Polynomial, Polynomial] = (
 )
 
 #: Groebner basis of I under lex a > b > d, g1, g2, g3 in the order stored;
-#: :func:`normal_form` reduces by their factored forms.
+#: each is d times a factor of J (I = d*J), and :func:`normal_form` reduces
+#: by those factors.
 GROEBNER_BASIS: tuple[Polynomial, Polynomial, Polynomial] = (
     parse_poly("+b^4*d^3 -b^4*d +b^2*d^4 -b^2*d^2 +d^3 -d"),
     parse_poly("+a*d^3 -a*d +b^3*d^3 -b^3*d +b*d^4 -b*d^2"),
@@ -63,54 +64,68 @@ def normal_form(p: Polynomial) -> Polynomial:
     No monomial of the result is divisible by b^4*d^3, a*d^3, or a^2*d (the
     basis leading monomials), and the map is idempotent and linear.
 
-    The work set is :func:`.multipoly.remainder`'s, coefficients keyed by
-    negated exponents beside their heap, but each popped term c*a^i*b^j*d^k
-    takes one step, by the factor (``test_groebner_basis_factors``) of the
-    basis element for its class, with k' = 2 - k mod 2:
+    The basis is d*(G1, G2, G3) (``test_groebner_basis_factors``), so
+    I = d*J with J = <G1, G2, G3>.  With p = p0 + d*q and p0 d-free, p0 is
+    normal, and the result is p0 + d*r for any r = q mod J with no monomial
+    divisible by b^4*d^2, a*d^2 or a^2.  r is built from the a-slices
+    q_i(b, d) of q, without division:
 
-    - i >= 2, k >= 1, by d*(a^2 + 2abd + b^2 - d), to
-      -c*(2a^(i-1)b^(j+1)d^(k+1) + a^(i-2)b^(j+2)d^k - a^(i-2)b^j*d^(k+1));
-    - i = 1, k >= 3, by (d^3 - d)(a + b^3 + bd), which divides
-      (a + b^3 + bd)(d^k - d^k'), to c*a*b^j*d^k' - c*(b^3 + bd)b^j*(d^k - d^k');
-    - i = 0, j >= 4, k >= 3, by (d^3 - d)(b^4 + b^2*d + 1) likewise, to
-      c*b^j*d^k' - c*(b^2*d + 1)b^(j-4)*(d^k - d^k').
+    - Horner in a modulo G3 = a^2 + 2abd + b^2 - d, monic in a: from the top
+      slice down, r1*a + r0 <- (r0 - 2bd*r1)*a + (d - b^2)*r1 + q_i.
+    - Fold r1 by G2 = (d^2 - 1)(a + b^3 + bd): d^2 - 1 divides
+      d^k - d^(k mod 2), so a*b^j*(d^k - d^(k mod 2)) moves to r0 as
+      -(b^3 + bd)*b^j*(d^k - d^(k mod 2)).
+    - Fold r0 likewise by G1 = (d^2 - 1)(b^4 + b^2*d + 1): each b^j*d^k with
+      j >= 4 keeps b^j*d^(k mod 2), and the multiple of d^2 - 1 it leaves is
+      reduced by b^4 -> -b^2*d - 1, column by column from the top b-power
+      down to b^4, over every column the walk reaches.
 
-    Other terms are normal.  The heap stays because a step adds only smaller
-    terms, so a monomial, popped largest first, has all its contributions
-    and is reduced once.  Remainders against a Groebner basis do not depend
-    on the step order, so this equals ``remainder(p, list(GROEBNER_BASIS))``.
+    Every term of r is then a*b^j*d^(<=1), b^j*d^(<=1) or b^(<=3)*d^k, so
+    p0 + d*r is normal, and a Groebner remainder is the one normal element
+    of its coset: this is ``remainder(p, list(GROEBNER_BASIS))``.
     """
-    rest: dict[tuple[int, int, int], int] = {}
-    work = {(-m[0], -m[1], -m[2]): c for m, c in p.terms.items()}
-    get = work.get
-    heap = sorted(work)  # a sorted list is a heap
-    while heap:
-        key = heappop(heap)
-        c = work.pop(key)
-        if not c:
-            continue
-        na, nb, nd = key
-        if na <= -2 and nd:
-            steps = (((na + 1, nb - 1, nd - 1), -2 * c), ((na + 2, nb - 2, nd), -c), ((na + 2, nb, nd - 1), c))
-        elif nd <= -3 and (na or nb <= -4):
-            k1 = (nd & 1) - 2  # -k'
-            if na:
-                steps = (((-1, nb, k1), c), ((0, nb - 3, nd), -c), ((0, nb - 3, k1), c),
-                         ((0, nb - 1, nd - 1), -c), ((0, nb - 1, k1 - 1), c))
-            else:
-                steps = (((0, nb, k1), c), ((0, nb + 2, nd - 1), -c), ((0, nb + 2, k1 - 1), c),
-                         ((0, nb + 4, nd), -c), ((0, nb + 4, k1), c))
-        else:
-            rest[(-na, -nb, -nd)] = c
-            continue
-        for tgt, v in steps:
-            old = get(tgt)
-            if old is None:
-                work[tgt] = v
-                heappush(heap, tgt)
-            else:
-                work[tgt] = old + v
-    return Polynomial._from_clean(rest)
+    out: dict[tuple[int, int, int], int] = {m: c for m, c in p.terms.items() if not m[2]}
+    slices: dict[int, dict[tuple[int, int], int]] = {}
+    for (i, j, k), c in p.terms.items():
+        if k:
+            slices.setdefault(i, {})[j, k - 1] = c
+    r1: dict[tuple[int, int], int] = {}  # r = r1*a + r0 over (b, d) exponents
+    r0: dict[tuple[int, int], int] = {}
+    for i in range(max(slices, default=-1), -1, -1):
+        last, r1, r0 = r1, r0, slices.get(i, {})
+        get1, get0 = r1.get, r0.get
+        for (j, k), c in last.items():
+            m1, m0, m2 = (j + 1, k + 1), (j, k + 1), (j + 2, k)
+            r1[m1] = get1(m1, 0) - 2 * c
+            r0[m0] = get0(m0, 0) + c
+            r0[m2] = get0(m2, 0) - c
+    get, get0 = out.get, r0.get
+    for (j, k), c in r1.items():
+        k0 = k & 1
+        out[1, j, k0 + 1] = get((1, j, k0 + 1), 0) + c
+        if k != k0:
+            m1, m2, m3, m4 = (j + 3, k), (j + 3, k0), (j + 1, k + 1), (j + 1, k0 + 1)
+            r0[m1] = get0(m1, 0) - c
+            r0[m2] = get0(m2, 0) + c
+            r0[m3] = get0(m3, 0) - c
+            r0[m4] = get0(m4, 0) + c
+    cols: dict[int, dict[int, int]] = {}
+    for (j, k), c in r0.items():
+        k0 = k if j < 4 else k & 1
+        out[0, j, k0 + 1] = get((0, j, k0 + 1), 0) + c
+        if k != k0:
+            col = cols.setdefault(j, {})
+            col[k] = col.get(k, 0) + c
+            col[k0] = col.get(k0, 0) - c
+    for j in range(max(cols, default=0), 3, -1):
+        col, col2, col4 = cols.pop(j, {}), cols.setdefault(j - 2, {}), cols.setdefault(j - 4, {})
+        for k, c in col.items():
+            col2[k + 1] = col2.get(k + 1, 0) - c
+            col4[k] = col4.get(k, 0) - c
+    for j, col in cols.items():
+        for k, c in col.items():
+            out[0, j, k + 1] = get((0, j, k + 1), 0) + c
+    return Polynomial._from_clean({m: c for m, c in out.items() if c})
 
 
 def is_normal(p: Polynomial) -> bool:

