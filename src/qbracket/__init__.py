@@ -14,7 +14,6 @@ from .bracket3 import (
     CapacityError,
     ambient3,
     ambient3_with_circle_factors,
-    bracket3,
     bracket3_raw,
     raw_bracket,
     tl_evaluate,

@@ -17,17 +17,18 @@ of the ambient isotopy class.
 Two engines compute the same raw polynomial.  ``naive`` (:func:`bracket3_raw`)
 takes any planar diagram, one crossing at a time, merging the partial states
 that join the open arcs alike (Bar-Natan, JKTR 16 (2007)); ``tl`` carries
-planar matchings (the Temperley-Lieb basis) across a braid word, one letter
-at a time.  Each keeps one packed int of state counts per matching
-(Kronecker substitution), its slots sized to Kauffman's state diamond
-(Topology 26 (1987)): in a planar diagram, switching one smoothing moves the
-circle count by exactly one, so a state with j B-smoothings has k circles
-within j of the all-A state's and within n-j of the all-B state's, and k-j
-has one parity.  The count of a^(n-j) b^j d^k sits in slot alpha*j + beta*k
-(see :func:`_unpack`), so a B-smoothing and a closed circle each shift a
-matching's counts by a constant.  The engines are checked against each
-other in the tests, and a per-state enumeration in the test suite is the
-oracle for both.
+planar matchings (the Temperley-Lieb basis), numbered as they first appear,
+across a braid word, one letter at a time.  Each keeps one packed int of
+state counts per matching (Kronecker substitution), its slots sized to
+Kauffman's state diamond (Topology 26 (1987)): in a planar diagram,
+switching one smoothing moves the circle count by exactly one, so a state
+with j B-smoothings has k circles within j of the all-A state's and within
+n-j of the all-B state's, and k-j has one parity.  The count of
+a^(n-j) b^j d^k sits in slot alpha*j + beta*k (see :func:`_unpack`), so a
+B-smoothing and a closed circle each shift a matching's counts by a
+constant; ``tl`` shifts only on the cup-cap path, worked out once per
+matching and position (:func:`tl_transfer`).  The engines are checked
+against each other in the tests; a per-state enumeration is the oracle.
 
 Every readout of a diagram is derived from its one raw sum: the normal form,
 :func:`ambient_from_raw`, :func:`circle_variant`, and the classical bracket
@@ -230,6 +231,7 @@ Matching = tuple[int, ...]
 # A planar perfect matching on 2n points: indices 0..n-1 are the bottom
 # boundary, n..2n-1 the current frontier (frontier position j is point n+j).
 # matching[x] is the partner of point x.
+Row = list[tuple[int, bool]]  # row[k]: the number of matching k times e_i, and if a circle split off
 
 
 def _identity_matching(n: int) -> Matching:
@@ -278,6 +280,25 @@ class PackedTable(dict[Matching, int]):
         self.k_a, self.width, self.beta = k_a, width, beta
 
 
+def _number_matchings(b: BraidWord) -> tuple[list[Matching], list[Row], list[int]]:
+    """The matchings the states of braid word ``b`` reach, numbered in order
+    of first appearance; their cup-cap rows, one per frontier position; and
+    ``sizes[t]``, how many are numbered before letter t.  Each letter
+    extends its position's row over those, so each cup-cap runs once per
+    matching and position."""
+    n, matchings = b.strands, [_identity_matching(b.strands)]
+    ids, rows, sizes = {matchings[0]: 0}, [[] for _ in range(n)], [1]
+    for letter in b.letters:
+        i = abs(letter)
+        for m in matchings[len(rows[i]):]:
+            m2, split = _apply_cupcap(m, n + i - 1, n + i)
+            rows[i].append((ids.setdefault(m2, len(matchings)), split))
+            if len(ids) > len(matchings):
+                matchings.append(m2)
+        sizes.append(len(matchings))
+    return matchings, rows, sizes
+
+
 def tl_transfer(b: BraidWord) -> PackedTable:
     """The braid word as a combination of planar matchings, before closure.
 
@@ -288,54 +309,49 @@ def tl_transfer(b: BraidWord) -> PackedTable:
     per monomial a^(L-j) b^j d^k, for a word of L letters, packed into one
     int: slot alpha*j + beta*k, L+1 bits wide, with the diamond of the
     closure's extreme states, untouched strands included (see
-    :func:`_unpack`); the table carries that layout.  Every count of a
-    matching takes the same exponent step, so a letter costs two shifted
-    additions per matching: by 0 or by alpha slots, plus beta slots when a
-    circle splits off.
+    :func:`_unpack`); the table carries that layout.  It is a list indexed
+    by matching number (:func:`_number_matchings`).  The identity path is
+    free: the next table starts as a copy, and only the cup-cap path adds a
+    shifted count.  On a positive letter that is the B-smoothing, alpha
+    slots up, plus beta if a circle splits off.  On a negative letter it is
+    alpha slots down, or one (alpha - beta) if a circle splits off, as the
+    table starts alpha slots up per negative letter.  Before the m-th
+    negative letter from the end every count sits m*alpha slots up or more,
+    so no down shift drops a bit.
     """
     n = b.strands
     if n > TL_STRAND_CAP:
         raise CapacityError(f"{n} strands exceeds the transfer-matrix cap {TL_STRAND_CAP}")
-    k_a, k_b = _tl_extremes(b)
+    matchings, rows, sizes = _number_matchings(b)
+    k_a, k_b = _tl_extremes(b, matchings, rows)
     width, beta = _layout(len(b.letters), k_a, k_b)
-    circle = width * beta
-    b_step = circle + width
-    table: dict[Matching, int] = {_identity_matching(n): 1}
-    for letter in b.letters:
-        i = abs(letter)
-        u, v = n + i - 1, n + i
-        vert, cup = (0, b_step) if letter > 0 else (b_step, 0)
-        nxt: dict[Matching, int] = {}
-        get = nxt.get
-        for m, packed in table.items():
-            m2, split = _apply_cupcap(m, u, v)
-            # a first arrival is stored as is: 0 + x would copy the bigint
-            x = packed << vert
-            prev = get(m)
-            nxt[m] = x if prev is None else prev + x
-            x = packed << (cup + circle if split else cup)
-            prev = get(m2)
-            nxt[m2] = x if prev is None else prev + x
-        table = nxt
-    return PackedTable(table, k_a, width, beta)
+    alpha, circle = width * (beta + 1), width * beta  # in bits, as the shifts below
+    table = [1 << alpha * sum(letter < 0 for letter in b.letters)]
+    for letter, size in zip(b.letters, sizes[1:]):
+        prev, table = table, table + [0] * (size - len(table))
+        if letter > 0:
+            for packed, (t, split) in zip(prev, rows[letter]):
+                table[t] += packed << (alpha + circle if split else alpha)
+        else:
+            for packed, (t, split) in zip(prev, rows[-letter]):
+                table[t] += packed >> (width if split else alpha)
+    return PackedTable(dict(zip(matchings, table)), k_a, width, beta)
 
 
-def _tl_extremes(b: BraidWord) -> tuple[int, int]:
+def _tl_extremes(b: BraidWord, matchings: list[Matching], rows: list[Row]) -> tuple[int, int]:
     """Circles of the closure of ``b`` in its all-A and all-B states,
-    untouched strands included: one walk over the letters per extreme.  A
-    positive letter's A-smoothing is the identity and its B-smoothing the
-    cup-cap; a negative letter's are the other way round."""
-    n = b.strands
-    identity = _identity_matching(n)
+    untouched strands included: one walk per extreme through ``rows``
+    (:func:`_number_matchings`).  A positive letter's A-smoothing is the
+    identity and its B-smoothing the cup-cap; a negative letter's are the
+    other way round."""
     extremes = []
     for all_b in (False, True):
-        m, circles = identity, 0
+        k = circles = 0
         for letter in b.letters:
             if (letter > 0) == all_b:
-                i = abs(letter)
-                m, split = _apply_cupcap(m, n + i - 1, n + i)
+                k, split = rows[abs(letter)][k]
                 circles += split
-        extremes.append(circles + _close_trace(m, n))
+        extremes.append(circles + _close_trace(matchings[k], b.strands))
     return extremes[0], extremes[1]
 
 

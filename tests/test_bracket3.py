@@ -1,7 +1,6 @@
 """Three-variable bracket: state sum, normal form, curl algebra, engines."""
 
 import hashlib
-import importlib
 import itertools
 import random
 import time
@@ -9,6 +8,7 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import qbracket.bracket3 as bracket3_module
 import state_oracle
 from conftest import every_arrangement, pd_codes
 from qbracket.bracket3 import (
@@ -29,6 +29,7 @@ from qbracket.bracket3 import (
     _close_trace,
     _extreme_circles,
     _identity_matching,
+    _number_matchings,
     _tl_extremes,
     _unpack,
 )
@@ -51,9 +52,6 @@ from qbracket.multipoly import Polynomial, format_poly, parse_poly
 from qbracket.quotient import is_normal, normal_form, specialize_classical
 from qbracket.search import bundled_table_path, load_table
 
-# the package's own ``bracket3`` attribute is the function of that name
-bracket3_module = importlib.import_module("qbracket.bracket3")
-
 
 @st.composite
 def braid_words(draw, max_strands=4, max_letters=8, min_letters=0):
@@ -68,6 +66,28 @@ def braid_words(draw, max_strands=4, max_letters=8, min_letters=0):
         )
     )
     return BraidWord(n, tuple(letters))
+
+
+@st.composite
+def negative_heavy_words(draw, max_strands=8, max_pieces=7):
+    """Braid words weighted to negative letters, which the transfer pass
+    pre-offsets and shifts down: all-negative words, and words that start
+    and end with a negative letter around single letters and opposite pairs
+    on one generator, whose second letter splits a circle off the cup-cap
+    path."""
+    n = draw(st.integers(min_value=2, max_value=max_strands))
+    gen = st.integers(min_value=1, max_value=n - 1)
+    if draw(st.booleans()):
+        return BraidWord(n, tuple(-i for i in draw(st.lists(gen, max_size=2 * max_pieces))))
+    piece = st.one_of(
+        gen.map(lambda i: (-i,)),
+        gen.map(lambda i: (-i, -i)),
+        gen.map(lambda i: (i,)),
+        gen.map(lambda i: (-i, i)),
+        gen.map(lambda i: (i, -i)),
+    )
+    middle = itertools.chain.from_iterable(draw(st.lists(piece, max_size=max_pieces)))
+    return BraidWord(n, (-draw(gen), *middle, -draw(gen)))
 
 
 def raw_of(text: str) -> Polynomial:
@@ -137,7 +157,7 @@ def test_depth_first_walk_equals_state_by_state_count(word, unused):
     assert bracket3_raw(d) == raw == tl_evaluate(word)
     assert_extremes(d, raw)
     k_a, k_b = _extreme_circles(d.crossings)
-    assert _tl_extremes(word) == (k_a + d.free_loops, k_b + d.free_loops)
+    assert _tl_extremes(word, *_number_matchings(word)[:2]) == (k_a + d.free_loops, k_b + d.free_loops)
 
 
 @settings(max_examples=40, deadline=None)
@@ -454,7 +474,8 @@ def test_tl_counts_every_state_once(word):
 def test_tl_evaluate_40_letters_on_8_strands_is_fast():
     # carrying Polynomial arithmetic per matching and letter took 4.4-4.8 s on
     # a 2-core machine (Python 3.11); a table of counts per monomial, 1.2 s;
-    # one packed int per matching, about 0.1 s
+    # one packed int per matching in a dict, 0.05-0.06 s; numbered matchings
+    # with cup-cap rows and a free identity path, 0.03-0.04 s
     word = BraidWord(8, (
         -6, -7, 7, -7, 6, 2, 3, -7, 4, 5, 1, 4, -2, -2, 2, -2, 1, 2, 2, 3,
         -2, 2, 4, -1, -4, 2, -1, -3, 5, -1, -3, -4, -2, -4, 1, -1, -7, -1, -3, -5,
@@ -469,8 +490,9 @@ def test_tl_evaluate_40_letters_on_8_strands_is_fast():
 
 def test_tl_evaluate_40_letters_on_10_strands_is_fast():
     # a table of counts per monomial took 6-8 s on a 2-core machine
-    # (Python 3.11); one packed int per matching, about 1 s.  The value was
-    # pinned from the table-of-counts engine.
+    # (Python 3.11); one packed int per matching in a dict, 0.47-0.59 s;
+    # numbered matchings with cup-cap rows and a free identity path,
+    # 0.33-0.44 s.  The value was pinned from the table-of-counts engine.
     word = BraidWord(10, (
         6, 4, -9, -8, 1, 2, -2, -1, -6, 7, -6, -7, 6, 9, -5, -3, -1, -6, -7, 7,
         -2, -9, -7, -7, -9, 4, 1, 7, -3, -4, 8, -9, -9, -5, -7, -4, -5, 1, 8, -6,
@@ -506,24 +528,55 @@ def test_poke_composition_locks_the_convention():
     assert closed(cupcap) == parse_poly("+a^2*d +b^2*d +a*b*d^2")
 
 
-def reachable_matchings(word: BraidWord) -> set:
-    """The matchings of all 2^letters smoothing choices, one path at a time."""
+def state_paths(word: BraidWord):
+    """Each of the 2^letters smoothing choices, one path at a time: its
+    matching, its B-smoothings and the circles split off on the way."""
     n = word.strands
-    found = set()
     for state in itertools.product((0, 1), repeat=len(word.letters)):
-        m = _identity_matching(n)
+        m, j, k = _identity_matching(n), 0, 0
         for letter, cup in zip(word.letters, state):
+            j += cup == (letter > 0)  # a positive letter's B-smoothing is its cup-cap
             if cup:
                 i = abs(letter)
-                m, _ = _apply_cupcap(m, n + i - 1, n + i)
-        found.add(m)
-    return found
+                m, split = _apply_cupcap(m, n + i - 1, n + i)
+                k += split
+        yield m, j, k
+
+
+def reachable_matchings(word: BraidWord) -> set:
+    """The matchings of all 2^letters smoothing choices, one path at a time."""
+    return {m for m, _, _ in state_paths(word)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(braid_words(max_strands=6, max_letters=10), negative_heavy_words(max_strands=6, max_pieces=4)))
+@example(BraidWord(2, (-1, 1)))
+@example(BraidWord(2, (1, -1)))
+@example(BraidWord(3, (-1, -1, -2, -2)))
+@example(BraidWord(4, (-2, 1, 3, -2, -2)))
+def test_tl_transfer_equals_a_build_one_state_at_a_time(word):
+    # the pass's numbered matchings, cup-cap rows, free identity path and
+    # pre-offset must put each state's +1 where the path on its own does:
+    # slot alpha*j + beta*k of its matching, before the closure
+    table = tl_transfer(word)
+    alpha = table.beta + 1
+    expected: dict = {}
+    for m, j, k in state_paths(word):
+        expected[m] = expected.get(m, 0) + (1 << table.width * (alpha * j + table.beta * k))
+    assert dict(table) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(negative_heavy_words())
+@example(BraidWord(8, (-1, -2, -3, -4, -5, -6, -7) * 2))
+@example(BraidWord(8, (-7, 7, -7, -1, 1, -4, -4)))
+def test_tl_equals_naive_on_negative_heavy_words(word):
+    assert tl_evaluate(word) == bracket3_raw(closure(word))
 
 
 def test_tl_transfer_is_called_once_per_evaluation(monkeypatch):
     # the traced benchmark counts calls of the module attribute and reads the
     # result's length as the number of matchings carried
-    module = importlib.import_module("qbracket.bracket3")
     lengths: list[int] = []
 
     def counting(word):
@@ -531,7 +584,7 @@ def test_tl_transfer_is_called_once_per_evaluation(monkeypatch):
         lengths.append(len(table))
         return table
 
-    monkeypatch.setattr(module, "tl_transfer", counting)
+    monkeypatch.setattr(bracket3_module, "tl_transfer", counting)
     for text in ("braid:2:1,-1", "braid:3:1,-2,1,-2", "braid:4:1,2,-3,-1,2,3,-2,1,-3"):
         word = parse_braid(text)
         distinct = len(reachable_matchings(word))

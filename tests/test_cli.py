@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import qbracket.bracket3 as bracket3_module
 import qbracket.cli as cli
 import qbracket.multipoly as multipoly
 import qbracket.quotient as quotient
@@ -205,7 +206,6 @@ def test_bracket3_on_26_crossings_equals_the_padded_transfer_pass(capsys):
 
 @pytest.mark.parametrize("text", ["braid:2:1,1,1", "braid:3:1,-2,1,-2"])
 def test_bracket3_reduces_the_raw_sum_once(capsys, monkeypatch, text):
-    bracket3_module = importlib.import_module("qbracket.bracket3")
     raw = tl_evaluate(parse_braid(text))
     seen: list = []
 

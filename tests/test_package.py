@@ -2,7 +2,9 @@
 ``dependencies = []``), and every module compiles without a warning."""
 
 import ast
+import importlib
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -34,3 +36,16 @@ def test_every_module_compiles_with_warnings_as_errors():
         warnings.simplefilter("error")
         for path in sources:
             compile(path.read_text(encoding="utf-8"), str(path), "exec")
+
+
+def test_every_submodule_is_the_package_attribute_of_its_name():
+    # a function re-exported under its module's name shadows the module, and
+    # ``import qbracket.bracket3 as m`` then binds the function
+    import qbracket
+    import qbracket.bracket3 as bracket3_module
+
+    assert isinstance(bracket3_module, types.ModuleType)
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem != "__init__":
+            module = importlib.import_module(f"qbracket.{path.stem}")
+            assert getattr(qbracket, path.stem) is module, path.stem

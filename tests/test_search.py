@@ -1,6 +1,5 @@
 """Table ingestion, caching, bucketing, and the conjecture scan."""
 
-import importlib
 import importlib.util
 import json
 import sys
@@ -9,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import qbracket.bracket3 as bracket3_module
 import qbracket.classical as classical
 import qbracket.search as search
 from qbracket.cli import main
@@ -28,10 +28,6 @@ from qbracket.search import (
 )
 
 import state_oracle
-
-
-# the package re-exports a function named bracket3, which shadows the submodule
-bracket3_module = importlib.import_module("qbracket.bracket3")
 
 
 def entry(name: str, presentation: str) -> TableEntry:
