@@ -31,8 +31,8 @@ matching and position (:func:`tl_transfer`).  The engines are checked
 against each other in the tests; a per-state enumeration is the oracle.
 
 Every readout of a diagram is derived from its one raw sum: the normal form,
-:func:`ambient_from_raw`, :func:`circle_variant`, and the classical bracket
-(:func:`.classical.bracket_from_raw`).
+the padded :func:`ambient_from_normal` of it, :func:`circle_variant`, and the
+classical bracket (:func:`.classical.bracket_from_raw`).
 """
 
 from __future__ import annotations
@@ -184,8 +184,9 @@ def bracket3(d: Diagram) -> Polynomial:
     return normal_form(bracket3_raw(d))
 
 
-def ambient_from_raw(raw: Polynomial, w: int) -> Polynomial:
-    """Ambient-isotopy invariant from the raw sum of a writhe-w diagram.
+def ambient_from_normal(nf: Polynomial, w: int) -> Polynomial:
+    """Ambient-isotopy invariant of a writhe-w diagram from ``nf``, the normal
+    form of its raw sum.
 
     The value is the normal form of CURL_MINUS^w times the raw sum for w > 0
     (CURL_PLUS^-w for w < 0), exactly the effect of normalizing the writhe to
@@ -194,12 +195,6 @@ def ambient_from_raw(raw: Polynomial, w: int) -> Polynomial:
     factor: every product stays a small multiple of a normal form, instead
     of one |w|-fold product reduced at the end.
     """
-    return ambient_from_normal(normal_form(raw), w)
-
-
-def ambient_from_normal(nf: Polynomial, w: int) -> Polynomial:
-    """:func:`ambient_from_raw` from ``nf``, the raw sum's normal form, for a
-    caller that reports that normal form too and so reduces the raw sum once."""
     factor = CURL_MINUS if w > 0 else CURL_PLUS
     amb = nf
     for _ in range(abs(w)):
@@ -211,13 +206,18 @@ def circle_variant(amb: Polynomial, w: int) -> Polynomial:
     """Variant normalization whose curl factors keep their circle: d*(a*d+b)
     and d*(a+b*d).  Normal form is a ring map onto the quotient, so this is
     the normal form of d^|w| times the ambient invariant ``amb``; reported
-    alongside it, since the two only agree for writhe-zero diagrams."""
-    return normal_form(DELTA ** abs(w) * amb)
+    alongside it, since the two only agree for writhe-zero diagrams.
+
+    No reduction is needed: every term of ``amb`` is c*d^k or c*b^2*d^k
+    (README, "Normalization variant"), and no such term times a power of d
+    is divisible by a basis leading monomial b^4*d^3, a*d^3 or a^2*d.
+    """
+    return DELTA ** abs(w) * amb
 
 
 def ambient3(d: Diagram) -> Polynomial:
-    """:func:`ambient_from_raw` of the naive raw sum."""
-    return ambient_from_raw(bracket3_raw(d), writhe(d))
+    """:func:`ambient_from_normal` of the naive raw sum."""
+    return ambient_from_normal(normal_form(bracket3_raw(d)), writhe(d))
 
 
 def ambient3_with_circle_factors(d: Diagram) -> Polynomial:

@@ -286,6 +286,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DiagramError, CapacityError, TermLimitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:  # its text is empty
+        print("error: out of memory", file=sys.stderr)
+        return 1
     raise AssertionError("unreachable")
 
 

@@ -19,10 +19,11 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .bracket3 import CONVENTION, ambient_from_raw, raw_bracket
+from .bracket3 import CONVENTION, ambient_from_normal, raw_bracket
 from .classical import bracket_from_raw, format_laurent, writhe_normalize
 from .diagram import BraidWord, Diagram, DiagramError, closure, parse_braid, parse_pd, writhe
 from .multipoly import format_poly
+from .quotient import normal_form
 
 
 @dataclass(frozen=True)
@@ -151,7 +152,7 @@ def compute_record(entry: TableEntry, engine: str = "naive") -> InvariantRecord:
     raw = raw_bracket(entry.diagram if used == "naive" else entry.word, used)
     w = entry.writhe
     f_text = format_laurent(writhe_normalize(bracket_from_raw(raw), w))
-    amb = ambient_from_raw(raw, w)
+    amb = ambient_from_normal(normal_form(raw), w)
     return InvariantRecord(
         entry.name, entry.presentation, w, f_text, format_poly(amb), used, fingerprint()
     )

@@ -8,8 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from qbracket import BraidWord, Diagram, closure, parse_braid
-from qbracket.diagram import Quad
+from qbracket.diagram import BraidWord, Diagram, Quad, closure, parse_braid
 
 #: Base words whose closures exercise every code path: a two-crossing unknot
 #: (destabilizes twice), the Hopf link, both torus knots on two strands, and

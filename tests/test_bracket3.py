@@ -19,9 +19,10 @@ from qbracket.bracket3 import (
     CapacityError,
     ambient3,
     ambient3_with_circle_factors,
-    ambient_from_raw,
+    ambient_from_normal,
     bracket3,
     bracket3_raw,
+    circle_variant,
     raw_bracket,
     tl_evaluate,
     tl_transfer,
@@ -674,6 +675,40 @@ def test_circle_factor_variant_reported_separately():
     assert ambient3_with_circle_factors(unknot) == ambient3(unknot)  # writhe 0
 
 
+def mirror_word(word: BraidWord) -> BraidWord:
+    return BraidWord(word.strands, tuple(-letter for letter in word.letters))
+
+
+@settings(max_examples=40, deadline=None)
+@given(braid_words(max_strands=4, max_letters=8), st.integers(min_value=0, max_value=2))
+def test_circle_variant_is_normal_without_reduction(word, loops):
+    # untouched strands and the extra loops are free circles
+    for w in (word, mirror_word(word)):
+        d = closure(w)
+        d = Diagram(d.crossings, d.free_loops + loops)
+        amb, k = ambient3(d), writhe(d)
+        assert circle_variant(amb, k) == normal_form(DELTA ** abs(k) * amb), w.text
+
+
+def test_circle_variant_is_normal_without_reduction_on_every_table_entry(monkeypatch):
+    entries = load_table(bundled_table_path()).entries
+    assert any(e.word is None for e in entries)  # PD entries are covered
+    cases = []
+    for e in entries:
+        words = [] if e.word is None else [e.word, mirror_word(e.word)]
+        raws = [(tl_evaluate(w), writhe(closure(w))) for w in words] or [(bracket3_raw(e.diagram), e.writhe)]
+        for raw, w in raws:
+            amb = ambient_from_normal(normal_form(raw), w)
+            cases.append((e.name, amb, w, normal_form(DELTA ** abs(w) * amb)))
+
+    def forbidden(p):
+        raise AssertionError("circle_variant reduced")
+
+    monkeypatch.setattr(bracket3_module, "normal_form", forbidden)
+    for name, amb, w, expected in cases:
+        assert circle_variant(amb, w) == expected, name
+
+
 # -- specialization bridge ------------------------------------------------------------------
 
 @pytest.mark.parametrize(
@@ -735,7 +770,7 @@ def test_padded_torus_30_normal_form_is_fast():
     # step per term took 16-21 ms, Horner in a and two folds 8-9 ms
     raw = tl_evaluate(parse_braid("braid:2:" + ",".join(["1"] * 30)))
     start = time.perf_counter()
-    amb = ambient_from_raw(raw, 30)
+    amb = ambient_from_normal(normal_form(raw), 30)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"padded T(2,30) normal form took {elapsed:.2f}s"
     assert is_normal(amb)
@@ -749,7 +784,7 @@ def test_padded_torus_60_reduces_per_curl_factor_fast():
     # 0.12-0.20 s and 0.45-0.76 s with the heap-ordered remainder loop)
     raw = tl_evaluate(parse_braid("braid:2:" + ",".join(["1"] * 60)))
     start = time.perf_counter()
-    amb = ambient_from_raw(raw, 60)
+    amb = ambient_from_normal(normal_form(raw), 60)
     elapsed = time.perf_counter() - start
     assert elapsed < 2.0, f"padded T(2,60) normal form took {elapsed:.2f}s"
     start = time.perf_counter()

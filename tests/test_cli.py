@@ -17,6 +17,7 @@ import qbracket.bracket3 as bracket3_module
 import qbracket.cli as cli
 import qbracket.multipoly as multipoly
 import qbracket.quotient as quotient
+import qbracket.search as search
 import state_oracle
 from qbracket.bracket3 import CURL_MINUS, tl_evaluate
 from qbracket.classical import LaurentPolynomial, bracket_from_raw, format_laurent, writhe_normalize
@@ -99,6 +100,19 @@ def test_bracket_pd_too_wide_for_the_cap_exits_1_with_one_error_line(capsys):
     assert err.rstrip().endswith("cap of 24")
     # `bracket` has no engine option, so the message must not point to one
     assert "engine" not in err and "--" not in err
+
+
+@pytest.mark.parametrize("argv", [("bracket", "braid:2:1,1,1"), ("bracket3", "braid:2:1,1,1"), ("search",)])
+def test_out_of_memory_exits_1_with_one_error_line(capsys, monkeypatch, argv):
+    # a real exhaustion (a wide random braid word under an address-space
+    # limit) raised from inside the state-sum engines
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    for module, name in ((cli, "tl_evaluate"), (cli, "bracket3_raw"), (search, "raw_bracket")):
+        monkeypatch.setattr(module, name, exhausted)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", "error: out of memory\n")
 
 
 def test_bracket_on_5000_strands_is_the_closed_form(capped_cli):

@@ -49,3 +49,15 @@ def test_every_submodule_is_the_package_attribute_of_its_name():
         if path.stem != "__init__":
             module = importlib.import_module(f"qbracket.{path.stem}")
             assert getattr(qbracket, path.stem) is module, path.stem
+
+
+def test_the_package_binds_only_its_submodules_and_version():
+    # each name has one import path, from the module that defines it
+    import qbracket
+
+    public = {name: value for name, value in vars(qbracket).items() if not name.startswith("_")}
+    assert {
+        name for name, value in public.items()
+        if not (isinstance(value, types.ModuleType) and value.__name__ == f"qbracket.{name}")
+    } == set()
+    assert isinstance(qbracket.__version__, str)
