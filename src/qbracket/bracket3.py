@@ -27,8 +27,12 @@ n-j of the all-B state's, and k-j has one parity.  The count of
 a^(n-j) b^j d^k sits in slot alpha*j + beta*k (see :func:`_unpack`), so a
 B-smoothing and a closed circle each shift a matching's counts by a
 constant; ``tl`` shifts only on the cup-cap path, worked out once per
-matching and position (:func:`tl_transfer`).  The engines are checked
-against each other in the tests; a per-state enumeration is the oracle.
+matching and position (:func:`tl_transfer`).  ``tl`` also carries the
+circles of each matching's closure along the cup-caps that number it: a
+cup-cap is a saddle on the closure, and in the planar annulus a saddle on
+one circle splits it while a saddle across two circles merges them
+(:func:`_number_matchings`).  The engines are checked against each other in
+the tests; a per-state enumeration is the oracle.
 
 Every readout of a diagram is derived from its one raw sum: the normal form,
 the padded :func:`ambient_from_normal` of it, :func:`circle_variant`, and the
@@ -238,65 +242,58 @@ def _identity_matching(n: int) -> Matching:
     return tuple(list(range(n, 2 * n)) + list(range(n)))
 
 
-def _apply_cupcap(m: Matching, u: int, v: int) -> tuple[Matching, bool]:
-    """Compose with the cup-cap generator on adjacent frontier points u, v.
-
-    Returns the new matching and whether a closed circle split off (the case
-    where u and v were each other's partners).
-    """
-    pu, pv = m[u], m[v]
-    if pu == v:
-        return m, True
-    out = list(m)
-    out[pu], out[pv] = pv, pu
-    out[u], out[v] = v, u
-    return tuple(out), False
-
-
-def _close_trace(m: Matching, n: int) -> int:
-    """Circles formed when frontier point n+j is joined back to bottom point j."""
-    seen = [False] * (2 * n)
-    circles = 0
-    for start in range(2 * n):
-        if seen[start]:
-            continue
-        circles += 1
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            y = m[x]                      # along the tangle
-            seen[y] = True
-            x = y - n if y >= n else y + n  # along the closure arc
-    return circles
-
-
 class PackedTable(dict[Matching, int]):
     """Packed state counts per matching, with the layout they are packed in
     (see :func:`_unpack`): the all-A circle count ``k_a``, the bits per slot
-    ``width`` and the slots per circle ``beta``."""
+    ``width`` and the slots per circle ``beta``; ``closures[t]`` is the
+    closure-circle count of the t-th matching in key order."""
 
-    def __init__(self, counts: dict[Matching, int], k_a: int, width: int, beta: int):
+    def __init__(self, counts: dict[Matching, int], closures: list[int], k_a: int, width: int, beta: int):
         super().__init__(counts)
-        self.k_a, self.width, self.beta = k_a, width, beta
+        self.closures, self.k_a, self.width, self.beta = closures, k_a, width, beta
 
 
-def _number_matchings(b: BraidWord) -> tuple[list[Matching], list[Row], list[int]]:
+def _number_matchings(b: BraidWord) -> tuple[list[Matching], list[Row], list[int], list[int]]:
     """The matchings the states of braid word ``b`` reach, numbered in order
-    of first appearance; their cup-cap rows, one per frontier position; and
-    ``sizes[t]``, how many are numbered before letter t.  Each letter
-    extends its position's row over those, so each cup-cap runs once per
-    matching and position."""
+    of first appearance; their cup-cap rows, one per frontier position; the
+    circles of each one's closure (frontier point n+j joined back to bottom
+    point j); and ``sizes[t]``, how many are numbered before letter t.  Each
+    letter extends its position's row over those, so each cup-cap runs once
+    per matching and position.
+
+    The identity's closure has n circles.  Where u and v, the letter's
+    frontier points, are not partners in m, the cup-cap of m e_i is a saddle
+    on m's closure arcs at u and v.  In the planar annulus a saddle on one
+    circle splits it and one across two circles merges them, so m e_i has
+    one circle more than m if one walk of u's circle meets v, else one fewer.
+    The walk runs once, when m e_i is first numbered."""
     n, matchings = b.strands, [_identity_matching(b.strands)]
-    ids, rows, sizes = {matchings[0]: 0}, [[] for _ in range(n)], [1]
+    ids, rows, closures, sizes = {matchings[0]: 0}, [[] for _ in range(n)], [n], [1]
     for letter in b.letters:
         i = abs(letter)
-        for m in matchings[len(rows[i]):]:
-            m2, split = _apply_cupcap(m, n + i - 1, n + i)
-            rows[i].append((ids.setdefault(m2, len(matchings)), split))
-            if len(ids) > len(matchings):
+        u, v, row = n + i - 1, n + i, rows[i]
+        for k in range(len(row), len(matchings)):
+            m = matchings[k]
+            pu, pv = m[u], m[v]
+            if pu == v:  # the cap closes a circle and the cup restores m
+                row.append((k, True))
+                continue
+            out = list(m)
+            out[pu], out[pv], out[u], out[v] = pv, pu, v, u
+            m2 = tuple(out)
+            t = ids.setdefault(m2, len(matchings))
+            row.append((t, False))
+            if t == len(matchings):
+                # step along the tangle, then back along a closure arc: the
+                # points stepped from are every other point of u's circle, so
+                # it holds v iff the walk meets v or pv before u again
+                x = pu - n if pu >= n else pu + n
+                while x != u and x != v and x != pv:
+                    x = m[x] - n if m[x] >= n else m[x] + n
                 matchings.append(m2)
+                closures.append(closures[k] - 1 if x == u else closures[k] + 1)
         sizes.append(len(matchings))
-    return matchings, rows, sizes
+    return matchings, rows, closures, sizes
 
 
 def tl_transfer(b: BraidWord) -> PackedTable:
@@ -317,13 +314,14 @@ def tl_transfer(b: BraidWord) -> PackedTable:
     alpha slots down, or one (alpha - beta) if a circle splits off, as the
     table starts alpha slots up per negative letter.  Before the m-th
     negative letter from the end every count sits m*alpha slots up or more,
-    so no down shift drops a bit.
+    so no down shift drops a bit.  The table also carries the closure
+    circles that :func:`_number_matchings` counts by the saddle rule.
     """
     n = b.strands
     if n > TL_STRAND_CAP:
         raise CapacityError(f"{n} strands exceeds the transfer-matrix cap {TL_STRAND_CAP}")
-    matchings, rows, sizes = _number_matchings(b)
-    k_a, k_b = _tl_extremes(b, matchings, rows)
+    matchings, rows, closures, sizes = _number_matchings(b)
+    k_a, k_b = _tl_extremes(b, rows, closures)
     width, beta = _layout(len(b.letters), k_a, k_b)
     alpha, circle = width * (beta + 1), width * beta  # in bits, as the shifts below
     table = [1 << alpha * sum(letter < 0 for letter in b.letters)]
@@ -335,13 +333,14 @@ def tl_transfer(b: BraidWord) -> PackedTable:
         else:
             for packed, (t, split) in zip(prev, rows[-letter]):
                 table[t] += packed >> (width if split else alpha)
-    return PackedTable(dict(zip(matchings, table)), k_a, width, beta)
+    return PackedTable(dict(zip(matchings, table)), closures, k_a, width, beta)
 
 
-def _tl_extremes(b: BraidWord, matchings: list[Matching], rows: list[Row]) -> tuple[int, int]:
+def _tl_extremes(b: BraidWord, rows: list[Row], closures: list[int]) -> tuple[int, int]:
     """Circles of the closure of ``b`` in its all-A and all-B states,
     untouched strands included: one walk per extreme through ``rows``
-    (:func:`_number_matchings`).  A positive letter's A-smoothing is the
+    (:func:`_number_matchings`), which ends on the carried closure count of
+    the walk's last matching.  A positive letter's A-smoothing is the
     identity and its B-smoothing the cup-cap; a negative letter's are the
     other way round."""
     extremes = []
@@ -351,7 +350,7 @@ def _tl_extremes(b: BraidWord, matchings: list[Matching], rows: list[Row]) -> tu
             if (letter > 0) == all_b:
                 k, split = rows[abs(letter)][k]
                 circles += split
-        extremes.append(circles + _close_trace(matchings[k], b.strands))
+        extremes.append(circles + closures[k])
     return extremes[0], extremes[1]
 
 
@@ -382,15 +381,15 @@ def tl_evaluate(b: BraidWord) -> Polynomial:
     """Raw three-variable bracket of the closure via the transfer pass.
 
     Runs :func:`tl_transfer` and then joins top to bottom, shifting each
-    matching's packed counts up beta slots per closure circle; the sum is
-    unpacked once, in the table's layout.  Equals bracket3_raw(closure(b))
-    exactly.
+    matching's packed counts up beta slots per closure circle, as the table
+    carries them (:func:`_number_matchings`); the sum is unpacked once, in
+    the table's layout.  Equals bracket3_raw(closure(b)) exactly.
     """
     table = tl_transfer(b)
     circle = table.width * table.beta
     total = 0
-    for m, packed in table.items():
-        total += packed << (circle * _close_trace(m, b.strands))
+    for packed, k in zip(table.values(), table.closures):
+        total += packed << circle * k
     return _unpack(total, len(b.letters), table.width, table.k_a, table.beta)
 
 

@@ -8,9 +8,14 @@ disjoint-set forest (:func:`resolve_state`) and, independently, by walking
 the port graph (:func:`resolve_state_walk`).  The smoothing convention is
 the library's: for ``X(a,b,c,d)`` the A-smoothing joins a-b and c-d and the
 B-smoothing joins a-d and b-c.
+
+The transfer pass's matchings have their own oracles: :func:`apply_cupcap`
+composes one matching with one cup-cap, and :func:`close_trace` counts the
+circles of a matching's closure by walking every point, where the library
+carries the count along the cup-caps that numbered the matching.
 """
 
-from qbracket.bracket3 import CapacityError
+from qbracket.bracket3 import CapacityError, Matching
 from qbracket.classical import LaurentPolynomial, circle_power
 from qbracket.diagram import Diagram, Quad, writhe
 
@@ -145,3 +150,35 @@ def bracket_from_raw_per_term(raw) -> LaurentPolynomial:
     for (i, j, k), coeff in raw.terms.items():
         total = total + circle_power(k - 1).shift(i - j) * coeff
     return total
+
+
+def apply_cupcap(m: Matching, u: int, v: int) -> tuple[Matching, bool]:
+    """Compose with the cup-cap generator on adjacent frontier points u, v.
+
+    Returns the new matching and whether a closed circle split off (the case
+    where u and v were each other's partners).
+    """
+    pu, pv = m[u], m[v]
+    if pu == v:
+        return m, True
+    out = list(m)
+    out[pu], out[pv] = pv, pu
+    out[u], out[v] = v, u
+    return tuple(out), False
+
+
+def close_trace(m: Matching, n: int) -> int:
+    """Circles formed when frontier point n+j is joined back to bottom point j."""
+    seen = [False] * (2 * n)
+    circles = 0
+    for start in range(2 * n):
+        if seen[start]:
+            continue
+        circles += 1
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            y = m[x]                      # along the tangle
+            seen[y] = True
+            x = y - n if y >= n else y + n  # along the closure arc
+    return circles

@@ -26,8 +26,6 @@ from qbracket.bracket3 import (
     raw_bracket,
     tl_evaluate,
     tl_transfer,
-    _apply_cupcap,
-    _close_trace,
     _extreme_circles,
     _identity_matching,
     _number_matchings,
@@ -158,7 +156,7 @@ def test_depth_first_walk_equals_state_by_state_count(word, unused):
     assert bracket3_raw(d) == raw == tl_evaluate(word)
     assert_extremes(d, raw)
     k_a, k_b = _extreme_circles(d.crossings)
-    assert _tl_extremes(word, *_number_matchings(word)[:2]) == (k_a + d.free_loops, k_b + d.free_loops)
+    assert _tl_extremes(word, *_number_matchings(word)[1:3]) == (k_a + d.free_loops, k_b + d.free_loops)
 
 
 @settings(max_examples=40, deadline=None)
@@ -476,7 +474,9 @@ def test_tl_evaluate_40_letters_on_8_strands_is_fast():
     # carrying Polynomial arithmetic per matching and letter took 4.4-4.8 s on
     # a 2-core machine (Python 3.11); a table of counts per monomial, 1.2 s;
     # one packed int per matching in a dict, 0.05-0.06 s; numbered matchings
-    # with cup-cap rows and a free identity path, 0.03-0.04 s
+    # with cup-cap rows and a free identity path, 0.03-0.04 s; with closure
+    # counts carried through the numbering, 0.024-0.048 s against 0.025-0.053 s
+    # before it, interleaved on a loaded 2-core machine
     word = BraidWord(8, (
         -6, -7, 7, -7, 6, 2, 3, -7, 4, 5, 1, 4, -2, -2, 2, -2, 1, 2, 2, 3,
         -2, 2, 4, -1, -4, 2, -1, -3, 5, -1, -3, -4, -2, -4, 1, -1, -7, -1, -3, -5,
@@ -493,7 +493,9 @@ def test_tl_evaluate_40_letters_on_10_strands_is_fast():
     # a table of counts per monomial took 6-8 s on a 2-core machine
     # (Python 3.11); one packed int per matching in a dict, 0.47-0.59 s;
     # numbered matchings with cup-cap rows and a free identity path,
-    # 0.33-0.44 s.  The value was pinned from the table-of-counts engine.
+    # 0.33-0.44 s; with closure counts carried through the numbering,
+    # 0.24-0.38 s against 0.25-0.45 s before it, interleaved on a loaded
+    # 2-core machine.  The value was pinned from the table-of-counts engine.
     word = BraidWord(10, (
         6, 4, -9, -8, 1, 2, -2, -1, -6, 7, -6, -7, 6, 9, -5, -3, -1, -6, -7, 7,
         -2, -9, -7, -7, -9, 4, 1, 7, -3, -4, 8, -9, -9, -5, -7, -4, -5, 1, 8, -6,
@@ -522,7 +524,7 @@ def test_poke_composition_locks_the_convention():
     assert set(table) == {identity, cupcap}
 
     def closed(m):
-        packed = table[m] << (table.width * table.beta * _close_trace(m, word.strands))
+        packed = table[m] << (table.width * table.beta * state_oracle.close_trace(m, word.strands))
         return _unpack(packed, len(word.letters), table.width, table.k_a, table.beta)
 
     assert closed(identity) == parse_poly("+a*b*d^2")
@@ -539,7 +541,7 @@ def state_paths(word: BraidWord):
             j += cup == (letter > 0)  # a positive letter's B-smoothing is its cup-cap
             if cup:
                 i = abs(letter)
-                m, split = _apply_cupcap(m, n + i - 1, n + i)
+                m, split = state_oracle.apply_cupcap(m, n + i - 1, n + i)
                 k += split
         yield m, j, k
 
@@ -575,6 +577,29 @@ def test_tl_equals_naive_on_negative_heavy_words(word):
     assert tl_evaluate(word) == bracket3_raw(closure(word))
 
 
+def doubled_letters(word: BraidWord) -> BraidWord:
+    """Each letter twice: the second cup-cap of a pair splits a circle off."""
+    return BraidWord(word.strands, tuple(letter for letter in word.letters for _ in range(2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    braid_words(max_strands=9, max_letters=14),
+    negative_heavy_words(max_strands=9),
+    braid_words(max_strands=9, max_letters=7).map(doubled_letters),
+))
+@example(BraidWord(1, ()))
+@example(BraidWord(9, ()))
+@example(BraidWord(3, (1, 1, -2, -2, 1, -1)))
+def test_carried_closure_counts_equal_the_closure_walk(word):
+    # the saddle rule's count for each numbered matching, in the table's key
+    # order, against a walk over all 2n points of its closure
+    matchings, _, closures, _ = _number_matchings(word)
+    table = tl_transfer(word)
+    assert list(table) == matchings
+    assert table.closures == closures == [state_oracle.close_trace(m, word.strands) for m in matchings]
+
+
 def test_tl_transfer_is_called_once_per_evaluation(monkeypatch):
     # the traced benchmark counts calls of the module attribute and reads the
     # result's length as the number of matchings carried
@@ -593,6 +618,7 @@ def test_tl_transfer_is_called_once_per_evaluation(monkeypatch):
         tl_evaluate(word)
         raw_bracket(word, "tl")
         assert lengths == [distinct, distinct], text
+        assert len(_number_matchings(word)[0]) == distinct, text
 
 
 def test_raw_bracket_engine_dispatch(corpus):
