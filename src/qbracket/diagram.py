@@ -61,11 +61,17 @@ class BraidWord:
 
 
 def parse_braid(text: str) -> BraidWord:
-    """Parse ``braid:<n>:<comma-separated letters>`` (letters may be empty)."""
+    """Parse ``braid:<n>:<comma-separated letters>`` (letters may be empty).
+
+    The strand count and the letters are integers in ASCII digits: ``int``
+    alone would also read other scripts' digits and ``_`` separators, which
+    would give one braid word two texts."""
     s = text.strip()
     parts = s.split(":")
     if len(parts) != 3 or parts[0] != "braid":
         raise DiagramError(f"expected 'braid:<n>:<letters>', got {text!r}")
+    if not s.isascii() or "_" in s:
+        raise DiagramError(f"{text!r}: the strand count and letters take ASCII digits only")
     try:
         strands = int(parts[1])
     except ValueError:

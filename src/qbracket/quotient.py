@@ -10,11 +10,12 @@ and d (disjoint circle):
 Everything here lives modulo the ideal I generated by those two polynomials.
 The module carries a Groebner basis for I under lex a > b > d, the normal
 form map that picks the canonical coset representative (Horner's rule in a
-modulo the basis factor quadratic in a, then two folds by the factors with
-d^2 - 1, without division), the 34 solution branches of the variety
-rel1 = rel2 = 0 (stored as their catalogued text, one label appearing twice,
-and read exactly by :func:`parse_exact`, a map over the package's one value
-reader, :func:`.multipoly.read_terms`), their exact verification and
+modulo the basis factor quadratic in a, with every multiple of d^2 - 1 sent
+to the classical curve and lifted back once, without division), the 34
+solution branches of the variety rel1 = rel2 = 0 (stored as their
+catalogued text, one label appearing twice, and read exactly by
+:func:`parse_exact`, a map over the package's one value reader,
+:func:`.multipoly.read_terms`), their exact verification and
 component labels, and the specialization b -> 1/a, d -> -a^-2 - a^2 that
 recovers the classical one-variable bracket.
 
@@ -67,18 +68,28 @@ def normal_form(p: Polynomial) -> Polynomial:
     The basis is d*(G1, G2, G3) (``test_groebner_basis_factors``), so
     I = d*J with J = <G1, G2, G3>.  With p = p0 + d*q and p0 d-free, p0 is
     normal, and the result is p0 + d*r for any r = q mod J with no monomial
-    divisible by b^4*d^2, a*d^2 or a^2.  r is built from the a-slices
-    q_i(b, d) of q, without division:
+    divisible by b^4*d^2, a*d^2 or a^2.
+
+    J is the intersection of Jc, J+ and J- (README, "What the invariant
+    is"), and e = d^2 - 1 vanishes on both line pairs, so e*Jc lies in J
+    (``test_e_times_the_curve_lies_in_the_ideal``): e*y is fixed modulo J
+    by the image of y on the classical curve, Z[a, b, d]/Jc = Z[a, 1/a]
+    with b = 1/a and d = -a^2 - a^-2.  r is built without division, and no
+    d-power above 1 is ever multiplied:
 
     - Horner in a modulo G3 = a^2 + 2abd + b^2 - d, monic in a: from the top
-      slice down, r1*a + r0 <- (r0 - 2bd*r1)*a + (d - b^2)*r1 + q_i.
-    - Fold r1 by G2 = (d^2 - 1)(a + b^3 + bd): d^2 - 1 divides
-      d^k - d^(k mod 2), so a*b^j*(d^k - d^(k mod 2)) moves to r0 as
-      -(b^3 + bd)*b^j*(d^k - d^(k mod 2)).
-    - Fold r0 likewise by G1 = (d^2 - 1)(b^4 + b^2*d + 1): each b^j*d^k with
-      j >= 4 keeps b^j*d^(k mod 2), and the multiple of d^2 - 1 it leaves is
-      reduced by b^4 -> -b^2*d - 1, column by column from the top b-power
-      down to b^4, over every column the walk reaches.
+      a-slice q_i of q down, r1*a + r0 <- (r0 - 2bd*r1)*a + (d - b^2)*r1 + q_i.
+      A term c*b^j*d of r1 makes -2c*a*b^(j+1)*d^2 + c*b^j*d^2.  Each d^2 is
+      1 + e; the 1 stays, and the two e-parts, times the a^i still to come,
+      are e*(-c)*a^(i-j) on the curve.
+    - An input term c*a^i*b^j*d^(k+1), k >= 2, that is not already normal
+      (one with i = 0 and j <= 3 is) keeps d^(k mod 2) in place of d^k; the
+      rest, c*a^i*b^j*(d^k - d^(k mod 2)) in q, is an e-multiple.
+    - The e-multiples' image on the curve, sum_n a^n*N_n(d), is lifted once
+      (:func:`_lift`) to the one sum_j b^j*P_j(d), j <= 3, with that image.
+      The lift is Z[d]-linear, so it is e times the lift of the image of
+      (e-multiples)/e, and differs from the e-multiples by an element of
+      e*Jc.
 
     Every term of r is then a*b^j*d^(<=1), b^j*d^(<=1) or b^(<=3)*d^k, so
     p0 + d*r is normal, and a Groebner remainder is the one normal element
@@ -86,46 +97,82 @@ def normal_form(p: Polynomial) -> Polynomial:
     """
     out: dict[tuple[int, int, int], int] = {m: c for m, c in p.terms.items() if not m[2]}
     slices: dict[int, dict[tuple[int, int], int]] = {}
+    curve: dict[int, dict[int, int]] = {}  # the e-multiples on the curve: a-power -> d-power -> coefficient
+    kept = []
     for (i, j, k), c in p.terms.items():
-        if k:
+        if k > 2 and (i or j > 3):
+            k0 = (k - 1) & 1
+            col = curve.setdefault(i - j, {})
+            col[k - 1] = col.get(k - 1, 0) + c
+            col[k0] = col.get(k0, 0) - c
+            kept.append((i, j, k0, c))
+        elif k:
             slices.setdefault(i, {})[j, k - 1] = c
+    for i, j, k, c in kept:  # after the loop, as two input terms may keep the same monomial
+        row = slices.setdefault(i, {})
+        row[j, k] = row.get((j, k), 0) + c
+    e: dict[int, int] = {}  # the pass's e-parts: a-power -> coefficient of e
     r1: dict[tuple[int, int], int] = {}  # r = r1*a + r0 over (b, d) exponents
     r0: dict[tuple[int, int], int] = {}
     for i in range(max(slices, default=-1), -1, -1):
         last, r1, r0 = r1, r0, slices.get(i, {})
         get1, get0 = r1.get, r0.get
         for (j, k), c in last.items():
-            m1, m0, m2 = (j + 1, k + 1), (j, k + 1), (j + 2, k)
+            if k:
+                e[i - j] = e.get(i - j, 0) - c
+            m1, m0, m2 = (j + 1, 1 - k), (j, 1 - k), (j + 2, k)
             r1[m1] = get1(m1, 0) - 2 * c
             r0[m0] = get0(m0, 0) + c
             r0[m2] = get0(m2, 0) - c
-    get, get0 = out.get, r0.get
     for (j, k), c in r1.items():
-        k0 = k & 1
-        out[1, j, k0 + 1] = get((1, j, k0 + 1), 0) + c
-        if k != k0:
-            m1, m2, m3, m4 = (j + 3, k), (j + 3, k0), (j + 1, k + 1), (j + 1, k0 + 1)
-            r0[m1] = get0(m1, 0) - c
-            r0[m2] = get0(m2, 0) + c
-            r0[m3] = get0(m3, 0) - c
-            r0[m4] = get0(m4, 0) + c
-    cols: dict[int, dict[int, int]] = {}
+        out[1, j, k + 1] = c
     for (j, k), c in r0.items():
-        k0 = k if j < 4 else k & 1
-        out[0, j, k0 + 1] = get((0, j, k0 + 1), 0) + c
-        if k != k0:
-            col = cols.setdefault(j, {})
-            col[k] = col.get(k, 0) + c
-            col[k0] = col.get(k0, 0) - c
-    for j in range(max(cols, default=0), 3, -1):
-        col, col2, col4 = cols.pop(j, {}), cols.setdefault(j - 2, {}), cols.setdefault(j - 4, {})
-        for k, c in col.items():
-            col2[k + 1] = col2.get(k + 1, 0) - c
-            col4[k] = col4.get(k, 0) - c
-    for j, col in cols.items():
-        for k, c in col.items():
+        out[0, j, k + 1] = c
+    for n, c in e.items():
+        col = curve.setdefault(n, {})
+        col[2] = col.get(2, 0) + c
+        col[0] = col.get(0, 0) - c
+    if curve:
+        get = out.get
+        for (j, k), c in _lift(curve).items():
             out[0, j, k + 1] = get((0, j, k + 1), 0) + c
     return Polynomial._from_clean({m: c for m, c in out.items() if c})
+
+
+def _lift(curve: dict[int, dict[int, int]]) -> dict[tuple[int, int], int]:
+    """The one sum_j b^j*P_j(d), j <= 3, whose image on the classical curve
+    is sum_n a^n*N_n(-a^2 - a^-2), for ``curve`` = {n: {k: coefficient of
+    d^k in N_n}}, as {(j, k): coefficient of b^j*d^k}.
+
+    On the curve, Z[a, 1/a] is free over Z[d] on 1, b, b^2, b^3 (b = 1/a),
+    with a^4 + d*a^2 + 1 = 0.  The sum is Horner's rule in a over n >= 0 and
+    in b over n < 0, and a or b moves the four coefficients round with one
+    shift in d: a*(P0, P1, P2, P3) = (P1, P2 - d*P0, P3, -P0), as
+    a = -d*b - b^3, and b*(P0, P1, P2, P3) = (-P3, P0, P1 - d*P3, P2), as
+    b^4 = -d*b^2 - 1.
+    """
+    p0: dict[int, int] = {}
+    p1: dict[int, int] = {}
+    p2: dict[int, int] = {}
+    p3: dict[int, int] = {}
+    for n in range(max(curve), -1, -1):  # ((N_top*a + ...)*a + N_1)*a + N_0
+        for k, c in p0.items():
+            p2[k + 1] = p2.get(k + 1, 0) - c
+        p0, p1, p2, p3 = p1, p2, p3, {k: -c for k, c in p0.items()}
+        for k, c in curve.get(n, {}).items():
+            p0[k] = p0.get(k, 0) + c
+    lifted = {(j, k): c for j, pj in enumerate((p0, p1, p2, p3)) for k, c in pj.items()}
+    p0, p1, p2, p3 = {}, {}, {}, {}
+    for n in range(min(curve), 0):  # ((N_bottom*b + ...)*b + N_-1)*b
+        for k, c in curve.get(n, {}).items():
+            p0[k] = p0.get(k, 0) + c
+        for k, c in p3.items():
+            p1[k + 1] = p1.get(k + 1, 0) - c
+        p0, p1, p2, p3 = {k: -c for k, c in p3.items()}, p0, p1, p2
+    for j, pj in enumerate((p0, p1, p2, p3)):
+        for k, c in pj.items():
+            lifted[j, k] = lifted.get((j, k), 0) + c
+    return lifted
 
 
 def is_normal(p: Polynomial) -> bool:

@@ -435,6 +435,14 @@ def test_bad_input_exits_1(capsys):
             assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("text", ["braid:2:\u0661", "braid:2:1_0", "braid:\u0662:1", "braid:1_0:"])
+def test_braid_digits_outside_ascii_exit_1_with_one_error_line(capsys, text):
+    for command in ("bracket", "bracket3"):
+        code, out, err = run(capsys, command, text)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and "ASCII digits" in err
+
+
 def test_missing_table_exits_1(capsys):
     code, _, err = run(capsys, "search", "--table", "/nonexistent.tsv")
     assert code == 1

@@ -67,6 +67,18 @@ def test_parse_braid_rejects_zero_letter_and_bad_counts():
         parse_braid("bride:2:1")
 
 
+@pytest.mark.parametrize("text", ["braid:2:\u0661", "braid:2:1_0", "braid:3:1,-\u0662", "braid:\u0662:1", "braid:1_0:1"])
+def test_parse_braid_reads_ascii_digits_only(text):
+    # int() alone reads Arabic-Indic digits and underscore separators, so one
+    # word had two texts and two cache keys
+    with pytest.raises(DiagramError, match="ASCII digits"):
+        parse_braid(text)
+
+
+def test_parse_braid_keeps_signs_and_spaces_around_letters():
+    assert parse_braid("braid:+3: +1 , -2").letters == (1, -2)
+
+
 def test_writhe_is_letter_sign_sum():
     assert parse_braid("braid:2:1,1,1").writhe == 3
     assert parse_braid("braid:2:1,-1").writhe == 0

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import state_oracle
-from qbracket.bracket3 import tl_evaluate
+from qbracket.bracket3 import CURL_MINUS, tl_evaluate
 from qbracket.classical import CIRCLE, LaurentPolynomial
 from qbracket.diagram import BraidWord
 from qbracket.multipoly import Polynomial, parse_poly, remainder
 from qbracket.quotient import (
     BRANCHES,
+    COMPONENTS,
     GROEBNER_BASIS,
     IDEAL_GENERATORS,
     BranchCheck,
@@ -25,6 +26,7 @@ from qbracket.quotient import (
     verify_all_branches,
     verify_branch,
     verify_groebner,
+    _lift,
 )
 
 P1, P2 = IDEAL_GENERATORS
@@ -36,6 +38,16 @@ monomials = st.tuples(
 )
 coefficients = st.integers(min_value=-20, max_value=20)
 polynomials = st.dictionaries(monomials, coefficients, max_size=5).map(Polynomial)
+#: Past exponent 5, where the pass makes d^2 and the lift runs.
+wide_polys = st.dictionaries(
+    st.tuples(
+        st.integers(min_value=0, max_value=14),
+        st.integers(min_value=0, max_value=10),
+        st.integers(min_value=0, max_value=12),
+    ),
+    coefficients,
+    max_size=6,
+).map(Polynomial)
 small_polys = st.dictionaries(
     st.tuples(
         st.integers(min_value=0, max_value=3),
@@ -103,8 +115,8 @@ def test_normal_form_has_no_reducible_monomial():
 
 
 @pytest.mark.parametrize("text", [
-    "+b^11*d^5",  # the b-walk reaches columns b^9 down to b^1, which the input lacks
-    "+a^30*d",  # Horner through 29 empty a-slices, then both folds
+    "+b^11*d^5",  # slice 0 past b^3: its d^2 - 1 multiple is lifted back from a^-11
+    "+a^30*d",  # Horner through 29 empty a-slices, then the lift
     "+a^9*b^7",  # d-free, so already normal
     "+a^7*b*d^4 -3*a^4*d^6 +a*b^5*d^3 +2*b^6*d^4 -a^2",  # gaps between a-slices
     "0",
@@ -116,6 +128,62 @@ def test_normal_form_equals_remainder_at_the_fold_edges(text):
     assert is_normal(nf)
     if not any(k for (_, _, k) in p.terms):
         assert nf == p
+
+
+def test_e_times_the_curve_lies_in_the_ideal():
+    # the certificate normal_form rests on: e*Jc lies in J, e = d^2 - 1, so
+    # d*e times each generator of the classical curve reduces to zero
+    d = Polynomial.variable("d")
+    for g in dict(COMPONENTS)["Jc"]:
+        assert remainder(d * (d**2 - 1) * g, list(GROEBNER_BASIS)).is_zero, g
+
+
+#: {a-power: {d-power: coefficient}}: sum_n a^n*N_n(d) on the classical
+#: curve; with d-power 0 only, a Laurent polynomial in a
+curves = st.dictionaries(
+    st.integers(min_value=-40, max_value=40),
+    st.dictionaries(st.integers(min_value=0, max_value=6), coefficients, max_size=3),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(curves)
+def test_lift_specializes_back_on_the_curve(curve):
+    lifted = Polynomial({(0, j, k): c for (j, k), c in _lift(curve).items()})
+    assert all(j <= 3 for (_, j, _) in lifted.terms)
+    want = LaurentPolynomial()
+    for n, col in curve.items():
+        for k, c in col.items():
+            want = want + (CIRCLE**k).shift(n) * c
+    assert specialize_classical(lifted) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_polys)
+def test_normal_form_equals_remainder_on_wide_polynomials(p):
+    assert normal_form(p) == remainder(p, list(GROEBNER_BASIS))
+
+
+def _scan_padding_step() -> Polynomial:
+    nf = normal_form(tl_evaluate(BraidWord(2, (1,) * 7)))
+    assert any(j == 3 and k > 3 for (_, j, k) in nf.terms)  # b^3*d^k terms
+    return CURL_MINUS * nf
+
+
+WORD_8_22 = BraidWord(8, (-4, -1, -3, 7, 2, 7, -1, 6, -2, 4, -5, -6, -4, 1, 6, 5, 5, 3, -3, 1, -7, 2))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: tl_evaluate(WORD_8_22),
+    lambda: CURL_MINUS**2 * tl_evaluate(WORD_8_22),  # its writhe is 2
+    _scan_padding_step,
+    lambda: CURL_MINUS**14 * tl_evaluate(BraidWord(2, (1,) * 14)),
+], ids=["raw_8_strands_22_letters", "that_raw_sum_curl_padded", "scan_padding_step", "padded_torus_14"])
+def test_normal_form_equals_remainder_on_workload_shaped_inputs(build):
+    p = build()
+    assert normal_form(p) == remainder(p, list(GROEBNER_BASIS))
 
 
 def test_normal_form_of_torus_120_is_fast():
@@ -141,6 +209,20 @@ def test_normal_form_of_torus_200_is_fast():
     nf = normal_form(raw)
     elapsed = time.perf_counter() - start
     assert elapsed < 0.8, f"normal_form of the T(2,200) raw sum took {elapsed:.2f}s"
+    assert is_normal(nf)
+    assert specialize_classical(nf) == specialize_classical(raw)
+
+
+def test_normal_form_of_torus_400_is_fast():
+    # 401 raw terms up to a^400 and d^401: Horner in a and two folds took
+    # 4.4-5.6 s on a 2-core machine (Python 3.11), cubic in n, as its slices
+    # gained a d-power per a-step; the pass that sends each d^2 - 1 multiple
+    # to the classical curve and lifts it back once takes about 0.07-0.14 s
+    raw = tl_evaluate(BraidWord(2, (1,) * 400))
+    start = time.perf_counter()
+    nf = normal_form(raw)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"normal_form of the T(2,400) raw sum took {elapsed:.2f}s"
     assert is_normal(nf)
     assert specialize_classical(nf) == specialize_classical(raw)
 
