@@ -12,7 +12,8 @@ moves II and III; a first move multiplies the raw sum by a curl factor,
 exactly (their product is congruent to 1 on multiples of d, since
 d*((a*d + b)*(a + b*d) - 1) is the second ideal generator).  Padding with
 |w| opposite-sign curl factors before reducing therefore yields an invariant
-of the ambient isotopy class.
+of the ambient isotopy class; it is a function of f, read off the raw sum
+by one lift (:func:`.quotient.lift`) instead of |w| products and reductions.
 
 Two engines compute the same raw polynomial.  ``naive`` (:func:`bracket3_raw`)
 takes any planar diagram, one crossing at a time, merging the partial states
@@ -35,8 +36,8 @@ one circle splits it while a saddle across two circles merges them
 the tests; a per-state enumeration is the oracle.
 
 Every readout of a diagram is derived from its one raw sum: the normal form,
-the padded :func:`ambient_from_normal` of it, :func:`circle_variant`, and the
-classical bracket (:func:`.classical.bracket_from_raw`).
+the lifted :func:`ambient3`, :func:`circle_variant`, and the classical
+bracket (:func:`.classical.bracket_from_raw`).
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import itertools
 
 from .diagram import BraidWord, Diagram, Quad, closure, count_cycles, port_mates, writhe
 from .multipoly import Monomial, Polynomial, format_poly, parse_poly
-from .quotient import normal_form
+from .quotient import lift, normal_form
 
 #: Closed-diagram multiplier of one positive / negative curl on the raw sum.
 CURL_PLUS: Polynomial = parse_poly("+a*d +b")
@@ -188,24 +189,6 @@ def bracket3(d: Diagram) -> Polynomial:
     return normal_form(bracket3_raw(d))
 
 
-def ambient_from_normal(nf: Polynomial, w: int) -> Polynomial:
-    """Ambient-isotopy invariant of a writhe-w diagram from ``nf``, the normal
-    form of its raw sum.
-
-    The value is the normal form of CURL_MINUS^w times the raw sum for w > 0
-    (CURL_PLUS^-w for w < 0), exactly the effect of normalizing the writhe to
-    zero with opposite-sign curls.  Normal form is a ring map onto the
-    quotient, so the raw sum is reduced first and again after each curl
-    factor: every product stays a small multiple of a normal form, instead
-    of one |w|-fold product reduced at the end.
-    """
-    factor = CURL_MINUS if w > 0 else CURL_PLUS
-    amb = nf
-    for _ in range(abs(w)):
-        amb = normal_form(factor * amb)
-    return amb
-
-
 def circle_variant(amb: Polynomial, w: int) -> Polynomial:
     """Variant normalization whose curl factors keep their circle: d*(a*d+b)
     and d*(a+b*d).  Normal form is a ring map onto the quotient, so this is
@@ -220,8 +203,8 @@ def circle_variant(amb: Polynomial, w: int) -> Polynomial:
 
 
 def ambient3(d: Diagram) -> Polynomial:
-    """:func:`ambient_from_normal` of the naive raw sum."""
-    return ambient_from_normal(normal_form(bracket3_raw(d)), writhe(d))
+    """The ambient-isotopy invariant, lifted from the naive raw sum."""
+    return lift(bracket3_raw(d), writhe(d))
 
 
 def ambient3_with_circle_factors(d: Diagram) -> Polynomial:

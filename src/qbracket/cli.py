@@ -21,7 +21,6 @@ from .bracket3 import (
     CONVENTION,
     TL_STRAND_CAP,
     CapacityError,
-    ambient_from_normal,
     bracket3_raw,
     circle_variant,
     tl_evaluate,
@@ -29,7 +28,7 @@ from .bracket3 import (
 from .classical import bracket_from_raw, format_laurent, writhe_normalize
 from .diagram import DiagramError, conjugate, parse_braid, rewrite_moves
 from .multipoly import TermLimitError, format_poly
-from .quotient import normal_form, verify_all_branches, verify_groebner
+from .quotient import lift, normal_form, verify_all_branches, verify_groebner
 from .search import (
     RecordCache,
     bundled_table_path,
@@ -131,15 +130,14 @@ def cmd_bracket3(args: argparse.Namespace) -> int:
     entry = parse_presentation(args.input)
     raw = bracket3_raw(entry.diagram)
     w = entry.writhe
-    nf = normal_form(raw)
-    amb = ambient_from_normal(nf, w)
+    amb = lift(raw, w)
     payload = {
         "input": entry.presentation,
         "engine": "naive",
         "convention": CONVENTION,
         "writhe": w,
         "raw": format_poly(raw),
-        "normal_form": format_poly(nf),
+        "normal_form": format_poly(normal_form(raw)),
         "ambient3": format_poly(amb),
         "ambient3_circle_variant": format_poly(circle_variant(amb, w)),
     }

@@ -243,6 +243,8 @@ def parse_pd(text: str) -> Diagram:
     m = _PD_SHELL.match(s)
     if not m:
         raise DiagramError(f"expected 'PD[...]', got {text!r}")
+    if not s.isascii():  # \d alone also reads other scripts' digits
+        raise DiagramError(f"{text!r}: the arc labels take ASCII digits only")
     body = m.group(1)
     crossings: list[Quad] = []
     free = 0

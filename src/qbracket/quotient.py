@@ -11,7 +11,8 @@ Everything here lives modulo the ideal I generated by those two polynomials.
 The module carries a Groebner basis for I under lex a > b > d, the normal
 form map that picks the canonical coset representative (Horner's rule in a
 modulo the basis factor quadratic in a, with every multiple of d^2 - 1 sent
-to the classical curve and lifted back once, without division), the 34
+to the classical curve and lifted back once, without division), the same
+lift of a raw sum to ``ambient3`` (:func:`lift`), the 34
 solution branches of the variety rel1 = rel2 = 0 (stored as their
 catalogued text, one label appearing twice, and read exactly by
 :func:`parse_exact`, a map over the package's one value reader,
@@ -139,6 +140,20 @@ def normal_form(p: Polynomial) -> Polynomial:
     return Polynomial._from_clean({m: c for m, c in out.items() if c})
 
 
+def lift(raw: Polynomial, w: int) -> Polynomial:
+    """``ambient3`` of a writhe-w diagram from its raw sum: d*sum_j b^j*P_j(d),
+    j <= 3, the normal form whose classical fold is the f-invariant (README,
+    "What the invariant is").  A raw term c*a^i*b^j*d^k folds to
+    (-1)^w*c*a^(i-j-3w) times k - 1 circle factors, kept here as d^(k-1):
+    :func:`_lift` is Z[d]-linear, so no power of the circle factor is built."""
+    sign = -1 if w % 2 else 1
+    curve: dict[int, dict[int, int]] = {}
+    for (i, j, k), c in raw:
+        col = curve.setdefault(i - j - 3 * w, {})
+        col[k - 1] = col.get(k - 1, 0) + sign * c
+    return Polynomial._from_clean({(0, j, k + 1): c for (j, k), c in _lift(curve).items() if c})
+
+
 def _lift(curve: dict[int, dict[int, int]]) -> dict[tuple[int, int], int]:
     """The one sum_j b^j*P_j(d), j <= 3, whose image on the classical curve
     is sum_n a^n*N_n(-a^2 - a^-2), for ``curve`` = {n: {k: coefficient of
@@ -155,7 +170,7 @@ def _lift(curve: dict[int, dict[int, int]]) -> dict[tuple[int, int], int]:
     p1: dict[int, int] = {}
     p2: dict[int, int] = {}
     p3: dict[int, int] = {}
-    for n in range(max(curve), -1, -1):  # ((N_top*a + ...)*a + N_1)*a + N_0
+    for n in range(max(curve, default=-1), -1, -1):  # ((N_top*a + ...)*a + N_1)*a + N_0
         for k, c in p0.items():
             p2[k + 1] = p2.get(k + 1, 0) - c
         p0, p1, p2, p3 = p1, p2, p3, {k: -c for k, c in p0.items()}
@@ -163,7 +178,7 @@ def _lift(curve: dict[int, dict[int, int]]) -> dict[tuple[int, int], int]:
             p0[k] = p0.get(k, 0) + c
     lifted = {(j, k): c for j, pj in enumerate((p0, p1, p2, p3)) for k, c in pj.items()}
     p0, p1, p2, p3 = {}, {}, {}, {}
-    for n in range(min(curve), 0):  # ((N_bottom*b + ...)*b + N_-1)*b
+    for n in range(min(curve, default=0), 0):  # ((N_bottom*b + ...)*b + N_-1)*b
         for k, c in curve.get(n, {}).items():
             p0[k] = p0.get(k, 0) + c
         for k, c in p3.items():

@@ -7,7 +7,9 @@ the paper asks for -- equal f, different ``ambient3`` -- do not exist:
 ``ambient3`` is a function of f (see the README, "What the invariant is",
 and its certificate in the tests).  So the scan is a consistency check: a
 pair is SAME when its ``ambient3`` texts match, and a difference is an
-implementation fault, reported as ENGINE_MISMATCH.
+implementation fault, reported as ENGINE_MISMATCH.  A record's ``ambient3``
+is lifted from the raw sum its f is folded from (:func:`.quotient.lift`),
+so a cold search reports none; only a cache line can.
 """
 
 from __future__ import annotations
@@ -19,11 +21,11 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .bracket3 import CONVENTION, ambient_from_normal, raw_bracket
+from .bracket3 import CONVENTION, raw_bracket
 from .classical import bracket_from_raw, format_laurent, writhe_normalize
 from .diagram import BraidWord, Diagram, DiagramError, closure, parse_braid, parse_pd, writhe
 from .multipoly import format_poly
-from .quotient import normal_form
+from .quotient import lift
 
 
 @dataclass(frozen=True)
@@ -152,9 +154,8 @@ def compute_record(entry: TableEntry, engine: str = "naive") -> InvariantRecord:
     raw = raw_bracket(entry.diagram if used == "naive" else entry.word, used)
     w = entry.writhe
     f_text = format_laurent(writhe_normalize(bracket_from_raw(raw), w))
-    amb = ambient_from_normal(normal_form(raw), w)
     return InvariantRecord(
-        entry.name, entry.presentation, w, f_text, format_poly(amb), used, fingerprint()
+        entry.name, entry.presentation, w, f_text, format_poly(lift(raw, w)), used, fingerprint()
     )
 
 

@@ -9,15 +9,21 @@ the port graph (:func:`resolve_state_walk`).  The smoothing convention is
 the library's: for ``X(a,b,c,d)`` the A-smoothing joins a-b and c-d and the
 B-smoothing joins a-d and b-c.
 
+The ambient invariant has its definition as an oracle:
+:func:`ambient_from_normal` pads the normal form with one curl factor per
+unit of writhe and reduces after each, where the library lifts f once.
+
 The transfer pass's matchings have their own oracles: :func:`apply_cupcap`
 composes one matching with one cup-cap, and :func:`close_trace` counts the
 circles of a matching's closure by walking every point, where the library
 carries the count along the cup-caps that numbered the matching.
 """
 
-from qbracket.bracket3 import CapacityError, Matching
+from qbracket.bracket3 import CURL_MINUS, CURL_PLUS, CapacityError, Matching
 from qbracket.classical import LaurentPolynomial, circle_power
 from qbracket.diagram import Diagram, Quad, writhe
+from qbracket.multipoly import Polynomial
+from qbracket.quotient import normal_form
 
 State = tuple[int, ...]  # 0 = A-smoothing, 1 = B-smoothing, one per crossing
 
@@ -150,6 +156,24 @@ def bracket_from_raw_per_term(raw) -> LaurentPolynomial:
     for (i, j, k), coeff in raw.terms.items():
         total = total + circle_power(k - 1).shift(i - j) * coeff
     return total
+
+
+def ambient_from_normal(nf: Polynomial, w: int) -> Polynomial:
+    """Ambient-isotopy invariant of a writhe-w diagram from ``nf``, the normal
+    form of its raw sum, by the definition (Kauffman, Topology 26 (1987)).
+
+    The value is the normal form of CURL_MINUS^w times the raw sum for w > 0
+    (CURL_PLUS^-w for w < 0), exactly the effect of normalizing the writhe to
+    zero with opposite-sign curls.  Normal form is a ring map onto the
+    quotient, so the raw sum is reduced first and again after each curl
+    factor: every product stays a small multiple of a normal form, instead
+    of one |w|-fold product reduced at the end.
+    """
+    factor = CURL_MINUS if w > 0 else CURL_PLUS
+    amb = nf
+    for _ in range(abs(w)):
+        amb = normal_form(factor * amb)
+    return amb
 
 
 def apply_cupcap(m: Matching, u: int, v: int) -> tuple[Matching, bool]:

@@ -1,7 +1,10 @@
 """Three-variable bracket: state sum, normal form, curl algebra, engines."""
 
+import contextlib
 import hashlib
+import io
 import itertools
+import json
 import random
 import time
 
@@ -10,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import qbracket.bracket3 as bracket3_module
 import state_oracle
-from conftest import every_arrangement, pd_codes
+from conftest import every_arrangement, pd_code, pd_codes
 from qbracket.bracket3 import (
     CURL_MINUS,
     CURL_PLUS,
@@ -19,7 +22,6 @@ from qbracket.bracket3 import (
     CapacityError,
     ambient3,
     ambient3_with_circle_factors,
-    ambient_from_normal,
     bracket3,
     bracket3_raw,
     circle_variant,
@@ -49,7 +51,7 @@ from qbracket.diagram import (
 )
 from qbracket.multipoly import Polynomial, format_poly, parse_poly
 from qbracket.quotient import is_normal, normal_form, specialize_classical
-from qbracket.search import bundled_table_path, load_table
+from qbracket.search import bundled_table_path, compute_record, load_table, parse_presentation
 
 
 @st.composite
@@ -724,7 +726,7 @@ def test_circle_variant_is_normal_without_reduction_on_every_table_entry(monkeyp
         words = [] if e.word is None else [e.word, mirror_word(e.word)]
         raws = [(tl_evaluate(w), writhe(closure(w))) for w in words] or [(bracket3_raw(e.diagram), e.writhe)]
         for raw, w in raws:
-            amb = ambient_from_normal(normal_form(raw), w)
+            amb = state_oracle.ambient_from_normal(normal_form(raw), w)
             cases.append((e.name, amb, w, normal_form(DELTA ** abs(w) * amb)))
 
     def forbidden(p):
@@ -733,6 +735,80 @@ def test_circle_variant_is_normal_without_reduction_on_every_table_entry(monkeyp
     monkeypatch.setattr(bracket3_module, "normal_form", forbidden)
     for name, amb, w, expected in cases:
         assert circle_variant(amb, w) == expected, name
+
+
+# -- ambient3 against its definition --------------------------------------------------------
+
+def production_ambient3(text: str) -> set[str]:
+    """ambient3 of one presentation as each production path lifts it:
+    :func:`ambient3`, the search record through each engine that takes the
+    input, and the ``bracket3`` command."""
+    entry = parse_presentation(text)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["bracket3", text, "--json"]) == 0
+    values = {format_poly(ambient3(entry.diagram)), compute_record(entry).ambient3_text,
+              json.loads(out.getvalue())["ambient3"]}
+    if entry.word is not None:
+        values.add(compute_record(entry, "tl").ambient3_text)
+    return values
+
+
+def assert_ambient3_is_the_padded_normal_form(text: str) -> None:
+    """Every production ambient3 is the definition: the normal form padded
+    with one opposite-sign curl factor per unit of writhe."""
+    entry = parse_presentation(text)
+    padded = state_oracle.ambient_from_normal(normal_form(bracket3_raw(entry.diagram)), entry.writhe)
+    assert production_ambient3(text) == {format_poly(padded)}, text
+
+
+@settings(max_examples=40, deadline=None)
+@given(braid_words(max_strands=5, max_letters=10))
+@example(BraidWord(2, ()))
+@example(BraidWord(3, (1, 1, -2)))
+@example(BraidWord(12, (1, 1, -5, 11)))  # eight free circles
+def test_ambient3_is_the_padded_normal_form_on_braids_and_mirrors(word):
+    # untouched strands are free circles
+    for w in (word, mirror_word(word)):
+        assert_ambient3_is_the_padded_normal_form(w.text)
+
+
+@st.composite
+def split_pd_texts(draw) -> str:
+    """PD text of one or two shuffled, relabelled closures side by side, the
+    second one's labels past the first one's, with up to two more free
+    circles beyond their untouched strands."""
+    crossings: list = []
+    loops = draw(st.integers(min_value=0, max_value=2))
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        _, d = draw(pd_codes(max_strands=4, max_letters=7))
+        offset = 2 * len(crossings)
+        crossings += [tuple(label + offset for label in quad) for quad in d.crossings]
+        loops += d.free_loops
+    return pd_code(tuple(crossings))[:-1] + ",O" * loops + "]"
+
+
+@settings(max_examples=40, deadline=None)
+@given(split_pd_texts())
+@example("PD[X(1,5,2,4),X(3,1,4,6),X(5,3,6,2),O]")
+@example("PD[X(1,1,2,2),X(3,4,4,3),O,O]")
+def test_ambient3_is_the_padded_normal_form_on_pd_codes_with_free_loops_and_split_pieces(text):
+    assert_ambient3_is_the_padded_normal_form(text)
+
+
+def test_ambient3_is_the_padded_normal_form_on_every_table_entry_and_mirror():
+    entries = load_table(bundled_table_path()).entries
+    assert any(e.word is None for e in entries)  # PD entries are covered
+    for e in entries:
+        assert_ambient3_is_the_padded_normal_form(e.presentation)
+        if e.word is not None:
+            assert_ambient3_is_the_padded_normal_form(mirror_word(e.word).text)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 127, 200])
+def test_ambient3_is_the_padded_normal_form_on_two_strand_torus_links(n):
+    for letter in ("1", "-1"):
+        assert_ambient3_is_the_padded_normal_form("braid:2:" + ",".join([letter] * n))
 
 
 # -- specialization bridge ------------------------------------------------------------------
@@ -796,7 +872,7 @@ def test_padded_torus_30_normal_form_is_fast():
     # step per term took 16-21 ms, Horner in a and two folds 8-9 ms
     raw = tl_evaluate(parse_braid("braid:2:" + ",".join(["1"] * 30)))
     start = time.perf_counter()
-    amb = ambient_from_normal(normal_form(raw), 30)
+    amb = state_oracle.ambient_from_normal(normal_form(raw), 30)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"padded T(2,30) normal form took {elapsed:.2f}s"
     assert is_normal(amb)
@@ -810,7 +886,7 @@ def test_padded_torus_60_reduces_per_curl_factor_fast():
     # 0.12-0.20 s and 0.45-0.76 s with the heap-ordered remainder loop)
     raw = tl_evaluate(parse_braid("braid:2:" + ",".join(["1"] * 60)))
     start = time.perf_counter()
-    amb = ambient_from_normal(normal_form(raw), 60)
+    amb = state_oracle.ambient_from_normal(normal_form(raw), 60)
     elapsed = time.perf_counter() - start
     assert elapsed < 2.0, f"padded T(2,60) normal form took {elapsed:.2f}s"
     start = time.perf_counter()

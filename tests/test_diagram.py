@@ -181,6 +181,9 @@ def test_parse_pd_rejects_bad_labels_and_syntax():
     # the trefoil with labels 1 and 2 swapped: orientable, but labels drop twice
     with pytest.raises(DiagramError, match="do not increase"):
         parse_pd("PD[X(2,4,1,5),X(3,6,4,2),X(5,1,6,3)]")
+    # \d alone reads an Arabic-Indic one as the trefoil's arc 1
+    with pytest.raises(DiagramError, match="ASCII digits"):
+        parse_pd("PD[X(\u0661,5,2,4),X(3,1,4,6),X(5,3,6,2)]")
 
 
 def test_parse_pd_refuses_a_code_that_only_a_torus_can_hold():

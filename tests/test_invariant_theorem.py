@@ -15,7 +15,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qbracket.bracket3 import ambient3, ambient_from_normal, bracket3_raw, tl_evaluate
+from qbracket.bracket3 import ambient3, bracket3_raw, tl_evaluate
 from qbracket.classical import LaurentPolynomial, bracket_from_raw, parse_laurent, writhe_normalize
 from qbracket.diagram import BraidWord, closure, writhe
 from qbracket.multipoly import Polynomial, buchberger, format_poly, reduce_basis, remainder
@@ -95,7 +95,7 @@ def test_from_classical_rebuilds_ambient3_on_every_table_entry():
     for e in entries:
         raw = tl_evaluate(e.word) if e.word is not None else bracket3_raw(e.diagram)
         w = writhe(e.diagram)
-        amb = ambient_from_normal(normal_form(raw), w)
+        amb = state_oracle.ambient_from_normal(normal_form(raw), w)
         assert from_classical(writhe_normalize(bracket_from_raw(raw), w)) == amb, e.name
 
 
@@ -118,7 +118,7 @@ def test_three_strand_census_ambient3_is_a_function_of_f():
     for word in words:
         raw = tl_evaluate(word)
         w = writhe(closure(word))
-        amb = ambient_from_normal(normal_form(raw), w)
+        amb = state_oracle.ambient_from_normal(normal_form(raw), w)
         buckets.setdefault(writhe_normalize(bracket_from_raw(raw), w), set()).add(amb)
     assert (len(words), len(buckets)) == (550, 84)
     for f, values in buckets.items():

@@ -5,11 +5,11 @@ import hashlib
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import state_oracle
 from qbracket.bracket3 import CURL_MINUS, tl_evaluate
-from qbracket.classical import CIRCLE, LaurentPolynomial
+from qbracket.classical import CIRCLE, LaurentPolynomial, bracket_from_raw, writhe_normalize
 from qbracket.diagram import BraidWord
 from qbracket.multipoly import Polynomial, parse_poly, remainder
 from qbracket.quotient import (
@@ -20,6 +20,7 @@ from qbracket.quotient import (
     BranchCheck,
     distinct_branches,
     is_normal,
+    lift,
     normal_form,
     parse_exact,
     specialize_classical,
@@ -143,14 +144,14 @@ def test_e_times_the_curve_lies_in_the_ideal():
 curves = st.dictionaries(
     st.integers(min_value=-40, max_value=40),
     st.dictionaries(st.integers(min_value=0, max_value=6), coefficients, max_size=3),
-    min_size=1,
     max_size=8,
 )
 
 
 @settings(max_examples=200, deadline=None)
-@given(curves)
-def test_lift_specializes_back_on_the_curve(curve):
+@given(curves, st.integers(min_value=-4, max_value=4))
+@example({}, 0)
+def test_lift_specializes_back_on_the_curve(curve, w):
     lifted = Polynomial({(0, j, k): c for (j, k), c in _lift(curve).items()})
     assert all(j <= 3 for (_, j, _) in lifted.terms)
     want = LaurentPolynomial()
@@ -158,6 +159,14 @@ def test_lift_specializes_back_on_the_curve(curve):
         for k, c in col.items():
             want = want + (CIRCLE**k).shift(n) * c
     assert specialize_classical(lifted) == want
+    # the public lift reads the curve off a raw sum, a^n (b^-n for n < 0)
+    # times one circle more, and folds in the writhe
+    raw = Polynomial({(max(n, 0), max(-n, 0), k + 1): c for n, col in curve.items() for k, c in col.items()})
+    assert lift(raw, 0) == parse_poly("d") * lifted
+    amb = lift(raw, w)
+    assert all(i == 0 and j <= 3 and k >= 1 for i, j, k in amb.terms)
+    assert is_normal(amb)
+    assert bracket_from_raw(amb) == writhe_normalize(bracket_from_raw(raw), w)
 
 
 @settings(max_examples=200, deadline=None)

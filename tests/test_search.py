@@ -10,6 +10,7 @@ import pytest
 
 import qbracket.bracket3 as bracket3_module
 import qbracket.classical as classical
+import qbracket.quotient as quotient
 import qbracket.search as search
 from qbracket.cli import main
 from qbracket.diagram import closure, parse_braid, parse_pd, rewrite_moves, writhe
@@ -315,6 +316,20 @@ def test_naive_record_enumerates_once(monkeypatch):
     monkeypatch.setattr(classical, "kauffman_bracket", _forbid("kauffman_bracket"))
     compute_record(entry("fig8", "braid:3:1,-2,1,-2"), "naive")
     assert calls == [4]
+
+
+def test_record_takes_no_normal_form(monkeypatch):
+    # ambient3 is lifted from the raw sum, so no module reduces anything for a record
+    real, patched = quotient.normal_form, []
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qbracket") and getattr(module, "normal_form", None) is real:
+            monkeypatch.setattr(module, "normal_form", _forbid("normal_form"))
+            patched.append(name)
+    assert {"qbracket.quotient", "qbracket.bracket3", "qbracket.cli"} <= set(patched)
+    for text in ("braid:2:1,1,1", "braid:4:1,-2,3,-2,-2", "PD[X(1,5,2,4),X(3,1,4,6),X(5,3,6,2),O]"):
+        for engine in ("naive", "tl"):
+            rec = compute_record(entry("x", text), engine)
+            assert rec.ambient3_text.startswith(("+", "-")), text
 
 
 # -- bucketing -----------------------------------------------------------------------
