@@ -52,8 +52,6 @@ from .quotient import lift, normal_form
 CURL_PLUS: Polynomial = parse_poly("+a*d +b")
 CURL_MINUS: Polynomial = parse_poly("+a +b*d")
 
-DELTA: Polynomial = Polynomial.variable("d")
-
 #: Everything that pins the state-sum conventions, for cache keys and reports.
 CONVENTION = (
     "order:a>b>d;A(positive)=vertical;circles:d^k;"
@@ -199,7 +197,7 @@ def circle_variant(amb: Polynomial, w: int) -> Polynomial:
     (README, "Normalization variant"), and no such term times a power of d
     is divisible by a basis leading monomial b^4*d^3, a*d^3 or a^2*d.
     """
-    return DELTA ** abs(w) * amb
+    return amb.mul_term(1, (0, 0, abs(w)))
 
 
 def ambient3(d: Diagram) -> Polynomial:

@@ -83,9 +83,9 @@ def normal_form(p: Polynomial) -> Polynomial:
       A term c*b^j*d of r1 makes -2c*a*b^(j+1)*d^2 + c*b^j*d^2.  Each d^2 is
       1 + e; the 1 stays, and the two e-parts, times the a^i still to come,
       are e*(-c)*a^(i-j) on the curve.
-    - An input term c*a^i*b^j*d^(k+1), k >= 2, that is not already normal
-      (one with i = 0 and j <= 3 is) keeps d^(k mod 2) in place of d^k; the
-      rest, c*a^i*b^j*(d^k - d^(k mod 2)) in q, is an e-multiple.
+    - An input term c*a^i*b^j*d^(k+1), k >= 2, keeps d^(k mod 2) in place
+      of d^k in its a-slice; the rest, c*a^i*b^j*(d^k - d^(k mod 2)) in q,
+      is an e-multiple.
     - The e-multiples' image on the curve, sum_n a^n*N_n(d), is lifted once
       (:func:`_lift`) to the one sum_j b^j*P_j(d), j <= 3, with that image.
       The lift is Z[d]-linear, so it is e times the lift of the image of
@@ -96,20 +96,19 @@ def normal_form(p: Polynomial) -> Polynomial:
     p0 + d*r is normal, and a Groebner remainder is the one normal element
     of its coset: this is ``remainder(p, list(GROEBNER_BASIS))``.
     """
-    out: dict[tuple[int, int, int], int] = {m: c for m, c in p.terms.items() if not m[2]}
-    slices: dict[int, dict[tuple[int, int], int]] = {}
+    out: dict[tuple[int, int, int], int] = {}  # p0, then d*r
+    slices: dict[int, dict[tuple[int, int], int]] = {}  # q by a-power: (b-power, d-power) -> coefficient
     curve: dict[int, dict[int, int]] = {}  # the e-multiples on the curve: a-power -> d-power -> coefficient
-    kept = []
     for (i, j, k), c in p.terms.items():
-        if k > 2 and (i or j > 3):
-            k0 = (k - 1) & 1
+        if not k:
+            out[i, j, 0] = c
+            continue
+        k -= 1  # the term's power of d in q
+        if k > 1:  # d^k - d^(k mod 2) goes on the curve, d^(k mod 2) into the a-slice
             col = curve.setdefault(i - j, {})
-            col[k - 1] = col.get(k - 1, 0) + c
-            col[k0] = col.get(k0, 0) - c
-            kept.append((i, j, k0, c))
-        elif k:
-            slices.setdefault(i, {})[j, k - 1] = c
-    for i, j, k, c in kept:  # after the loop, as two input terms may keep the same monomial
+            col[k] = col.get(k, 0) + c
+            k &= 1
+            col[k] = col.get(k, 0) - c
         row = slices.setdefault(i, {})
         row[j, k] = row.get((j, k), 0) + c
     e: dict[int, int] = {}  # the pass's e-parts: a-power -> coefficient of e
@@ -133,10 +132,9 @@ def normal_form(p: Polynomial) -> Polynomial:
         col = curve.setdefault(n, {})
         col[2] = col.get(2, 0) + c
         col[0] = col.get(0, 0) - c
-    if curve:
-        get = out.get
-        for (j, k), c in _lift(curve).items():
-            out[0, j, k + 1] = get((0, j, k + 1), 0) + c
+    get = out.get
+    for (j, k), c in _lift(curve).items():
+        out[0, j, k + 1] = get((0, j, k + 1), 0) + c
     return Polynomial._from_clean({m: c for m, c in out.items() if c})
 
 

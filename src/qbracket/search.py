@@ -162,10 +162,11 @@ def compute_record(entry: TableEntry, engine: str = "naive") -> InvariantRecord:
 class RecordCache:
     """Line-oriented JSON cache keyed by (name, presentation, fingerprint).
 
-    Corrupt lines (not UTF-8 or not JSON), and lines whose fields have the
-    wrong JSON type, are skipped with a warning and never fatal, and dropped
-    from the file, so they warn once; lookups hit only on exact key matches,
-    so convention changes invalidate everything.
+    Corrupt lines (not UTF-8 or not JSON), lines whose fields have the
+    wrong JSON type, and lines of an engine other than ``naive``, the one
+    that ``search`` runs, are skipped with a warning and never fatal, and
+    dropped from the file, so they warn once; lookups hit only on exact key
+    matches, so convention changes invalidate everything.
     """
 
     def __init__(self, path: str | Path | None):
@@ -192,6 +193,8 @@ class RecordCache:
                 texts = (rec.name, rec.presentation, rec.f_text, rec.ambient3_text, rec.engine, rec.fingerprint)
                 if type(rec.writhe) is not int or not all(isinstance(text, str) for text in texts):
                     raise TypeError("writhe must be an integer and every other field a string")
+                if rec.engine != "naive":
+                    raise ValueError(f"engine {rec.engine!r} is not naive, the one search runs")
             except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad UTF-8 and JSON
                 self.warnings.append(f"cache line {lineno} skipped: {exc}")
                 continue

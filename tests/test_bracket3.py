@@ -13,11 +13,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import qbracket.bracket3 as bracket3_module
 import state_oracle
-from conftest import every_arrangement, pd_code, pd_codes
+from conftest import braid_words, every_arrangement, pd_code, pd_codes
 from qbracket.bracket3 import (
     CURL_MINUS,
     CURL_PLUS,
-    DELTA,
     OPEN_ARC_CAP,
     CapacityError,
     ambient3,
@@ -54,19 +53,8 @@ from qbracket.quotient import is_normal, normal_form, specialize_classical
 from qbracket.search import bundled_table_path, compute_record, load_table, parse_presentation
 
 
-@st.composite
-def braid_words(draw, max_strands=4, max_letters=8, min_letters=0):
-    n = draw(st.integers(min_value=2, max_value=max_strands))
-    letters = draw(
-        st.lists(
-            st.integers(min_value=1, max_value=n - 1).flatmap(
-                lambda i: st.sampled_from([i, -i])
-            ),
-            min_size=min_letters,
-            max_size=max_letters,
-        )
-    )
-    return BraidWord(n, tuple(letters))
+#: The circle weight d.
+DELTA = Polynomial.variable("d")
 
 
 @st.composite

@@ -8,6 +8,7 @@ import inspect
 import json
 import math
 import re
+import shlex
 import time
 from pathlib import Path
 
@@ -513,6 +514,40 @@ def test_readme_synopsis_lists_every_command_and_option():
         if line.strip():
             synopsis[command] |= set(re.findall(r"--[a-z][a-z-]*", line))
     assert synopsis == _parser_flags(cli.build_parser())
+
+
+def _readme_examples() -> list[tuple[list[str], list[str]]]:
+    """The "Command line" examples: each ``$ qbracket`` line's arguments and
+    the output lines shown under it."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("Examples:", 1)[1].split("```", 2)[1]
+    examples: list[tuple[list[str], list[str]]] = []
+    for line in block.splitlines():
+        if line.startswith("$ qbracket "):
+            examples.append((shlex.split(line)[2:], []))
+        elif line:
+            examples[-1][1].append(line)
+    return examples
+
+
+def test_readme_examples_print_the_lines_shown(capsys):
+    # a shown line that ends in ", ...}" is a prefix of the printed one, and
+    # a lone "..." leaves the printed lines after it unchecked
+    examples = _readme_examples()
+    assert [argv[0] for argv, _ in examples] == ["bracket", "bracket3", "verify", "verify", "search"]
+    for argv, shown in examples:
+        code, out, _ = run(capsys, *argv)
+        printed = out.splitlines()
+        assert code == 0, argv
+        if "..." in shown:
+            shown = shown[:shown.index("...")]
+            printed = printed[:len(shown)]
+        assert len(printed) == len(shown), argv
+        for want, got in zip(shown, printed):
+            if want.endswith(", ...}"):
+                assert got.startswith(want[:-len("...}")]), (argv, got)
+            else:
+                assert got == want, argv
 
 
 def test_traced_bench_names_resolve():

@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import cycle_count, every_arrangement, label_arrangements, pd_code, pd_codes, permutation
+from conftest import braid_words, cycle_count, every_arrangement, label_arrangements, pd_code, pd_codes, permutation
 from qbracket.bracket3 import bracket3_raw
 from qbracket.diagram import (
     BraidWord,
@@ -28,20 +28,6 @@ from qbracket.diagram import (
     writhe,
 )
 from state_oracle import resolve_state, resolve_state_walk, state_from_index
-
-
-@st.composite
-def braid_words(draw, max_strands=4, max_letters=8):
-    n = draw(st.integers(min_value=2, max_value=max_strands))
-    letters = draw(
-        st.lists(
-            st.integers(min_value=1, max_value=n - 1).flatmap(
-                lambda i: st.sampled_from([i, -i])
-            ),
-            max_size=max_letters,
-        )
-    )
-    return BraidWord(n, tuple(letters))
 
 
 # -- braid parsing --------------------------------------------------------------

@@ -68,7 +68,6 @@ BENCH = PACKAGE.parents[1] / "bench"
 #: Public module-level names that no other module of the package and no
 #: benchmark script names, each with why it is still public.
 OWN_MODULE_ONLY = {
-    "bracket3.DELTA": "the circle weight d, the factor circle_variant multiplies by",
     "bracket3.Matching": "the type of a planar matching, shared with the tests' cup-cap oracles",
     "bracket3.OPEN_ARC_CAP": "the frontier pass's open-arc cap, which README and its refusal name",
     "bracket3.PackedTable": "the return type of tl_transfer",

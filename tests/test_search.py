@@ -196,7 +196,9 @@ def test_cache_skips_corrupt_lines(tmp_path):
     assert list(cache.records.values()) == [rec]
 
 
-@pytest.mark.parametrize("fields", MISTYPED_FIELDS[:2], ids=["int-f", "null-ambient3"])
+# an older `search --engine tl` wrote tl lines; they are recomputed, not
+# served with a tl label
+@pytest.mark.parametrize("fields", [*MISTYPED_FIELDS[:2], {"engine": "tl"}], ids=["int-f", "null-ambient3", "tl-engine"])
 def test_search_recomputes_an_entry_whose_cache_line_is_mistyped(tmp_path, capsys, fields):
     table = tmp_path / "t.tsv"
     table.write_text("3_1\tbraid:2:1,1,1\n3_1pad\tbraid:2:1,1,-1,1,1\n")
@@ -206,9 +208,9 @@ def test_search_recomputes_an_entry_whose_cache_line_is_mistyped(tmp_path, capsy
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert code == 0
     assert len(lines[0]["cache_warnings"]) == 1
-    assert lines[1]["verdict"] == "SAME"
-    # the recomputed record is appended after the skipped line
-    assert len(RecordCache(cache).records) == 2
+    assert (lines[1]["verdict"], lines[1]["engines"]) == ("SAME", "naive,naive")
+    # the file is rewritten without the skipped line, and both records appended
+    assert [json.loads(line)["engine"] for line in cache.read_text().splitlines()] == ["naive", "naive"]
 
 
 def test_search_recomputes_an_entry_whose_cache_line_is_not_utf8(tmp_path, capsys):
