@@ -347,14 +347,27 @@ def _unpack(packed: int, n: int, width: int, k_a: int, beta: int) -> Polynomial:
     Y = (n+k_a-k_b)/2, for k_b circles in the all-B state, and S = 2*beta + 1
     is the least odd integer above Y, so each slot holds one (j, k).  Partial states of one matching share
     every completion, so they too share a slot only with the same (j, k).
+
+    The int is halved at slot boundaries down to blocks of about 32 slots,
+    each read by mask and shift: one such loop over the whole int would copy
+    it once per slot (Brent & Zimmermann, Modern Computer Arithmetic, 1.7).
     """
-    bits = format(packed, "b")[::-1]  # bit s*width starts slot s
+    mask, rows, base = (1 << width) - 1, 2 * beta + 1, beta * k_a
     counts: dict[Monomial, int] = {}
-    for start in range(0, len(bits), width):
-        chunk = bits[start:start + width]
-        if "1" in chunk:
-            x, y = divmod(start // width - beta * k_a, 2 * beta + 1)
-            counts[(n - x - y, x + y, x - y + k_a)] = int(chunk[::-1], 2)
+    blocks = [(packed, 0)]  # (block, its first slot); the lower half pops first, so slots come in order
+    while blocks:
+        block, slot = blocks.pop()
+        half = block.bit_length() // (2 * width)  # slots in the lower half
+        if half > 16:
+            blocks += (block >> half * width, slot + half), (block & (1 << half * width) - 1, slot)
+            continue
+        while block:
+            count = block & mask
+            if count:
+                x, y = divmod(slot - base, rows)
+                counts[(n - x - y, x + y, x - y + k_a)] = count
+            block >>= width
+            slot += 1
     return Polynomial._from_clean(counts)  # nonzero counts, j <= n
 
 

@@ -58,6 +58,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
+def _positive_int(text: str) -> int:
+    if not (text.isascii() and text.isdigit() and int(text) > 0):
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qbracket", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -82,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_m = vsub.add_parser("moves", help="move-invariance orbits on base words")
     p_m.add_argument("--json", action="store_true")
     p_m.add_argument("--seed", type=int, default=7)
-    p_m.add_argument("--cases", type=int, default=200)
+    p_m.add_argument("--cases", type=_positive_int, default=200)
 
     p_s = sub.add_parser("search", help="f-bucket consistency check over a knot table")
     p_s.add_argument("--table", default=None, help="TSV file (default: bundled table)")
@@ -186,8 +192,6 @@ def cmd_verify_variety(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_moves(args: argparse.Namespace) -> int:
-    if args.cases < 1:
-        raise ValueError("cases must be >= 1")
     header = {
         "check": "moves_config",
         "seed": args.seed,

@@ -113,25 +113,16 @@ _LCG_INC = 1442695040888963407
 _LCG_MASK = (1 << 64) - 1
 
 
-def _lcg(state: int) -> int:
-    return (_LCG_MULT * state + _LCG_INC) & _LCG_MASK
-
-
-def _draw(state: int, n: int) -> tuple[int, int]:
-    """Next state and a uniform-ish draw from range(n) using the top bits."""
-    state = _lcg(state)
-    return state, (state >> 33) % n
-
-
 def rewrite_moves(b: BraidWord, seed: int, count: int) -> BraidWord:
     """Apply ``count`` random closure-preserving rewrites.
 
     Moves: insert or delete an adjacent cancelling pair (move II), replace
     s_i s_{i+1} s_i by s_{i+1} s_i s_{i+1} with uniform sign (move III), and
     swap far-apart commuting letters.  Writhe, strand count, and the closure
-    permutation are all preserved.  Draws that land on an inapplicable move
-    are redrawn; on a 1-strand word every move is inapplicable and the word
-    is returned unchanged.
+    permutation are all preserved.  Each draw is the top bits of one LCG step
+    modulo the range, and a draw of an inapplicable move is redrawn.  The pair
+    moves need 2 strands, the braid relation 3 and far commutation 4; below
+    that no spot is sought, and a 1-strand word is returned unchanged.
     """
     if count < 0:
         raise ValueError("rewrite count must be >= 0")
@@ -140,44 +131,35 @@ def rewrite_moves(b: BraidWord, seed: int, count: int) -> BraidWord:
     n = b.strands
     for _ in range(count):
         for _attempt in range(100):
-            state, move = _draw(state, 4)
+            state = (_LCG_MULT * state + _LCG_INC) & _LCG_MASK
+            move = (state >> 33) % 4
             if move == 0 and n >= 2:  # insert g g^-1
-                state, pos = _draw(state, len(word) + 1)
-                state, gen = _draw(state, n - 1)
-                state, sgn = _draw(state, 2)
-                g = (gen + 1) * (1 if sgn else -1)
-                word[pos:pos] = [g, -g]
+                state = (_LCG_MULT * state + _LCG_INC) & _LCG_MASK
+                pos = (state >> 33) % (len(word) + 1)
+                state = (_LCG_MULT * state + _LCG_INC) & _LCG_MASK
+                g = (state >> 33) % (n - 1) + 1
+                state = (_LCG_MULT * state + _LCG_INC) & _LCG_MASK
+                word[pos:pos] = [g, -g] if (state >> 33) % 2 else [-g, g]
                 break
             if move == 1:  # delete an adjacent cancelling pair
                 spots = [k for k in range(len(word) - 1) if word[k] == -word[k + 1]]
-                if spots:
-                    state, pick = _draw(state, len(spots))
-                    k = spots[pick]
+            elif move == 2 and n >= 3:  # braid relation on a same-sign triple
+                spots = [k for k in range(len(word) - 2) if word[k] == word[k + 2]
+                         and (word[k] > 0) == (word[k + 1] > 0) and abs(abs(word[k]) - abs(word[k + 1])) == 1]
+            elif move == 3 and n >= 4:  # commute distant generators
+                spots = [k for k in range(len(word) - 1) if abs(abs(word[k]) - abs(word[k + 1])) >= 2]
+            else:
+                continue
+            if spots:
+                state = (_LCG_MULT * state + _LCG_INC) & _LCG_MASK
+                k = spots[(state >> 33) % len(spots)]
+                if move == 1:
                     del word[k:k + 2]
-                    break
-            if move == 2:  # braid relation on a same-sign triple
-                spots = [
-                    k for k in range(len(word) - 2)
-                    if word[k] == word[k + 2]
-                    and (word[k] > 0) == (word[k + 1] > 0)
-                    and abs(abs(word[k]) - abs(word[k + 1])) == 1
-                ]
-                if spots:
-                    state, pick = _draw(state, len(spots))
-                    k = spots[pick]
-                    g, h = word[k], word[k + 1]
-                    word[k:k + 3] = [h, g, h]
-                    break
-            if move == 3:  # commute distant generators
-                spots = [
-                    k for k in range(len(word) - 1)
-                    if abs(abs(word[k]) - abs(word[k + 1])) >= 2
-                ]
-                if spots:
-                    state, pick = _draw(state, len(spots))
-                    k = spots[pick]
+                elif move == 2:
+                    word[k:k + 3] = [word[k + 1], word[k], word[k + 1]]
+                else:
                     word[k], word[k + 1] = word[k + 1], word[k]
-                    break
+                break
         # all attempts inapplicable: skip this rewrite
     return BraidWord(n, tuple(word))
 

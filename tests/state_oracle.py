@@ -17,12 +17,15 @@ The transfer pass's matchings have their own oracles: :func:`apply_cupcap`
 composes one matching with one cup-cap, and :func:`close_trace` counts the
 circles of a matching's closure by walking every point, where the library
 carries the count along the cup-caps that numbered the matching.
+
+The slot reader has one too: :func:`unpack_string` reads a packed sum off its
+binary text, slot by slot, where the library splits the int by halving.
 """
 
 from qbracket.bracket3 import CURL_MINUS, CURL_PLUS, CapacityError, Matching
 from qbracket.classical import LaurentPolynomial, circle_power
 from qbracket.diagram import Diagram, Quad, writhe
-from qbracket.multipoly import Polynomial
+from qbracket.multipoly import Monomial, Polynomial
 from qbracket.quotient import normal_form
 
 State = tuple[int, ...]  # 0 = A-smoothing, 1 = B-smoothing, one per crossing
@@ -206,3 +209,16 @@ def close_trace(m: Matching, n: int) -> int:
             seen[y] = True
             x = y - n if y >= n else y + n  # along the closure arc
     return circles
+
+
+def unpack_string(packed: int, n: int, width: int, k_a: int, beta: int) -> Polynomial:
+    """:func:`qbracket.bracket3._unpack` read off the reversed binary text of
+    ``packed``: every ``width``-bit slice is one slot, empty slots included."""
+    bits = format(packed, "b")[::-1]  # bit s*width starts slot s
+    counts: dict[Monomial, int] = {}
+    for start in range(0, len(bits), width):
+        chunk = bits[start:start + width]
+        if "1" in chunk:
+            x, y = divmod(start // width - beta * k_a, 2 * beta + 1)
+            counts[(n - x - y, x + y, x - y + k_a)] = int(chunk[::-1], 2)
+    return Polynomial._from_clean(counts)

@@ -590,6 +590,37 @@ def test_carried_closure_counts_equal_the_closure_walk(word):
     assert table.closures == closures == [state_oracle.close_trace(m, word.strands) for m in matchings]
 
 
+@st.composite
+def packed_slots(draw):
+    """Counts in 0-300 slots of 1-40 bits: runs of empty slots, each ended by a
+    count (full width at times), and the first slot set or left empty."""
+    width = draw(st.integers(min_value=1, max_value=40))
+    full = (1 << width) - 1
+    count = st.one_of(st.just(full), st.integers(min_value=1, max_value=full))
+    slots: list[int] = []
+    for zeros, c in draw(st.lists(st.tuples(st.integers(min_value=0, max_value=60), count), max_size=40)):
+        slots += [0] * zeros + [c]
+    slots = slots[:300]
+    if slots and draw(st.booleans()):
+        slots[0] = draw(count)
+    return width, slots
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed_slots(), st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=6),
+       st.integers(min_value=0, max_value=6))
+@example((40, [(1 << 40) - 1] * 300), 40, 2, 5)
+@example((1, [1] + [0] * 298 + [1]), 0, 0, 0)
+@example((7, []), 3, 1, 1)
+def test_unpack_matches_the_string_reader(layout, n, k_a, beta):
+    width, slots = layout
+    packed = sum(c << s * width for s, c in enumerate(slots))
+    got = _unpack(packed, n, width, k_a, beta)
+    # the same terms in the same (slot) order, one per nonempty slot
+    assert list(got.terms.items()) == list(state_oracle.unpack_string(packed, n, width, k_a, beta).terms.items())
+    assert sorted(got.terms.values()) == sorted(c for c in slots if c)
+
+
 def test_tl_transfer_is_called_once_per_evaluation(monkeypatch):
     # the traced benchmark counts calls of the module attribute and reads the
     # result's length as the number of matchings carried

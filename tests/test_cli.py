@@ -336,11 +336,17 @@ def test_removed_engine_option_is_a_usage_error(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("cases", ["0", "-1"])
+@pytest.mark.parametrize("cases", ["0", "-1", "x"])
 def test_verify_moves_rejects_fewer_than_one_case(capsys, cases):
-    code, out, err = run(capsys, "verify", "moves", "--cases", cases)
-    assert (code, out) == (1, "")
-    assert len(err.splitlines()) == 1 and err.startswith("error: cases")
+    # a usage error, like any other bad option value
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "moves", "--cases", cases])
+    assert exit_info.value.code == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, message = captured.err.splitlines()
+    assert usage.startswith("usage: qbracket verify moves")
+    assert message.endswith(f"argument --cases: expected a positive integer, got {cases!r}")
 
 
 def test_verify_moves_reduces_each_base_word_once(capsys, monkeypatch):
@@ -350,6 +356,24 @@ def test_verify_moves_reduces_each_base_word_once(capsys, monkeypatch):
     assert code == 0
     # 4 base words, 4 one-case variants, and 12 conjugations (2 per extra strand)
     assert len(calls) == 4 + 4 + 12
+
+
+#: stdout of ``qbracket verify moves --json --cases 5 --seed 3``.
+VERIFY_MOVES_JSON = (
+    '{"cases": 5, "check": "moves_config", "engine": "tl", "moves_per_case": 12, "seed": 3}\n'
+    '{"cases": 5, "check": "moves_unknot", "failures": 0, "pass": true}\n'
+    '{"cases": 5, "check": "moves_hopf", "failures": 0, "pass": true}\n'
+    '{"cases": 5, "check": "moves_trefoil", "failures": 0, "pass": true}\n'
+    '{"cases": 5, "check": "moves_figure8", "failures": 0, "pass": true}\n'
+    '{"check": "conjugation_unknot", "failures": 0, "pass": true}\n'
+    '{"check": "conjugation_hopf", "failures": 0, "pass": true}\n'
+    '{"check": "conjugation_trefoil", "failures": 0, "pass": true}\n'
+    '{"check": "conjugation_figure8", "failures": 0, "pass": true}\n'
+)
+
+
+def test_verify_moves_golden_json(capsys):
+    assert run(capsys, "verify", "moves", "--json", "--cases", "5", "--seed", "3") == (0, VERIFY_MOVES_JSON, "")
 
 
 def test_verify_moves_small_run(capsys):

@@ -352,6 +352,32 @@ def test_rewrite_on_one_strand_word_is_noop():
     assert rewrite_moves(b, seed=5, count=10) == b
 
 
+#: (word, seed, count, rewritten word): the draw sequence pinned on 1-6
+#: strands, taken before the draws were written inline.  On 2 strands only
+#: the pair moves apply, on 3 the braid relation too, and from 4 strands far
+#: commutation as well.
+REWRITE_TABLE = [
+    ("braid:1:", 4, 3, "braid:1:"),
+    ("braid:2:1,1,1", 3, 12, "braid:2:1,1,1"),
+    ("braid:2:-1", 11, 20, "braid:2:1,-1,-1,1,-1,1,-1,1,-1,1,-1,1,-1,-1,1,1,-1"),
+    ("braid:3:1,-2", 3, 12, "braid:3:1,-2"),
+    ("braid:3:1,-2,1,-2", 7, 12, "braid:3:1,-2,1,2,-2,-1,1,-2,-1,1,1,-1"),
+    ("braid:3:2,2,-1", 123, 25, "braid:3:2,2,-1,1,-1"),
+    ("braid:3:1,2,1", 0, 8, "braid:3:2,1,2,1,-1"),
+    ("braid:3:-2,-1,-2,1", 3, 8, "braid:3:-1,-2"),
+    ("braid:4:1,3,-2", 5, 15, "braid:4:3,-3,3,1,-2,2,-1,-1,1,1,-2"),
+    ("braid:5:1,-2,3,-4,2", 9, 12, "braid:5:1,-2,3,2,-2,2,-4"),
+    ("braid:5:1,2,1,3,4,-3", 42, 30, "braid:5:-4,4,2,1,2,3,-4,4,-1,1,4,-3"),
+    ("braid:6:5,-1,2,4", 2, 18, "braid:6:-1,5,-5,1,-2,5,5,-1,1,-1,-5,-2,-4,-3,3,1,4,2,2,4"),
+    ("braid:6:1,2,3,4,5,1", 17, 40, "braid:6:1,2,3,4,1,5,-3,-1,3,1"),
+]
+
+
+@pytest.mark.parametrize("text, seed, count, expected", REWRITE_TABLE)
+def test_rewrite_moves_draw_sequence_is_pinned(text, seed, count, expected):
+    assert rewrite_moves(parse_braid(text), seed=seed, count=count).text == expected
+
+
 @settings(max_examples=40, deadline=None)
 @given(braid_words(), st.integers(min_value=0, max_value=2**63), st.integers(min_value=0, max_value=20))
 def test_rewrite_moves_invariants_random(word, seed, count):
