@@ -19,7 +19,8 @@ Two engines compute the same raw polynomial.  ``naive`` (:func:`bracket3_raw`)
 takes any planar diagram, one crossing at a time, merging the partial states
 that join the open arcs alike (Bar-Natan, JKTR 16 (2007)); ``tl`` carries
 planar matchings (the Temperley-Lieb basis), numbered as they first appear,
-across a braid word, one letter at a time.  Each keeps one packed int of
+across a braid word, one letter at a time, in an order with the same closure
+that grows the table late (:func:`_letter_order`).  Each keeps one packed int of
 state counts per matching (Kronecker substitution), its slots sized to
 Kauffman's state diamond (Topology 26 (1987)): in a planar diagram,
 switching one smoothing moves the circle count by exactly one, so a state
@@ -43,6 +44,7 @@ bracket (:func:`.classical.bracket_from_raw`).
 from __future__ import annotations
 
 import itertools
+import math
 
 from .diagram import BraidWord, Diagram, Quad, closure, count_cycles, port_mates, writhe
 from .multipoly import Monomial, Polynomial, format_poly, parse_poly
@@ -63,6 +65,11 @@ OPEN_ARC_CAP = 24
 
 #: Strand cap for the transfer-matrix pass (its basis size is Catalan(n)).
 TL_STRAND_CAP = 12
+
+#: Strands below which the transfer pass keeps a word's letter order: its table
+#: holds at most Catalan(n) matchings, 42 on 5 strands, too few to repay the plan
+#: and the rebuilt word (5-strand 20-letter words ran slower planned).
+_TL_PLAN_FLOOR = 6
 
 
 class CapacityError(RuntimeError):
@@ -371,15 +378,65 @@ def _unpack(packed: int, n: int, width: int, k_a: int, beta: int) -> Polynomial:
     return Polynomial._from_clean(counts)  # nonzero counts, j <= n
 
 
+def _letter_order(b: BraidWord) -> tuple[int, ...]:
+    """Letters with the closure of ``b`` in an order that grows the transfer
+    pass's table late; ``b.letters`` itself off :data:`_TL_PLAN_FLOOR` to
+    :data:`TL_STRAND_CAP` strands or where the plan does not lower the score.
+
+    After letters on positions P the pass carries at most the product of
+    Catalan(r + 1) over the maximal runs r of consecutive positions in P; an
+    order's score sums that bound over its letters.  The plan takes the cyclic
+    shift of least score, the smallest on ties, then each next letter as the
+    first remaining one that commutes (positions two or more apart; Cartier &
+    Foata 1969) with every remaining one before it, one on a touched position
+    first.  Neither step raises the score.  It costs O(L*n).
+    """
+    letters, n = b.letters, b.strands
+    if not (_TL_PLAN_FLOOR <= n <= TL_STRAND_CAP and letters):
+        return letters
+    size, catalan = len(letters), [math.comb(2 * m, m) // (m + 1) for m in range(n + 1)]
+
+    def score(firsts: list[tuple[int, int]]) -> int:  # (index, position) of each position's first letter
+        end, bound, total = [0] * (n + 1), 1, size  # end[x]: the far end of a run that x ends, 0 if none
+        for t, p in firsts:  # p joins the runs beside it, and the bound's rise holds from letter t on
+            lo, hi = end[p - 1] or p, end[p + 1] or p
+            end[lo], end[hi] = hi, lo
+            rise = bound * catalan[hi - lo + 2] // (catalan[p - lo + 1] * catalan[hi - p + 1]) - bound
+            bound, total = bound + rise, total + (size - t) * rise
+        return total
+
+    nxt, best = {}, (math.inf, 0)  # each position's next letter at or after t, the nearest last
+    for t in range(2 * size - 1, -1, -1):  # in the word read twice
+        p = abs(letters[t % size])
+        nxt.pop(p, None)
+        nxt[p] = t
+        if t < size:
+            cost = score([(u - t, q) for q, u in reversed(nxt.items())])
+            best = min(best, (cost, t))
+    rest, order, firsts = letters[best[1]:] + letters[:best[1]], [], []
+    while rest:  # the first letter left touches a new position; then take every letter that frees
+        firsts.append((len(order), abs(rest[0])))
+        touched, blocked, left = {p for _, p in firsts}, [False] * (n + 1), []
+        for letter in rest:
+            p = abs(letter)
+            free = p in touched and not (blocked[p - 1] or blocked[p] or blocked[p + 1])
+            blocked[p] |= not free
+            (order if free else left).append(letter)
+        rest = left
+    return tuple(order) if score(firsts) < cost else letters  # cost is the given order's, shift 0's
+
+
 def tl_evaluate(b: BraidWord) -> Polynomial:
     """Raw three-variable bracket of the closure via the transfer pass.
 
-    Runs :func:`tl_transfer` and then joins top to bottom, shifting each
-    matching's packed counts up beta slots per closure circle, as the table
-    carries them (:func:`_number_matchings`); the sum is unpacked once, in
-    the table's layout.  Equals bracket3_raw(closure(b)) exactly.
+    Runs :func:`tl_transfer` once, in the order :func:`_letter_order` plans
+    (on ``b`` itself where it keeps b's), and then joins top to bottom,
+    shifting each matching's packed counts up beta slots per closure circle,
+    as the table carries them (:func:`_number_matchings`); the sum is
+    unpacked once, in the table's layout.  Equals bracket3_raw(closure(b)) exactly.
     """
-    table = tl_transfer(b)
+    order = _letter_order(b)
+    table = tl_transfer(b if order is b.letters else BraidWord(b.strands, order))
     circle = table.width * table.beta
     total = 0
     for packed, k in zip(table.values(), table.closures):

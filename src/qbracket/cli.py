@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from collections.abc import Callable
 
 from .bracket3 import (
     CONVENTION,
@@ -58,10 +60,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
-def _positive_int(text: str) -> int:
-    if not (text.isascii() and text.isdigit() and int(text) > 0):
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
+def _ascii_int(least: int | None, kind: str) -> Callable[[str], int]:
+    """An argparse type: an optional ``-`` and ASCII digits, at least ``least``."""
+    def integer(text: str) -> int:  # its name shows in argparse's own errors, as at int()'s digit limit
+        digits = text.removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()) or (least is not None and int(text) < least):
+            raise argparse.ArgumentTypeError(f"expected {kind}, got {text!r}")
+        return int(text)
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,12 +93,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_m = vsub.add_parser("moves", help="move-invariance orbits on base words")
     p_m.add_argument("--json", action="store_true")
-    p_m.add_argument("--seed", type=int, default=7)
-    p_m.add_argument("--cases", type=_positive_int, default=200)
+    p_m.add_argument("--seed", type=_ascii_int(None, "an integer"), default=7)
+    p_m.add_argument("--cases", type=_ascii_int(1, "a positive integer"), default=200)
 
     p_s = sub.add_parser("search", help="f-bucket consistency check over a knot table")
     p_s.add_argument("--table", default=None, help="TSV file (default: bundled table)")
-    p_s.add_argument("--max-crossings", type=int, default=None)
+    p_s.add_argument("--max-crossings", type=_ascii_int(0, "a non-negative integer"), default=None)
     p_s.add_argument("--cache", default=None)
     fmt = p_s.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")
@@ -272,26 +278,22 @@ def cmd_search(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    commands = {"bracket": cmd_bracket, "bracket3": cmd_bracket3, "search": cmd_search,
+                "groebner": cmd_verify_groebner, "variety": cmd_verify_variety, "moves": cmd_verify_moves}
     try:
-        if args.command == "bracket":
-            return cmd_bracket(args)
-        if args.command == "bracket3":
-            return cmd_bracket3(args)
-        if args.command == "verify":
-            if args.what == "groebner":
-                return cmd_verify_groebner(args)
-            if args.what == "variety":
-                return cmd_verify_variety(args)
-            return cmd_verify_moves(args)
-        if args.command == "search":
-            return cmd_search(args)
+        status = commands[args.what if args.command == "verify" else args.command](args)
+        sys.stdout.flush()  # so that a closed stdout raises here, not at interpreter exit
+        return status
+    except BrokenPipeError:  # the reader is gone: end as SIGPIPE would, 128 + 13, quietly
+        if sys.stdout is sys.__stdout__:  # in-process callers keep their own stream
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (DiagramError, CapacityError, TermLimitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:  # its text is empty
         print("error: out of memory", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -61,10 +61,11 @@ def corpus_diagrams(corpus):
 
 
 @st.composite
-def braid_words(draw, max_strands: int = 4, max_letters: int = 8, min_letters: int = 0) -> BraidWord:
-    """A word on 2 to ``max_strands`` strands of ``min_letters`` to
-    ``max_letters`` letters."""
-    n = draw(st.integers(min_value=2, max_value=max_strands))
+def braid_words(draw, max_strands: int = 4, max_letters: int = 8, min_letters: int = 0,
+                min_strands: int = 2) -> BraidWord:
+    """A word on ``min_strands`` to ``max_strands`` strands of
+    ``min_letters`` to ``max_letters`` letters."""
+    n = draw(st.integers(min_value=min_strands, max_value=max_strands))
     letter = st.integers(min_value=1, max_value=n - 1).flatmap(lambda i: st.sampled_from([i, -i]))
     return BraidWord(n, tuple(draw(st.lists(letter, min_size=min_letters, max_size=max_letters))))
 

@@ -27,8 +27,10 @@ from qbracket.bracket3 import (
     raw_bracket,
     tl_evaluate,
     tl_transfer,
+    _TL_PLAN_FLOOR,
     _extreme_circles,
     _identity_matching,
+    _letter_order,
     _number_matchings,
     _tl_extremes,
     _unpack,
@@ -640,6 +642,79 @@ def test_tl_transfer_is_called_once_per_evaluation(monkeypatch):
         raw_bracket(word, "tl")
         assert lengths == [distinct, distinct], text
         assert len(_number_matchings(word)[0]) == distinct, text
+
+
+#: Words on 1-9 strands for the letter-order plan, many of them at or above
+#: its floor, where it runs.
+plan_words = st.one_of(
+    braid_words(max_strands=9, max_letters=18, min_strands=_TL_PLAN_FLOOR),
+    braid_words(max_strands=9, max_letters=14),
+    negative_heavy_words(max_strands=9),
+    braid_words(max_strands=9, max_letters=8, min_strands=_TL_PLAN_FLOOR).map(doubled_letters),
+)
+
+
+def on_positions(letters, positions: set[int]) -> list[int]:
+    return [letter for letter in letters if abs(letter) in positions]
+
+
+@settings(max_examples=80, deadline=None)
+@given(plan_words)
+@example(BraidWord(1, ()))
+@example(parse_braid("braid:8:-4,-1,-3,7,2,7,-1,6,-2,4,-5,-6,-4,1,6,5,5,3,-3,1,-7,2"))
+@example(BraidWord(9, (-8, -8, 1, 1, -8, -8, 5, -5)))
+def test_tl_evaluate_in_the_planned_order_equals_the_frontier_pass(word):
+    assert tl_evaluate(word) == bracket3_raw(closure(word))
+
+
+@settings(max_examples=150, deadline=None)
+@given(plan_words)
+@example(BraidWord(1, ()))
+@example(parse_braid("braid:6:1,2,3,4,5"))
+@example(parse_braid("braid:8:3,-1,2,7,2,-4,-7,1,-3,1,-5,6,-4,-7,3,2,-5,-5,6,6,1,-4"))
+def test_letter_order_is_a_rotation_then_far_commutations(word):
+    # Cartier & Foata: two words are equal up to swaps of letters two or more
+    # positions apart exactly when their letters on every position p, and on
+    # every pair p, p + 1, come in the same order
+    letters, order = word.letters, _letter_order(word)
+    pairs = [{p} for p in range(1, word.strands)] + [{p, p + 1} for p in range(1, word.strands)]
+    shifts = [letters[s:] + letters[:s] for s in range(max(len(letters), 1))]
+    assert any(all(on_positions(order, q) == on_positions(rotated, q) for q in pairs) for rotated in shifts)
+
+
+def test_words_below_the_plan_floor_reach_the_transfer_pass_as_given(monkeypatch):
+    passed: list[BraidWord] = []
+    monkeypatch.setattr(bracket3_module, "tl_transfer", lambda word: passed.append(word) or tl_transfer(word))
+    wide = parse_braid("braid:5:4,-4,1,2,3,4,-1,-2")
+    with monkeypatch.context() as lowered:  # the floor alone keeps this word's order
+        lowered.setattr(bracket3_module, "_TL_PLAN_FLOOR", 2)
+        assert _letter_order(wide) != wide.letters
+    # the last word is above the floor, with an order the plan cannot improve
+    for text in ("braid:1:", "braid:2:1,-1,1", "braid:3:1,-2,1,-2", wide.text, "braid:7:3,-3,3"):
+        word = parse_braid(text)
+        passed.clear()
+        tl_evaluate(word)
+        assert len(passed) == 1 and passed[0] is word, text
+
+
+#: The 8-strand words of the bench's ``words`` workload, with the table
+#: lengths of the transfer pass summed over their letters, in the given
+#: order and in the planned one.
+EIGHT_STRAND_BENCH_WORDS = (
+    ("braid:8:-4,-1,-3,7,2,7,-1,6,-2,4,-5,-6,-4,1,6,5,5,3,-3,1,-7,2", 5798, 3852),
+    ("braid:8:-5,-5,-1,2,6,-6,2,-1,-3,-4,3,7,-4,-1,2,-3,4,6,-5,7,-7,1", 4609, 2507),
+    ("braid:8:3,-1,2,7,2,-4,-7,1,-3,1,-5,6,-4,-7,3,2,-5,-5,6,6,1,-4", 7900, 6244),
+)
+
+
+def test_planned_order_shrinks_the_tables_of_the_eight_strand_bench_words(monkeypatch):
+    passed: list[BraidWord] = []
+    monkeypatch.setattr(bracket3_module, "tl_transfer", lambda word: passed.append(word) or tl_transfer(word))
+    for text, given, planned in EIGHT_STRAND_BENCH_WORDS:
+        word = parse_braid(text)
+        tl_evaluate(word)
+        summed = [sum(_number_matchings(w)[3][1:]) for w in (word, passed[-1])]
+        assert summed == [given, planned] and planned <= 0.8 * given, text
 
 
 def test_raw_bracket_engine_dispatch(corpus):

@@ -8,7 +8,10 @@ import inspect
 import json
 import math
 import re
+import os
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -20,6 +23,7 @@ import qbracket.multipoly as multipoly
 import qbracket.quotient as quotient
 import qbracket.search as search
 import state_oracle
+from conftest import SRC
 from qbracket.bracket3 import CURL_MINUS, tl_evaluate
 from qbracket.classical import LaurentPolynomial, bracket_from_raw, format_laurent, writhe_normalize
 from qbracket.cli import main
@@ -349,6 +353,30 @@ def test_verify_moves_rejects_fewer_than_one_case(capsys, cases):
     assert message.endswith(f"argument --cases: expected a positive integer, got {cases!r}")
 
 
+@pytest.mark.parametrize(
+    ("argv", "value", "expected"),
+    [(["verify", "moves"], "٣", "an integer"), (["verify", "moves"], "1_0", "an integer"),
+     (["verify", "moves"], "+3", "an integer"), (["search"], "-1", "a non-negative integer"),
+     (["search"], "٣", "a non-negative integer")],
+)
+def test_integer_options_take_ascii_digits_only(capsys, argv, value, expected):
+    option = "--seed" if argv[0] == "verify" else "--max-crossings"
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, option, value])
+    assert exit_info.value.code == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()  # the usage line wraps on search
+    assert lines[0].startswith(f"usage: qbracket {' '.join(argv)}")
+    assert lines[-1] == f"qbracket {' '.join(argv)}: error: argument {option}: expected {expected}, got {value!r}"
+
+
+def test_verify_moves_runs_on_a_negative_seed(capsys):
+    code, out, _ = run(capsys, "verify", "moves", "--json", "--cases", "1", "--seed", "-3")
+    assert code == 0
+    assert json.loads(out.splitlines()[0])["seed"] == -3
+
+
 def test_verify_moves_reduces_each_base_word_once(capsys, monkeypatch):
     calls = []
     monkeypatch.setattr(cli, "normal_form", lambda p: calls.append(p) or normal_form(p))
@@ -433,6 +461,31 @@ def test_search_max_crossings_filter(tmp_path, capsys):
     table.write_text("3_1\tbraid:2:1,1,1\n5_1\tbraid:2:1,1,1,1,1\n")
     code, out, _ = run(capsys, "search", "--table", str(table), "--json", "--max-crossings", "3")
     assert json.loads(out.splitlines()[0])["entries"] == 1
+
+
+def test_search_max_crossings_zero_keeps_crossing_free_entries(tmp_path, capsys):
+    table = tmp_path / "t.tsv"
+    table.write_text("unknot\tbraid:1:\n3_1\tbraid:2:1,1,1\n")
+    code, out, _ = run(capsys, "search", "--table", str(table), "--json", "--max-crossings", "0")
+    assert code == 0
+    assert json.loads(out.splitlines()[0])["entries"] == 1
+
+
+def test_closed_stdout_exits_141_with_nothing_on_stderr(tmp_path):
+    # 120 equal entries give about 7,000 pair lines, far more than a pipe holds
+    table = tmp_path / "t.tsv"
+    table.write_text("".join(f"u{k}\tbraid:2:1,-1\n" for k in range(120)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    with subprocess.Popen([sys.executable, "-m", "qbracket.cli", "search", "--json", "--table", str(table)],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        try:
+            header = json.loads(proc.stdout.readline())
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()  # a no-op once it has exited
+    assert header["entries"] == 120
+    assert (proc.returncode, err) == (141, b"")
 
 
 def test_search_reports_load_errors(tmp_path, capsys):
