@@ -196,8 +196,8 @@ def bracket3(d: Diagram) -> Polynomial:
 
 def circle_variant(amb: Polynomial, w: int) -> Polynomial:
     """Variant normalization whose curl factors keep their circle: d*(a*d+b)
-    and d*(a+b*d).  Normal form is a ring map onto the quotient, so this is
-    the normal form of d^|w| times the ambient invariant ``amb``; reported
+    and d*(a+b*d).  Reduction modulo I is a ring map onto the quotient, so
+    this is d^|w| times the ambient invariant ``amb``, reduced; reported
     alongside it, since the two only agree for writhe-zero diagrams.
 
     No reduction is needed: every term of ``amb`` is c*d^k or c*b^2*d^k

@@ -190,7 +190,7 @@ def bracket_from_raw(raw: Polynomial) -> LaurentPolynomial:
     _refuse_circles(high - 1)  # the fold is as wide as the highest power
     total: dict[int, int] = {}
     for k in range(high, low - 1, -1):
-        step = by_circles.get(k, {})  # becomes total * CIRCLE + the k-circle terms
+        step = by_circles.pop(k, {})  # becomes total * CIRCLE + the k-circle terms
         for e, c in total.items():
             step[e - 2] = step.get(e - 2, 0) - c
             step[e + 2] = step.get(e + 2, 0) - c

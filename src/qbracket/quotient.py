@@ -8,11 +8,10 @@ and d (disjoint circle):
     rel2 = (ab - 1) d   + (a^2 + b^2 + abd) d^2
 
 Everything here lives modulo the ideal I generated by those two polynomials.
-The module carries a Groebner basis for I under lex a > b > d, the normal
-form map that picks the canonical coset representative (Horner's rule in a
-modulo the basis factor quadratic in a, with every multiple of d^2 - 1 sent
-to the classical curve and lifted back once, without division), the same
-lift of a raw sum to ``ambient3`` (:func:`lift`), the 34
+The module carries a Groebner basis for I under lex a > b > d, the lift of
+a raw sum to ``ambient3`` (:func:`lift`), the normal form of a raw sum,
+which is its lift at writhe 0 plus one of two fixed residues picked by the
+sum's exponents mod 4 (:func:`normal_form`), the 34
 solution branches of the variety rel1 = rel2 = 0 (stored as their
 catalogued text, one label appearing twice, and read exactly by
 :func:`parse_exact`, a map over the package's one value reader,
@@ -51,8 +50,8 @@ IDEAL_GENERATORS: tuple[Polynomial, Polynomial] = (
 )
 
 #: Groebner basis of I under lex a > b > d, g1, g2, g3 in the order stored;
-#: each is d times a factor of J (I = d*J), and :func:`normal_form` reduces
-#: by those factors.
+#: each is d times a generator of J (I = d*J).  ``remainder`` by it reduces
+#: any polynomial, and the certificates rest on it.
 GROEBNER_BASIS: tuple[Polynomial, Polynomial, Polynomial] = (
     parse_poly("+b^4*d^3 -b^4*d +b^2*d^4 -b^2*d^2 +d^3 -d"),
     parse_poly("+a*d^3 -a*d +b^3*d^3 -b^3*d +b*d^4 -b*d^2"),
@@ -60,82 +59,30 @@ GROEBNER_BASIS: tuple[Polynomial, Polynomial, Polynomial] = (
 )
 
 
+#: The residue of :func:`normal_form` by class: 0, d*g, 0 and d^2*g, with
+#: g = a + b^3 + b*d, the cofactor of d^3 - d in g2.
+_RESIDUES = (
+    Polynomial.zero(),
+    parse_poly("+a*d +b^3*d +b*d^2"),
+    Polynomial.zero(),
+    parse_poly("+a*d^2 +b^3*d^2 +b*d^3"),
+)
+
+
 def normal_form(p: Polynomial) -> Polynomial:
-    """Canonical representative of p + I: the remainder against the basis.
+    """Canonical representative of p + I, for p the raw sum of a closed planar
+    diagram (a curl-padded sum, or one times a power of d, is again one).
 
-    No monomial of the result is divisible by b^4*d^3, a*d^3, or a^2*d (the
-    basis leading monomials), and the map is idempotent and linear.
-
-    The basis is d*(G1, G2, G3) (``test_groebner_basis_factors``), so
-    I = d*J with J = <G1, G2, G3>.  With p = p0 + d*q and p0 d-free, p0 is
-    normal, and the result is p0 + d*r for any r = q mod J with no monomial
-    divisible by b^4*d^2, a*d^2 or a^2.
-
-    J is the intersection of Jc, J+ and J- (README, "What the invariant
-    is"), and e = d^2 - 1 vanishes on both line pairs, so e*Jc lies in J
-    (``test_e_times_the_curve_lies_in_the_ideal``): e*y is fixed modulo J
-    by the image of y on the classical curve, Z[a, b, d]/Jc = Z[a, 1/a]
-    with b = 1/a and d = -a^2 - a^-2.  r is built without division, and no
-    d-power above 1 is ever multiplied:
-
-    - Horner in a modulo G3 = a^2 + 2abd + b^2 - d, monic in a: from the top
-      a-slice q_i of q down, r1*a + r0 <- (r0 - 2bd*r1)*a + (d - b^2)*r1 + q_i.
-      A term c*b^j*d of r1 makes -2c*a*b^(j+1)*d^2 + c*b^j*d^2.  Each d^2 is
-      1 + e; the 1 stays, and the two e-parts, times the a^i still to come,
-      are e*(-c)*a^(i-j) on the curve.
-    - An input term c*a^i*b^j*d^(k+1), k >= 2, keeps d^(k mod 2) in place
-      of d^k in its a-slice; the rest, c*a^i*b^j*(d^k - d^(k mod 2)) in q,
-      is an e-multiple.
-    - The e-multiples' image on the curve, sum_n a^n*N_n(d), is lifted once
-      (:func:`_lift`) to the one sum_j b^j*P_j(d), j <= 3, with that image.
-      The lift is Z[d]-linear, so it is e times the lift of the image of
-      (e-multiples)/e, and differs from the e-multiples by an element of
-      e*Jc.
-
-    Every term of r is then a*b^j*d^(<=1), b^j*d^(<=1) or b^(<=3)*d^k, so
-    p0 + d*r is normal, and a Groebner remainder is the one normal element
-    of its coset: this is ``remainder(p, list(GROEBNER_BASIS))``.
+    Every monomial a^i*b^j*d^k of such a sum has one class
+    c = (i - j + 2k - 2) mod 4, and the result is ``lift(p, 0)`` plus the
+    class's residue (README, "What the invariant is").  It equals
+    ``remainder(p, list(GROEBNER_BASIS))``; reduce any other polynomial with
+    that.
     """
-    out: dict[tuple[int, int, int], int] = {}  # p0, then d*r
-    slices: dict[int, dict[tuple[int, int], int]] = {}  # q by a-power: (b-power, d-power) -> coefficient
-    curve: dict[int, dict[int, int]] = {}  # the e-multiples on the curve: a-power -> d-power -> coefficient
-    for (i, j, k), c in p.terms.items():
-        if not k:
-            out[i, j, 0] = c
-            continue
-        k -= 1  # the term's power of d in q
-        if k > 1:  # d^k - d^(k mod 2) goes on the curve, d^(k mod 2) into the a-slice
-            col = curve.setdefault(i - j, {})
-            col[k] = col.get(k, 0) + c
-            k &= 1
-            col[k] = col.get(k, 0) - c
-        row = slices.setdefault(i, {})
-        row[j, k] = row.get((j, k), 0) + c
-    e: dict[int, int] = {}  # the pass's e-parts: a-power -> coefficient of e
-    r1: dict[tuple[int, int], int] = {}  # r = r1*a + r0 over (b, d) exponents
-    r0: dict[tuple[int, int], int] = {}
-    for i in range(max(slices, default=-1), -1, -1):
-        last, r1, r0 = r1, r0, slices.get(i, {})
-        get1, get0 = r1.get, r0.get
-        for (j, k), c in last.items():
-            if k:
-                e[i - j] = e.get(i - j, 0) - c
-            m1, m0, m2 = (j + 1, 1 - k), (j, 1 - k), (j + 2, k)
-            r1[m1] = get1(m1, 0) - 2 * c
-            r0[m0] = get0(m0, 0) + c
-            r0[m2] = get0(m2, 0) - c
-    for (j, k), c in r1.items():
-        out[1, j, k + 1] = c
-    for (j, k), c in r0.items():
-        out[0, j, k + 1] = c
-    for n, c in e.items():
-        col = curve.setdefault(n, {})
-        col[2] = col.get(2, 0) + c
-        col[0] = col.get(0, 0) - c
-    get = out.get
-    for (j, k), c in _lift(curve).items():
-        out[0, j, k + 1] = get((0, j, k + 1), 0) + c
-    return Polynomial._from_clean({m: c for m, c in out.items() if c})
+    if not p:
+        return p
+    i, j, k = next(iter(p.terms))
+    return lift(p, 0) + _RESIDUES[(i - j + 2 * k - 2) % 4]
 
 
 def lift(raw: Polynomial, w: int) -> Polynomial:

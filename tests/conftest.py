@@ -136,15 +136,16 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 @pytest.fixture
 def capped_cli():
     """Call it with CLI arguments to run ``python -m qbracket.cli`` in a
-    subprocess under ``CLI_ADDRESS_SPACE`` and a timeout (``TimeoutExpired``
+    subprocess under an address-space cap (``address_space`` bytes,
+    ``CLI_ADDRESS_SPACE`` by default) and a timeout (``TimeoutExpired``
     fails the test); it returns the ``CompletedProcess`` with text output."""
-
-    def cap() -> None:
-        resource.setrlimit(resource.RLIMIT_AS, (CLI_ADDRESS_SPACE, CLI_ADDRESS_SPACE))
 
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
 
-    def run(*argv: str, timeout: float = 30.0) -> subprocess.CompletedProcess:
+    def run(*argv: str, timeout: float = 30.0, address_space: int = CLI_ADDRESS_SPACE) -> subprocess.CompletedProcess:
+        def cap() -> None:
+            resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
         return subprocess.run(
             [sys.executable, "-m", "qbracket.cli", *argv],
             capture_output=True,

@@ -11,7 +11,8 @@ B-smoothing joins a-d and b-c.
 
 The ambient invariant has its definition as an oracle:
 :func:`ambient_from_normal` pads the normal form with one curl factor per
-unit of writhe and reduces after each, where the library lifts f once.
+unit of writhe and reduces after each by the Groebner basis, where the
+library lifts f once.
 
 The transfer pass's matchings have their own oracles: :func:`apply_cupcap`
 composes one matching with one cup-cap, and :func:`close_trace` counts the
@@ -25,8 +26,8 @@ binary text, slot by slot, where the library splits the int by halving.
 from qbracket.bracket3 import CURL_MINUS, CURL_PLUS, CapacityError, Matching
 from qbracket.classical import LaurentPolynomial, circle_power
 from qbracket.diagram import Diagram, Quad, writhe
-from qbracket.multipoly import Monomial, Polynomial
-from qbracket.quotient import normal_form
+from qbracket.multipoly import Monomial, Polynomial, remainder
+from qbracket.quotient import GROEBNER_BASIS
 
 State = tuple[int, ...]  # 0 = A-smoothing, 1 = B-smoothing, one per crossing
 
@@ -167,15 +168,16 @@ def ambient_from_normal(nf: Polynomial, w: int) -> Polynomial:
 
     The value is the normal form of CURL_MINUS^w times the raw sum for w > 0
     (CURL_PLUS^-w for w < 0), exactly the effect of normalizing the writhe to
-    zero with opposite-sign curls.  Normal form is a ring map onto the
-    quotient, so the raw sum is reduced first and again after each curl
-    factor: every product stays a small multiple of a normal form, instead
-    of one |w|-fold product reduced at the end.
+    zero with opposite-sign curls.  The remainder by the Groebner basis is a
+    ring map onto the quotient, so the raw sum is reduced first and again
+    after each curl factor: every product stays a small multiple of a normal
+    form, instead of one |w|-fold product reduced at the end.
     """
     factor = CURL_MINUS if w > 0 else CURL_PLUS
+    basis = list(GROEBNER_BASIS)
     amb = nf
     for _ in range(abs(w)):
-        amb = normal_form(factor * amb)
+        amb = remainder(factor * amb, basis)
     return amb
 
 

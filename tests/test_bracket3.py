@@ -50,13 +50,14 @@ from qbracket.diagram import (
     rewrite_moves,
     writhe,
 )
-from qbracket.multipoly import Polynomial, format_poly, parse_poly
-from qbracket.quotient import is_normal, normal_form, specialize_classical
+from qbracket.multipoly import Polynomial, format_poly, parse_poly, remainder
+from qbracket.quotient import GROEBNER_BASIS, is_normal, normal_form, specialize_classical
 from qbracket.search import bundled_table_path, compute_record, load_table, parse_presentation
 
 
 #: The circle weight d.
 DELTA = Polynomial.variable("d")
+BASIS = list(GROEBNER_BASIS)
 
 
 @st.composite
@@ -790,7 +791,7 @@ def test_circle_factor_variant_reported_separately():
     d = closure(parse_braid("braid:2:1,1,1"))
     plain = ambient3(d)
     variant = ambient3_with_circle_factors(d)
-    assert variant == normal_form(DELTA**3 * plain)
+    assert variant == remainder(DELTA**3 * plain, BASIS)
     assert variant == normal_form((CURL_MINUS * DELTA) ** 3 * bracket3_raw(d))  # curls with circles
     assert variant != plain  # the variant keeps one circle factor per curl
     unknot = closure(parse_braid("braid:1:"))
@@ -809,7 +810,7 @@ def test_circle_variant_is_normal_without_reduction(word, loops):
         d = closure(w)
         d = Diagram(d.crossings, d.free_loops + loops)
         amb, k = ambient3(d), writhe(d)
-        assert circle_variant(amb, k) == normal_form(DELTA ** abs(k) * amb), w.text
+        assert circle_variant(amb, k) == remainder(DELTA ** abs(k) * amb, BASIS), w.text
 
 
 def test_circle_variant_is_normal_without_reduction_on_every_table_entry(monkeypatch):
@@ -821,7 +822,7 @@ def test_circle_variant_is_normal_without_reduction_on_every_table_entry(monkeyp
         raws = [(tl_evaluate(w), writhe(closure(w))) for w in words] or [(bracket3_raw(e.diagram), e.writhe)]
         for raw, w in raws:
             amb = state_oracle.ambient_from_normal(normal_form(raw), w)
-            cases.append((e.name, amb, w, normal_form(DELTA ** abs(w) * amb)))
+            cases.append((e.name, amb, w, remainder(DELTA ** abs(w) * amb, BASIS)))
 
     def forbidden(p):
         raise AssertionError("circle_variant reduced")
@@ -856,6 +857,16 @@ def assert_ambient3_is_the_padded_normal_form(text: str) -> None:
     assert production_ambient3(text) == {format_poly(padded)}, text
 
 
+def assert_normal_form_is_the_remainder(text: str) -> None:
+    """The residue rule of ``normal_form`` against the general reducer, on
+    the raw sum and on that sum padded with one curl per unit of writhe."""
+    entry = parse_presentation(text)
+    raw = bracket3_raw(entry.diagram)
+    padded = (CURL_MINUS if entry.writhe > 0 else CURL_PLUS) ** abs(entry.writhe) * raw
+    for p in (raw, padded):
+        assert normal_form(p) == remainder(p, BASIS), text
+
+
 @settings(max_examples=40, deadline=None)
 @given(braid_words(max_strands=5, max_letters=10))
 @example(BraidWord(2, ()))
@@ -865,6 +876,7 @@ def test_ambient3_is_the_padded_normal_form_on_braids_and_mirrors(word):
     # untouched strands are free circles
     for w in (word, mirror_word(word)):
         assert_ambient3_is_the_padded_normal_form(w.text)
+        assert_normal_form_is_the_remainder(w.text)
 
 
 @st.composite
@@ -888,6 +900,7 @@ def split_pd_texts(draw) -> str:
 @example("PD[X(1,1,2,2),X(3,4,4,3),O,O]")
 def test_ambient3_is_the_padded_normal_form_on_pd_codes_with_free_loops_and_split_pieces(text):
     assert_ambient3_is_the_padded_normal_form(text)
+    assert_normal_form_is_the_remainder(text)
 
 
 def test_ambient3_is_the_padded_normal_form_on_every_table_entry_and_mirror():
@@ -895,8 +908,10 @@ def test_ambient3_is_the_padded_normal_form_on_every_table_entry_and_mirror():
     assert any(e.word is None for e in entries)  # PD entries are covered
     for e in entries:
         assert_ambient3_is_the_padded_normal_form(e.presentation)
+        assert_normal_form_is_the_remainder(e.presentation)
         if e.word is not None:
             assert_ambient3_is_the_padded_normal_form(mirror_word(e.word).text)
+            assert_normal_form_is_the_remainder(mirror_word(e.word).text)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 64, 127, 200])
@@ -949,13 +964,13 @@ def test_classical_readouts_fold_out_of_the_raw_sum_on_table_pd_entries():
 @settings(max_examples=25, deadline=None)
 @given(braid_words(max_strands=3, max_letters=6), st.integers(min_value=1, max_value=7))
 def test_chunked_reduction_equals_reduce_at_end(word, chunk):
-    # normal form is linear, so reducing partial sums early must not change
-    # the final answer; this justifies bounding term growth in long runs
+    # the remainder by the basis is linear, so reducing partial sums early
+    # must not change the final answer, the normal form of the raw sum
     raw = bracket3_raw(closure(word))
     terms = list(raw.terms.items())
     partial = Polynomial.zero()
     for start in range(0, len(terms), chunk):
-        partial = normal_form(partial + Polynomial(dict(terms[start:start + chunk])))
+        partial = remainder(partial + Polynomial(dict(terms[start:start + chunk])), BASIS)
     assert partial == normal_form(raw)
 
 

@@ -77,7 +77,7 @@ def test_move_two_ideal_is_d_times_j_and_j_lies_in_each_component():
     for g in GROEBNER_BASIS:
         assert remainder(_exact(g, D, "g/d"), j_basis).is_zero, format_poly(g)
     for j in J:
-        assert normal_form(D * j).is_zero, format_poly(j)
+        assert remainder(D * j, list(GROEBNER_BASIS)).is_zero, format_poly(j)
     assert [name for name, _ in COMPONENTS] == ["d=0", "Jc", "J+", "J-"]
     for name, gens in COMPONENTS[1:]:
         basis = reduce_basis(buchberger(list(gens)))

@@ -92,7 +92,7 @@ OWN_MODULE_ONLY = {
     "quotient.COMPONENTS": "the components of the variety, by name and generators",
     "quotient.Check": "one certificate's result in a GroebnerReport",
     "quotient.Exact": "the type of an exact cyclotomic value",
-    "quotient.GROEBNER_BASIS": "the stored Groebner basis that normal_form reduces by",
+    "quotient.GROEBNER_BASIS": "the stored Groebner basis that the certificates check",
     "quotient.GroebnerReport": "the return type of verify_groebner",
     "quotient.IDEAL_GENERATORS": "the two generators of the move-two ideal",
     "quotient.distinct_branches": "the catalogue deduplicated, for verify_all_branches",
