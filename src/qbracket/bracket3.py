@@ -20,7 +20,7 @@ takes any planar diagram, one crossing at a time, merging the partial states
 that join the open arcs alike (Bar-Natan, JKTR 16 (2007)); ``tl`` carries
 planar matchings (the Temperley-Lieb basis), numbered as they first appear,
 across a braid word, one letter at a time, in an order with the same closure
-that grows the table late (:func:`_letter_order`).  Each keeps one packed int of
+that keeps the table small (:func:`_letter_order`).  Each keeps one packed int of
 state counts per matching (Kronecker substitution), its slots sized to
 Kauffman's state diamond (Topology 26 (1987)): in a planar diagram,
 switching one smoothing moves the circle count by exactly one, so a state
@@ -29,12 +29,12 @@ n-j of the all-B state's, and k-j has one parity.  The count of
 a^(n-j) b^j d^k sits in slot alpha*j + beta*k (see :func:`_unpack`), so a
 B-smoothing and a closed circle each shift a matching's counts by a
 constant; ``tl`` shifts only on the cup-cap path, worked out once per
-matching and position (:func:`tl_transfer`).  ``tl`` also carries the
-circles of each matching's closure along the cup-caps that number it: a
-cup-cap is a saddle on the closure, and in the planar annulus a saddle on
-one circle splits it while a saddle across two circles merges them
-(:func:`_number_matchings`).  The engines are checked against each other in
-the tests; a per-state enumeration is the oracle.
+matching and position between closings (:func:`tl_transfer`).  ``tl``
+closes each strand of the closure after its last letter
+(:func:`_close_strands`): matchings that differ only in how finished strands
+ran merge, as the frontier pass merges partial states, and after the last
+letter one entry, the packed raw sum, is left.  The engines are checked
+against each other in the tests; a per-state enumeration is the oracle.
 
 Every readout of a diagram is derived from its one raw sum: the normal form,
 the lifted :func:`ambient3`, :func:`circle_variant`, and the classical
@@ -43,8 +43,10 @@ bracket (:func:`.classical.bracket_from_raw`).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from collections.abc import Iterable
 
 from .diagram import BraidWord, Diagram, Quad, closure, count_cycles, port_mates, writhe
 from .multipoly import Monomial, Polynomial, format_poly, parse_poly
@@ -68,7 +70,8 @@ TL_STRAND_CAP = 12
 
 #: Strands below which the transfer pass keeps a word's letter order: its table
 #: holds at most Catalan(n) matchings, 42 on 5 strands, too few to repay the plan
-#: and the rebuilt word (5-strand 20-letter words ran slower planned).
+#: and the rebuilt word (planned, 4- and 5-strand words of 20 letters took 1.64x
+#: and 1.33x the time of the given order, and of 40 letters 1.22x and 1.08x).
 _TL_PLAN_FLOOR = 6
 
 
@@ -222,124 +225,164 @@ def ambient3_with_circle_factors(d: Diagram) -> Polynomial:
 Matching = tuple[int, ...]
 # A planar perfect matching on 2n points: indices 0..n-1 are the bottom
 # boundary, n..2n-1 the current frontier (frontier position j is point n+j).
-# matching[x] is the partner of point x.
-Row = list[tuple[int, bool]]  # row[k]: the number of matching k times e_i, and if a circle split off
+# matching[x] is the partner of point x; the two points of a closed strand
+# are their own partners.
 
 
 def _identity_matching(n: int) -> Matching:
     return tuple(list(range(n, 2 * n)) + list(range(n)))
 
 
-class PackedTable(dict[Matching, int]):
-    """Packed state counts per matching, with the layout they are packed in
-    (see :func:`_unpack`): the all-A circle count ``k_a``, the bits per slot
-    ``width`` and the slots per circle ``beta``; ``closures[t]`` is the
-    closure-circle count of the t-th matching in key order."""
+class PackedSum:
+    """A raw sum's packed state counts with their layout (see :func:`_unpack`),
+    and ``sizes``, the matchings the transfer pass carried at the start and
+    after each letter; its ``len()`` is the largest."""
 
-    def __init__(self, counts: dict[Matching, int], closures: list[int], k_a: int, width: int, beta: int):
-        super().__init__(counts)
-        self.closures, self.k_a, self.width, self.beta = closures, k_a, width, beta
+    def __init__(self, packed: int, sizes: list[int], k_a: int, width: int, beta: int):
+        self.packed, self.sizes, self.k_a, self.width, self.beta = packed, sizes, k_a, width, beta
 
-
-def _number_matchings(b: BraidWord) -> tuple[list[Matching], list[Row], list[int], list[int]]:
-    """The matchings the states of braid word ``b`` reach, numbered in order
-    of first appearance; their cup-cap rows, one per frontier position; the
-    circles of each one's closure (frontier point n+j joined back to bottom
-    point j); and ``sizes[t]``, how many are numbered before letter t.  Each
-    letter extends its position's row over those, so each cup-cap runs once
-    per matching and position.
-
-    The identity's closure has n circles.  Where u and v, the letter's
-    frontier points, are not partners in m, the cup-cap of m e_i is a saddle
-    on m's closure arcs at u and v.  In the planar annulus a saddle on one
-    circle splits it and one across two circles merges them, so m e_i has
-    one circle more than m if one walk of u's circle meets v, else one fewer.
-    The walk runs once, when m e_i is first numbered."""
-    n, matchings = b.strands, [_identity_matching(b.strands)]
-    ids, rows, closures, sizes = {matchings[0]: 0}, [[] for _ in range(n)], [n], [1]
-    for letter in b.letters:
-        i = abs(letter)
-        u, v, row = n + i - 1, n + i, rows[i]
-        for k in range(len(row), len(matchings)):
-            m = matchings[k]
-            pu, pv = m[u], m[v]
-            if pu == v:  # the cap closes a circle and the cup restores m
-                row.append((k, True))
-                continue
-            out = list(m)
-            out[pu], out[pv], out[u], out[v] = pv, pu, v, u
-            m2 = tuple(out)
-            t = ids.setdefault(m2, len(matchings))
-            row.append((t, False))
-            if t == len(matchings):
-                # step along the tangle, then back along a closure arc: the
-                # points stepped from are every other point of u's circle, so
-                # it holds v iff the walk meets v or pv before u again
-                x = pu - n if pu >= n else pu + n
-                while x != u and x != v and x != pv:
-                    x = m[x] - n if m[x] >= n else m[x] + n
-                matchings.append(m2)
-                closures.append(closures[k] - 1 if x == u else closures[k] + 1)
-        sizes.append(len(matchings))
-    return matchings, rows, closures, sizes
+    def __len__(self) -> int:
+        return max(self.sizes)
 
 
-def tl_transfer(b: BraidWord) -> PackedTable:
-    """The braid word as a combination of planar matchings, before closure.
+def _close(m: list[int], strands: Iterable[int], n: int) -> int:
+    """Close each of ``strands`` in the matching ``m``, in place: join
+    frontier point n+j to bottom point j, joining their partners, and fix
+    both points.  Returns the circles closed: one per strand whose two
+    points were each other's partners."""
+    circles = 0
+    for j in strands:
+        x, y = m[n + j], m[j]
+        if x == j:
+            circles += 1
+        else:
+            m[x], m[y] = y, x
+        m[j], m[n + j] = j, n + j
+    return circles
+
+
+def _close_strands(
+    matchings: list[Matching], table: list[int], strands: tuple[int, ...], n: int, circle: int
+) -> tuple[list[Matching], dict[Matching, int], list[int]]:
+    """Close ``strands`` in every matching of the transfer pass's table
+    (:func:`_close`), shifting its packed counts up ``circle`` bits per
+    circle closed, and add up the entries whose matchings became equal.
+    Returns the closed matchings, numbered anew in order of first
+    appearance, their numbers, and the closed table."""
+    closed: list[Matching] = []
+    ids: dict[Matching, int] = {}
+    merged: list[int] = []
+    for m, packed in zip(matchings, table):
+        out = list(m)
+        packed <<= circle * _close(out, strands, n)
+        key = tuple(out)
+        t = ids.get(key)
+        if t is None:
+            ids[key] = len(closed)
+            closed.append(key)
+            merged.append(packed)
+        else:
+            merged[t] += packed
+    return closed, ids, merged
+
+
+def tl_transfer(b: BraidWord) -> PackedSum:
+    """The raw sum of the closure of braid word ``b``, packed, by a pass over
+    planar matchings (the Temperley-Lieb basis).
 
     Each letter maps the running element T to weight_vert * T plus
     weight_cup * T e_i, where e_i is the cup-cap generator at the letter's
     position; a circle split off during composition contributes a factor d.
+    After the last letter on strand j, or before the first letter if no
+    letter touches it, the pass closes the strand in every matching
+    (:func:`_close_strands`); after the last letter one entry is left.
     Every state has weight +1, so each matching carries its state counts
     per monomial a^(L-j) b^j d^k, for a word of L letters, packed into one
     int: slot alpha*j + beta*k, L+1 bits wide, with the diamond of the
-    closure's extreme states, untouched strands included (see
-    :func:`_unpack`); the table carries that layout.  It is a list indexed
-    by matching number (:func:`_number_matchings`).  The identity path is
-    free: the next table starts as a copy, and only the cup-cap path adds a
-    shifted count.  On a positive letter that is the B-smoothing, alpha
-    slots up, plus beta if a circle splits off.  On a negative letter it is
-    alpha slots down, or one (alpha - beta) if a circle splits off, as the
-    table starts alpha slots up per negative letter.  Before the m-th
-    negative letter from the end every count sits m*alpha slots up or more,
-    so no down shift drops a bit.  The table also carries the closure
-    circles that :func:`_number_matchings` counts by the saddle rule.
+    closure's extreme states (:func:`_walk_letters`, :func:`_unpack`).
+    Between closings the table is a list indexed by matching number, and
+    each position keeps a row with the cup-cap of every numbered matching
+    (its number, and whether a circle split off); a closing renumbers the
+    matchings and starts the rows afresh.  The identity path is free: the
+    next table starts as a copy, and only the cup-cap path adds a shifted
+    count.  On a positive letter that is the B-smoothing, alpha slots up,
+    plus beta if a circle splits off.  On a negative letter it is alpha
+    slots down, or one (alpha - beta) if a circle splits off, as the table
+    starts alpha slots up per negative letter.  Before the m-th negative
+    letter from the end every count sits m*alpha slots up or more, so no
+    down shift drops a bit; a closing shifts only up.
     """
-    n = b.strands
+    n, letters = b.strands, b.letters
     if n > TL_STRAND_CAP:
         raise CapacityError(f"{n} strands exceeds the transfer-matrix cap {TL_STRAND_CAP}")
-    matchings, rows, closures, sizes = _number_matchings(b)
-    k_a, k_b = _tl_extremes(b, rows, closures)
-    width, beta = _layout(len(b.letters), k_a, k_b)
+    ends, k_a, k_b = _walk_letters(b)
+    width, beta = _layout(len(letters), k_a, k_b)
     alpha, circle = width * (beta + 1), width * beta  # in bits, as the shifts below
-    table = [1 << alpha * sum(letter < 0 for letter in b.letters)]
-    for letter, size in zip(b.letters, sizes[1:]):
-        prev, table = table, table + [0] * (size - len(table))
+    matchings = [_identity_matching(n)]
+    ids, rows, sizes = {matchings[0]: 0}, [[] for _ in range(n)], [1]
+    table = [1 << alpha * len([letter for letter in letters if letter < 0])]
+    for letter, closing in zip(letters, ends):
+        if closing:
+            matchings, ids, table = _close_strands(matchings, table, closing, n, circle)
+            rows = [[] for _ in range(n)]
+        i = letter if letter > 0 else -letter
+        row, size = rows[i], len(table)
+        if len(row) < size:
+            u, v = n + i - 1, n + i
+            for k in range(len(row), size):
+                m = matchings[k]
+                pu, pv = m[u], m[v]
+                if pu == v:  # the cap closes a circle and the cup restores m
+                    row.append((k, True))
+                    continue
+                out = list(m)
+                out[pu], out[pv], out[u], out[v] = pv, pu, v, u
+                m2 = tuple(out)
+                t = ids.get(m2)
+                if t is None:
+                    t = ids[m2] = len(matchings)
+                    matchings.append(m2)
+                row.append((t, False))
+            prev, table = table, table + [0] * (len(matchings) - size)
+        else:  # every matching's cup-cap is known, and none is new
+            prev, table = table, table[:]
+        sizes.append(len(table))
         if letter > 0:
-            for packed, (t, split) in zip(prev, rows[letter]):
+            for packed, (t, split) in zip(prev, row):
                 table[t] += packed << (alpha + circle if split else alpha)
         else:
-            for packed, (t, split) in zip(prev, rows[-letter]):
+            for packed, (t, split) in zip(prev, row):
                 table[t] += packed >> (width if split else alpha)
-    return PackedTable(dict(zip(matchings, table)), closures, k_a, width, beta)
+    (packed,) = _close_strands(matchings, table, ends[-1], n, circle)[2]
+    return PackedSum(packed, sizes, k_a, width, beta)
 
 
-def _tl_extremes(b: BraidWord, rows: list[Row], closures: list[int]) -> tuple[int, int]:
-    """Circles of the closure of ``b`` in its all-A and all-B states,
-    untouched strands included: one walk per extreme through ``rows``
-    (:func:`_number_matchings`), which ends on the carried closure count of
-    the walk's last matching.  A positive letter's A-smoothing is the
-    identity and its B-smoothing the cup-cap; a negative letter's are the
-    other way round."""
-    extremes = []
-    for all_b in (False, True):
-        k = circles = 0
-        for letter in b.letters:
-            if (letter > 0) == all_b:
-                k, split = rows[abs(letter)][k]
-                circles += split
-        extremes.append(circles + closures[k])
-    return extremes[0], extremes[1]
+def _walk_letters(b: BraidWord) -> tuple[list[tuple[int, ...]], int, int]:
+    """One walk over the letters of ``b``: ``ends[t]``, the strands whose
+    last letter is letter t - 1 (letter i touches strands i - 1 and i, and
+    ``ends[0]`` holds the untouched ones), which the transfer pass closes
+    before letter t; and the circles of the closure's all-A and all-B states.
+    A positive letter's B-smoothing is its cup-cap and a negative letter's
+    A-smoothing is, so each letter composes one extreme's matching with its
+    cup-cap; both matchings are closed (:func:`_close`) after the last letter."""
+    n, letters = b.strands, b.letters
+    a = [*range(n, 2 * n), *range(n)]  # the identity matching
+    walks, circles, last = (a, a[:]), [0, 0], [-1] * n  # all-A, all-B
+    for t, letter in enumerate(letters):
+        w = letter > 0
+        i = letter if w else -letter
+        m, v = walks[w], n + i
+        last[i - 1] = last[i] = t
+        pu, pv = m[v - 1], m[v]
+        if pu == v:
+            circles[w] += 1
+        else:
+            m[pu], m[pv], m[v - 1], m[v] = pv, pu, v, v - 1
+    ends: list[tuple[int, ...]] = [()] * (len(letters) + 1)
+    for j, t in enumerate(last):
+        ends[t + 1] += (j,)
+    every = range(n)
+    return ends, circles[0] + _close(a, every, n), circles[1] + _close(walks[1], every, n)
 
 
 def _unpack(packed: int, n: int, width: int, k_a: int, beta: int) -> Polynomial:
@@ -378,70 +421,81 @@ def _unpack(packed: int, n: int, width: int, k_a: int, beta: int) -> Polynomial:
     return Polynomial._from_clean(counts)  # nonzero counts, j <= n
 
 
+@functools.cache
+def _runs_bound(live: int) -> int:
+    """The product of Catalan(r + 1) over the runs r of set bits of ``live``."""
+    return math.prod(math.comb(2 * r + 2, r + 1) // (r + 2) for r in map(len, format(live, "b").split("0")))
+
+
 def _letter_order(b: BraidWord) -> tuple[int, ...]:
-    """Letters with the closure of ``b`` in an order that grows the transfer
-    pass's table late; ``b.letters`` itself off :data:`_TL_PLAN_FLOOR` to
+    """Letters with the closure of ``b`` in an order that keeps the transfer
+    pass's table small; ``b.letters`` itself off :data:`_TL_PLAN_FLOOR` to
     :data:`TL_STRAND_CAP` strands or where the plan does not lower the score.
 
-    After letters on positions P the pass carries at most the product of
-    Catalan(r + 1) over the maximal runs r of consecutive positions in P; an
-    order's score sums that bound over its letters.  The plan takes the cyclic
-    shift of least score, the smallest on ties, then each next letter as the
-    first remaining one that commutes (positions two or more apart; Cartier &
-    Foata 1969) with every remaining one before it, one on a touched position
-    first.  Neither step raises the score.  It costs O(L*n).
+    Letters on positions P reach at most the product of Catalan(r + 1) over
+    the maximal runs r of consecutive positions in P, and the pass closes a
+    strand once the positions beside it are past their last letters.  So an
+    order's score counts each position from its first letter to its last and
+    sums that bound over the letters.  The plan takes the cyclic shift of
+    least score, the smallest on ties, then each next letter as the first
+    remaining one that commutes (positions two or more apart; Cartier &
+    Foata 1969) with every remaining one before it, one on a touched
+    position first.  That starts positions late and ends them early, which
+    lowered the score of all but one of 300 random 6-10-strand words.  It
+    costs O(L*n log n).
     """
     letters, n = b.letters, b.strands
     if not (_TL_PLAN_FLOOR <= n <= TL_STRAND_CAP and letters):
         return letters
-    size, catalan = len(letters), [math.comb(2 * m, m) // (m + 1) for m in range(n + 1)]
+    size = len(letters)
 
-    def score(firsts: list[tuple[int, int]]) -> int:  # (index, position) of each position's first letter
-        end, bound, total = [0] * (n + 1), 1, size  # end[x]: the far end of a run that x ends, 0 if none
-        for t, p in firsts:  # p joins the runs beside it, and the bound's rise holds from letter t on
-            lo, hi = end[p - 1] or p, end[p + 1] or p
-            end[lo], end[hi] = hi, lo
-            rise = bound * catalan[hi - lo + 2] // (catalan[p - lo + 1] * catalan[hi - p + 1]) - bound
-            bound, total = bound + rise, total + (size - t) * rise
+    def score(spans: dict[int, tuple[int, int]]) -> int:  # position: (first letter, last letter)
+        total = live = at = 0
+        # events 16 * letter + position, where the position starts counting and where it stops
+        for event in sorted([f << 4 | p for p, (f, _) in spans.items()] + [e + 1 << 4 | p for p, (_, e) in spans.items()]):
+            if event >> 4 > at:
+                total += _runs_bound(live) * ((event >> 4) - at)
+                at = event >> 4
+            live ^= 1 << (event & 15)
         return total
 
-    nxt, best = {}, (math.inf, 0)  # each position's next letter at or after t, the nearest last
+    last, prev = {abs(letter): u for u, letter in enumerate(letters)}, []
+    for u, letter in enumerate(letters):  # prev[u]: the letter before u on its position, cyclically
+        prev.append(last[abs(letter)])
+        last[abs(letter)] = u
+    nxt, best = {}, (math.inf, 0)  # each position's next letter at or after t
     for t in range(2 * size - 1, -1, -1):  # in the word read twice
         p = abs(letters[t % size])
-        nxt.pop(p, None)
         nxt[p] = t
         if t < size:
-            cost = score([(u - t, q) for q, u in reversed(nxt.items())])
+            cost = score({q: (u - t, (prev[u % size] - t) % size) for q, u in nxt.items()})
             best = min(best, (cost, t))
-    rest, order, firsts = letters[best[1]:] + letters[:best[1]], [], []
+    rest, order, touched = letters[best[1]:] + letters[:best[1]], [], set()
     while rest:  # the first letter left touches a new position; then take every letter that frees
-        firsts.append((len(order), abs(rest[0])))
-        touched, blocked, left = {p for _, p in firsts}, [False] * (n + 1), []
+        touched.add(abs(rest[0]))
+        blocked, left = [False] * (n + 1), []
         for letter in rest:
             p = abs(letter)
             free = p in touched and not (blocked[p - 1] or blocked[p] or blocked[p + 1])
             blocked[p] |= not free
             (order if free else left).append(letter)
         rest = left
-    return tuple(order) if score(firsts) < cost else letters  # cost is the given order's, shift 0's
+    spans: dict[int, tuple[int, int]] = {}
+    for t, letter in enumerate(order):
+        spans[abs(letter)] = (spans.get(abs(letter), (t,))[0], t)
+    return tuple(order) if score(spans) < cost else letters  # cost is the given order's, shift 0's
 
 
 def tl_evaluate(b: BraidWord) -> Polynomial:
     """Raw three-variable bracket of the closure via the transfer pass.
 
     Runs :func:`tl_transfer` once, in the order :func:`_letter_order` plans
-    (on ``b`` itself where it keeps b's), and then joins top to bottom,
-    shifting each matching's packed counts up beta slots per closure circle,
-    as the table carries them (:func:`_number_matchings`); the sum is
-    unpacked once, in the table's layout.  Equals bracket3_raw(closure(b)) exactly.
+    (on ``b`` itself where it keeps b's), and unpacks its one packed sum.
+    Equals bracket3_raw(closure(b)) exactly.
     """
     order = _letter_order(b)
-    table = tl_transfer(b if order is b.letters else BraidWord(b.strands, order))
-    circle = table.width * table.beta
-    total = 0
-    for packed, k in zip(table.values(), table.closures):
-        total += packed << circle * k
-    return _unpack(total, len(b.letters), table.width, table.k_a, table.beta)
+    raw = tl_transfer(b if order is b.letters else BraidWord(b.strands, order))
+    return _unpack(raw.packed, len(b.letters), raw.width, raw.k_a, raw.beta)
 
 
 def raw_bracket(source: BraidWord | Diagram, engine: str = "naive") -> Polynomial:

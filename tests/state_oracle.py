@@ -15,17 +15,22 @@ unit of writhe and reduces after each by the Groebner basis, where the
 library lifts f once.
 
 The transfer pass's matchings have their own oracles: :func:`apply_cupcap`
-composes one matching with one cup-cap, and :func:`close_trace` counts the
-circles of a matching's closure by walking every point, where the library
-carries the count along the cup-caps that numbered the matching.
+composes one matching with one cup-cap, and :func:`close_strands` joins the
+finished strands of a matching by walking their points, where the library
+closes one strand after another in place.  :func:`closing_snapshots` builds
+every state on its own, never closing it, and reads it through
+:func:`close_strands` wherever the library closes strands.
 
 The slot reader has one too: :func:`unpack_string` reads a packed sum off its
 binary text, slot by slot, where the library splits the int by halving.
 """
 
+import itertools
+from collections.abc import Iterator
+
 from qbracket.bracket3 import CURL_MINUS, CURL_PLUS, CapacityError, Matching
 from qbracket.classical import LaurentPolynomial, circle_power
-from qbracket.diagram import Diagram, Quad, writhe
+from qbracket.diagram import BraidWord, Diagram, Quad, writhe
 from qbracket.multipoly import Monomial, Polynomial, remainder
 from qbracket.quotient import GROEBNER_BASIS
 
@@ -196,21 +201,64 @@ def apply_cupcap(m: Matching, u: int, v: int) -> tuple[Matching, bool]:
     return tuple(out), False
 
 
-def close_trace(m: Matching, n: int) -> int:
-    """Circles formed when frontier point n+j is joined back to bottom point j."""
-    seen = [False] * (2 * n)
-    circles = 0
+def close_strands(m: Matching, n: int, closed: set[int]) -> tuple[Matching, int]:
+    """Join frontier point n+j back to bottom point j for each strand j in
+    ``closed``, by walking the closed points.  Returns the matching left on
+    the other points, where each point of a closed strand is its own
+    partner, and the circles that run through closed points only."""
+    def is_closed(x: int) -> bool:
+        return (x - n if x >= n else x) in closed
+
+    out, seen, circles = list(range(2 * n)), [False] * (2 * n), 0
+    for start in range(2 * n):
+        if is_closed(start) or seen[start]:
+            continue
+        x = m[start]
+        while is_closed(x):  # along the tangle to x, then along its closure arc
+            y = x - n if x >= n else x + n
+            seen[x] = seen[y] = True
+            x = m[y]
+        out[start], out[x] = x, start
+        seen[start] = seen[x] = True
     for start in range(2 * n):
         if seen[start]:
             continue
         circles += 1
         x = start
         while not seen[x]:
-            seen[x] = True
-            y = m[x]                      # along the tangle
-            seen[y] = True
-            x = y - n if y >= n else y + n  # along the closure arc
-    return circles
+            y = m[x]
+            seen[x] = seen[y] = True
+            x = y - n if y >= n else y + n
+    return tuple(out), circles
+
+
+def last_letters(word: BraidWord) -> list[int]:
+    """The index of the last letter on each strand, -1 where no letter is."""
+    return [max((t for t, letter in enumerate(word.letters) if abs(letter) in (j, j + 1)), default=-1)
+            for j in range(word.strands)]
+
+
+def closing_snapshots(word: BraidWord) -> Iterator[list[tuple[Matching, int, int]]]:
+    """The states read where strands close: after the last letter on each
+    strand, and before the first letter for a strand no letter touches.  For
+    each closing point, in order, every smoothing choice of the letters
+    before it, built on its own: its matching with every strand whose last
+    letter is behind closed (:func:`close_strands`), its B-smoothings, and
+    its circles, split off or closed."""
+    n, letters = word.strands, word.letters
+    last = last_letters(word)
+    for point in sorted(set(last)):
+        closed, snapshots = {s for s in range(n) if last[s] <= point}, []
+        for state in itertools.product((0, 1), repeat=point + 1):
+            m, j, k = tuple(range(n, 2 * n)) + tuple(range(n)), 0, 0
+            for letter, cup in zip(letters, state):
+                j += cup == (letter > 0)  # a positive letter's B-smoothing is its cup-cap
+                if cup:
+                    m, split = apply_cupcap(m, n + abs(letter) - 1, n + abs(letter))
+                    k += split
+            m, circles = close_strands(m, n, closed)
+            snapshots.append((m, j, k + circles))
+        yield snapshots
 
 
 def unpack_string(packed: int, n: int, width: int, k_a: int, beta: int) -> Polynomial:

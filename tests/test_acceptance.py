@@ -5,6 +5,8 @@ criterion.  Every tolerance and time bound is pinned here; nothing is left
 to later calibration.
 """
 
+import hashlib
+import random
 import time
 
 from qbracket.bracket3 import (
@@ -14,7 +16,7 @@ from qbracket.bracket3 import (
     tl_evaluate,
 )
 from qbracket.classical import CIRCLE, LaurentPolynomial, f_invariant, kauffman_bracket
-from qbracket.diagram import Diagram, add_kink, closure, parse_braid, rewrite_moves
+from qbracket.diagram import BraidWord, Diagram, add_kink, closure, parse_braid, rewrite_moves
 from qbracket.multipoly import buchberger, format_poly, reduce_basis, remainder, s_poly
 from qbracket.quotient import (
     GROEBNER_BASIS,
@@ -159,6 +161,32 @@ def test_criterion_6_specialization_bridge():
         f"{len(entries)} table entries of <= 8 crossings; naive {naive_elapsed:.1f}s (< 300s), "
         f"transfer-matrix {tl_elapsed:.1f}s (< 30s)",
     )
+
+
+#: Digests of format_poly of the raw sums of the three 12-strand 60-letter
+#: words that ``random.Random(12)`` draws below, and their term counts,
+#: pinned from the frontier pass (``bracket3_raw`` of the closure), which
+#: takes 1-12 s per word on a 2-core machine.
+WIDE_WORD_DIGESTS = (
+    (763, "93582583d6e36f3b67c112e40d0df1d0e840a71b578d8f90f04b3b6879efb0ee"),
+    (803, "778b80ac0f460b15074f435da12750b86784b2e46c4c18d72b107f6045cb6910"),
+    (798, "b9bd5dd060faa802f5cb310ddb5da6cc9b3b847a08b40efbf5c350d11a165c39"),
+)
+
+
+def test_transfer_pass_on_wide_words_is_fast():
+    # a floor, not a loosened bound: carrying every matching to the closure,
+    # the pass took about 12.5 s on these three words; closing each strand
+    # after its last letter, about 0.25 s (2 cores, Python 3.11)
+    rng = random.Random(12)
+    words = [BraidWord(12, tuple(rng.choice((1, -1)) * rng.randint(1, 11) for _ in range(60))) for _ in range(3)]
+    start = time.perf_counter()
+    raws = [tl_evaluate(word) for word in words]
+    elapsed = time.perf_counter() - start
+    assert elapsed < 3.0, f"tl_evaluate of three 60-letter 12-strand words took {elapsed:.2f}s"
+    for raw, (terms, digest) in zip(raws, WIDE_WORD_DIGESTS):
+        assert len(raw) == terms and sum(c for _, c in raw) == 2**60
+        assert hashlib.sha256(format_poly(raw).encode()).hexdigest() == digest
 
 
 def test_criterion_7_engine_equivalence():

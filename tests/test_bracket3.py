@@ -28,12 +28,13 @@ from qbracket.bracket3 import (
     tl_evaluate,
     tl_transfer,
     _TL_PLAN_FLOOR,
+    _close,
+    _close_strands,
     _extreme_circles,
     _identity_matching,
     _letter_order,
-    _number_matchings,
-    _tl_extremes,
     _unpack,
+    _walk_letters,
 )
 from qbracket.classical import CIRCLE, bracket_from_raw, writhe_normalize
 from qbracket.cli import main
@@ -141,15 +142,15 @@ def test_depth_first_walk_equals_state_by_state_count(word, unused):
     # the frontier pass against each state on its own, exact in all three
     # exponents, unlike the classical fold (only i - j); the name is kept from
     # the depth-first walk that the frontier pass replaced.  The unused strands
-    # are free circles, which the transfer pass closes one by one, so its
-    # extreme walks count them
+    # are free circles, which the transfer pass closes before the first
+    # letter, and its extreme walks count them
     word = BraidWord(word.strands + unused, word.letters)
     d = closure(word)
     raw = raw_state_by_state(d)
     assert bracket3_raw(d) == raw == tl_evaluate(word)
     assert_extremes(d, raw)
     k_a, k_b = _extreme_circles(d.crossings)
-    assert _tl_extremes(word, *_number_matchings(word)[1:3]) == (k_a + d.free_loops, k_b + d.free_loops)
+    assert _walk_letters(word)[1:] == (k_a + d.free_loops, k_b + d.free_loops)
 
 
 @settings(max_examples=40, deadline=None)
@@ -505,43 +506,39 @@ def test_tl_evaluate_40_letters_on_10_strands_is_fast():
     assert all(i + j == 40 for (i, j, _), _ in raw)
 
 
+@contextlib.contextmanager
+def recorded_closings():
+    """The transfer pass's table closings, each call's arguments and result
+    in call order, while the block runs."""
+    calls: list = []
+
+    def recording(*args):
+        result = _close_strands(*args)
+        calls.append((args, result))
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bracket3_module, "_close_strands", recording)
+        yield calls
+
+
 def test_poke_composition_locks_the_convention():
     # composing the two crossings of a move-II poke must give exactly
     # a*b on the identity matching and a^2+b^2+a*b*d on the cup-cap, each
-    # times d per circle of its closure (2 and 1); the slots are laid out for
-    # closed states, so each matching is decoded after its closure shift
+    # times d per circle that closing both strands makes (2 and 1): the
+    # table that the last letter leaves, each entry closed on its own
     word = parse_braid("braid:2:1,-1")
-    table = tl_transfer(word)
-    identity = _identity_matching(2)
-    cupcap = (1, 0, 3, 2)
-    assert set(table) == {identity, cupcap}
+    with recorded_closings() as closings:
+        raw = tl_transfer(word)
+    ((matchings, table, strands, n, circle), _), = closings
+    assert matchings == [_identity_matching(2), (1, 0, 3, 2)] and strands == (0, 1)
 
-    def closed(m):
-        packed = table[m] << (table.width * table.beta * state_oracle.close_trace(m, word.strands))
-        return _unpack(packed, len(word.letters), table.width, table.k_a, table.beta)
+    def closed(m, packed):
+        (one,) = _close_strands([m], [packed], strands, n, circle)[2]
+        return _unpack(one, len(word.letters), raw.width, raw.k_a, raw.beta)
 
-    assert closed(identity) == parse_poly("+a*b*d^2")
-    assert closed(cupcap) == parse_poly("+a^2*d +b^2*d +a*b*d^2")
-
-
-def state_paths(word: BraidWord):
-    """Each of the 2^letters smoothing choices, one path at a time: its
-    matching, its B-smoothings and the circles split off on the way."""
-    n = word.strands
-    for state in itertools.product((0, 1), repeat=len(word.letters)):
-        m, j, k = _identity_matching(n), 0, 0
-        for letter, cup in zip(word.letters, state):
-            j += cup == (letter > 0)  # a positive letter's B-smoothing is its cup-cap
-            if cup:
-                i = abs(letter)
-                m, split = state_oracle.apply_cupcap(m, n + i - 1, n + i)
-                k += split
-        yield m, j, k
-
-
-def reachable_matchings(word: BraidWord) -> set:
-    """The matchings of all 2^letters smoothing choices, one path at a time."""
-    return {m for m, _, _ in state_paths(word)}
+    assert [closed(m, packed) for m, packed in zip(matchings, table)] == [
+        parse_poly("+a*b*d^2"), parse_poly("+a^2*d +b^2*d +a*b*d^2")]
 
 
 @settings(max_examples=60, deadline=None)
@@ -550,16 +547,24 @@ def reachable_matchings(word: BraidWord) -> set:
 @example(BraidWord(2, (1, -1)))
 @example(BraidWord(3, (-1, -1, -2, -2)))
 @example(BraidWord(4, (-2, 1, 3, -2, -2)))
+@example(BraidWord(5, (1, -3, 3, 1, 2)))
+@example(BraidWord(1, ()))
 def test_tl_transfer_equals_a_build_one_state_at_a_time(word):
-    # the pass's numbered matchings, cup-cap rows, free identity path and
-    # pre-offset must put each state's +1 where the path on its own does:
-    # slot alpha*j + beta*k of its matching, before the closure
-    table = tl_transfer(word)
-    alpha = table.beta + 1
-    expected: dict = {}
-    for m, j, k in state_paths(word):
-        expected[m] = expected.get(m, 0) + (1 << table.width * (alpha * j + table.beta * k))
-    assert dict(table) == expected
+    # the pass's numbered matchings, cup-cap rows, free identity path,
+    # pre-offset and closings must put each state's +1 where the state on its
+    # own lands: in the table after each closing, slot alpha*j + beta*k of its
+    # closed matching, with the pre-offset of the negative letters still ahead
+    with recorded_closings() as closings:
+        raw = tl_transfer(word)
+    width, beta = raw.width, raw.beta
+    last = state_oracle.last_letters(word)
+    ahead = [sum(letter < 0 for letter in word.letters[t + 1:]) for t in sorted(set(last))]
+    expected: list[dict] = [{} for _ in ahead]
+    for table, snapshots, negatives in zip(expected, state_oracle.closing_snapshots(word), ahead):
+        for m, j, k in snapshots:
+            table[m] = table.get(m, 0) + (1 << width * ((beta + 1) * (j + negatives) + beta * k))
+    assert [dict(zip(closed, merged)) for _, (closed, _, merged) in closings] == expected
+    assert expected[-1] == {tuple(range(2 * word.strands)): raw.packed}
 
 
 @settings(max_examples=60, deadline=None)
@@ -575,6 +580,48 @@ def doubled_letters(word: BraidWord) -> BraidWord:
     return BraidWord(word.strands, tuple(letter for letter in word.letters for _ in range(2)))
 
 
+@st.composite
+def early_closing_words(draw, max_strands=9):
+    """Words whose strands close before the last letter: runs of 1-4 letters,
+    each on a window of positions, the windows moving left to right.  A
+    window past the next position leaves the strands between them done, so
+    they close together at the run's last letter, which may be the word's
+    first; strands outside every window are never touched; 1-strand words
+    have no letters."""
+    n = draw(st.integers(min_value=1, max_value=max_strands))
+    letters: list[int] = []
+    lo = 1
+    while lo < n and draw(st.booleans()):
+        hi = draw(st.integers(min_value=lo, max_value=n - 1))
+        letter = st.integers(min_value=lo, max_value=hi).flatmap(lambda i: st.sampled_from([i, -i]))
+        letters += draw(st.lists(letter, min_size=1, max_size=4))
+        lo = draw(st.integers(min_value=hi, max_value=n))
+    return BraidWord(n, tuple(letters))
+
+
+def all_negative(word: BraidWord) -> BraidWord:
+    return BraidWord(word.strands, tuple(-abs(letter) for letter in word.letters))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    early_closing_words(),
+    early_closing_words().map(all_negative),
+    early_closing_words().map(doubled_letters),
+    negative_heavy_words(),
+))
+@example(BraidWord(1, ()))
+@example(BraidWord(6, (2, 4, -4)))  # strands 0 and 5 untouched, strands 1 and 2 closed by the first letter
+@example(BraidWord(6, (-2, -2, -5, -5, 5)))  # strands 0 and 3 untouched, 1 and 2 closed mid-word
+@example(BraidWord(4, (1, -3, -3)))  # the first letter closes strands 0 and 1, then down shifts follow
+@example(BraidWord(4, (-1, -1, -3, -3, -2, -2)))  # doubled negative letters, one strand closed at a time
+def test_tl_equals_naive_where_strands_close_early(word):
+    # the closings of the transfer pass at their edges: untouched strands,
+    # one strand, several strands at one letter, a strand closed by the
+    # first letter, down shifts after a closing's up shift, doubled letters
+    assert tl_evaluate(word) == bracket3_raw(closure(word))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(
     braid_words(max_strands=9, max_letters=14),
@@ -585,12 +632,24 @@ def doubled_letters(word: BraidWord) -> BraidWord:
 @example(BraidWord(9, ()))
 @example(BraidWord(3, (1, 1, -2, -2, 1, -1)))
 def test_carried_closure_counts_equal_the_closure_walk(word):
-    # the saddle rule's count for each numbered matching, in the table's key
-    # order, against a walk over all 2n points of its closure
-    matchings, _, closures, _ = _number_matchings(word)
-    table = tl_transfer(word)
-    assert list(table) == matchings
-    assert table.closures == closures == [state_oracle.close_trace(m, word.strands) for m in matchings]
+    # every strand closing, in the pass and in its extreme-state walks, must
+    # leave the matching and close the circles that a walk over the closed
+    # points finds; the name is kept from the closure counts the pass
+    # carried before it closed strands one by one
+    calls: list = []
+
+    def recording(m, strands, n):
+        before = tuple(m)
+        circles = _close(m, strands, n)
+        calls.append((before, tuple(strands), n, tuple(m), circles))
+        return circles
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bracket3_module, "_close", recording)
+        tl_transfer(word)
+    assert calls
+    for before, strands, n, after, circles in calls:
+        assert (after, circles) == state_oracle.close_strands(before, n, set(strands))
 
 
 @st.composite
@@ -624,25 +683,40 @@ def test_unpack_matches_the_string_reader(layout, n, k_a, beta):
     assert sorted(got.terms.values()) == sorted(c for c in slots if c)
 
 
+def peak_closed_matchings(word: BraidWord) -> int:
+    """The most distinct matchings that the states reach after any one
+    letter, with every strand whose last letter is before it closed: one
+    state at a time."""
+    n, last = word.strands, state_oracle.last_letters(word)
+    after: list[set] = [set() for _ in word.letters]
+    for state in itertools.product((0, 1), repeat=len(word.letters)):
+        m = _identity_matching(n)
+        for t, (letter, cup) in enumerate(zip(word.letters, state)):
+            if cup:
+                m = state_oracle.apply_cupcap(m, n + abs(letter) - 1, n + abs(letter))[0]
+            after[t].add(state_oracle.close_strands(m, n, {s for s in range(n) if last[s] < t})[0])
+    return max([1] + [len(reached) for reached in after])
+
+
 def test_tl_transfer_is_called_once_per_evaluation(monkeypatch):
     # the traced benchmark counts calls of the module attribute and reads the
-    # result's length as the number of matchings carried
+    # result's length as the number of matchings carried, the most after any
+    # one letter
     lengths: list[int] = []
 
     def counting(word):
-        table = tl_transfer(word)
-        lengths.append(len(table))
-        return table
+        raw = tl_transfer(word)
+        lengths.append(len(raw))
+        return raw
 
     monkeypatch.setattr(bracket3_module, "tl_transfer", counting)
-    for text in ("braid:2:1,-1", "braid:3:1,-2,1,-2", "braid:4:1,2,-3,-1,2,3,-2,1,-3"):
+    for text, peak in (("braid:2:1,-1", 2), ("braid:3:1,-2,1,-2", 5), ("braid:4:1,2,-3,-1,2,3,-2,1,-3", 14),
+                       ("braid:5:1,3,1,4,-4", 4), ("braid:3:", 1)):
         word = parse_braid(text)
-        distinct = len(reachable_matchings(word))
         lengths.clear()
         tl_evaluate(word)
         raw_bracket(word, "tl")
-        assert lengths == [distinct, distinct], text
-        assert len(_number_matchings(word)[0]) == distinct, text
+        assert lengths == [peak, peak] == [peak_closed_matchings(word)] * 2, text
 
 
 #: Words on 1-9 strands for the letter-order plan, many of them at or above
@@ -702,9 +776,9 @@ def test_words_below_the_plan_floor_reach_the_transfer_pass_as_given(monkeypatch
 #: lengths of the transfer pass summed over their letters, in the given
 #: order and in the planned one.
 EIGHT_STRAND_BENCH_WORDS = (
-    ("braid:8:-4,-1,-3,7,2,7,-1,6,-2,4,-5,-6,-4,1,6,5,5,3,-3,1,-7,2", 5798, 3852),
-    ("braid:8:-5,-5,-1,2,6,-6,2,-1,-3,-4,3,7,-4,-1,2,-3,4,6,-5,7,-7,1", 4609, 2507),
-    ("braid:8:3,-1,2,7,2,-4,-7,1,-3,1,-5,6,-4,-7,3,2,-5,-5,6,6,1,-4", 7900, 6244),
+    ("braid:8:-4,-1,-3,7,2,7,-1,6,-2,4,-5,-6,-4,1,6,5,5,3,-3,1,-7,2", 2822, 295),
+    ("braid:8:-5,-5,-1,2,6,-6,2,-1,-3,-4,3,7,-4,-1,2,-3,4,6,-5,7,-7,1", 1816, 372),
+    ("braid:8:3,-1,2,7,2,-4,-7,1,-3,1,-5,6,-4,-7,3,2,-5,-5,6,6,1,-4", 2520, 489),
 )
 
 
@@ -714,7 +788,7 @@ def test_planned_order_shrinks_the_tables_of_the_eight_strand_bench_words(monkey
     for text, given, planned in EIGHT_STRAND_BENCH_WORDS:
         word = parse_braid(text)
         tl_evaluate(word)
-        summed = [sum(_number_matchings(w)[3][1:]) for w in (word, passed[-1])]
+        summed = [sum(tl_transfer(w).sizes[1:]) for w in (word, passed[-1])]
         assert summed == [given, planned] and planned <= 0.8 * given, text
 
 

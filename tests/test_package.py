@@ -70,8 +70,7 @@ BENCH = PACKAGE.parents[1] / "bench"
 OWN_MODULE_ONLY = {
     "bracket3.Matching": "the type of a planar matching, shared with the tests' cup-cap oracles",
     "bracket3.OPEN_ARC_CAP": "the frontier pass's open-arc cap, which README and its refusal name",
-    "bracket3.PackedTable": "the return type of tl_transfer",
-    "bracket3.Row": "the type of the cup-cap rows that _number_matchings builds",
+    "bracket3.PackedSum": "the return type of tl_transfer, whose len() the benchmark reads",
     "bracket3.Step": "the type of one crossing of the frontier pass's plan",
     "classical.CIRCLE": "the value of one extra circle, which the fold's docstrings and the tests name",
     "classical.circle_power": "the closed form of CIRCLE^k that the classical fold multiplies by once",
