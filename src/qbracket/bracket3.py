@@ -17,7 +17,8 @@ by one lift (:func:`.quotient.lift`) instead of |w| products and reductions.
 
 Two engines compute the same raw polynomial.  ``naive`` (:func:`bracket3_raw`)
 takes any planar diagram, one crossing at a time, merging the partial states
-that join the open arcs alike (Bar-Natan, JKTR 16 (2007)); ``tl`` carries
+that join the open arcs alike (Bar-Natan, JKTR 16 (2007)), keyed by each
+open arc's partner in a slot the arc keeps while it is open; ``tl`` carries
 planar matchings (the Temperley-Lieb basis), numbered as they first appear,
 across a braid word, one letter at a time, in an order with the same closure
 that keeps the table small (:func:`_letter_order`).  Each keeps one packed int of
@@ -44,7 +45,6 @@ bracket (:func:`.classical.bracket_from_raw`).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections.abc import Iterable
 
@@ -79,31 +79,33 @@ class CapacityError(RuntimeError):
     """Input too wide for a state-sum pass."""
 
 
-#: One crossing of the frontier pass: its port and ext nodes, the nodes left
-#: open after it, and each one's position in the next matching.
-Step = tuple[list[int], list[int], list[int], dict[int, int]]
+#: One crossing of the frontier pass: the slot of each of its four ports, and
+#: the slots that it frees, those of the arcs whose second end it meets.
+Step = tuple[tuple[int, int, int, int], tuple[int, ...]]
 
 
 def _plan(crossings: tuple[Quad, ...]) -> tuple[list[Step], int]:
     """The state-independent part of the frontier pass over ``crossings`` in
-    the given order, and the peak number of open arcs it carries."""
+    the given order, and the peak number of open arcs it carries.  An arc
+    takes a free slot at the crossing that meets its first end and frees it
+    after the crossing that meets its second, so a kink, both of whose ends
+    are at one crossing, holds its slot for that crossing alone."""
     steps: list[Step] = []
+    slots: dict[int, int] = {}  # each open arc's slot
+    free: list[int] = []
     peak = 0
-    open_arcs: list[int] = []
     for quad in crossings:
-        # nodes: the open arcs by position, then one per port; mate pairs the
-        # two ends of each curve, and a new arc is its own end until joined
-        base = len(open_arcs)
-        port = [open_arcs.index(arc) if arc in open_arcs else base + s for s, arc in enumerate(quad)]
-        ext = list(range(base, base + 4))
-        for s, t in itertools.combinations(range(4), 2):
-            if quad[s] == quad[t]:  # a kink: both ends of the arc are here
-                ext[s], ext[t] = base + t, base + s
-        after = [i for i, arc in enumerate(open_arcs) if arc not in quad]
-        after += [base + s for s in range(4) if port[s] == ext[s]]  # new arcs, kinks' excepted
-        open_arcs = [open_arcs[i] if i < base else quad[i - base] for i in after]
-        steps.append((port, ext, after, {node: i for i, node in enumerate(after)}))
-        peak = max(peak, len(after))
+        ports, freed = [], []
+        for arc in quad:
+            slot = slots.pop(arc, None)
+            if slot is None:  # its first end: a free slot, else a new one (each slot is open, free or freed)
+                slot = slots[arc] = free.pop() if free else len(slots) + len(freed)
+            else:
+                freed.append(slot)
+            ports.append(slot)
+        free += freed
+        steps.append((tuple(ports), tuple(freed)))
+        peak = max(peak, len(slots))
     return steps, peak
 
 
@@ -122,23 +124,33 @@ def _greedy_order(crossings: tuple[Quad, ...]) -> tuple[Quad, ...]:
 
 
 def bracket3_raw(d: Diagram) -> Polynomial:
-    """Raw three-variable state sum over all 2^n smoothing choices.
+    """Raw three-variable state sum over all 2^n smoothing choices: the
+    unpacked :func:`_frontier_pass` times d^f for the f free loops.  A
+    crossing-free k-circle diagram gives d^k; every state of a nonempty
+    diagram carries at least one circle, so d divides the result."""
+    raw = _frontier_pass(d)
+    poly = _unpack(raw.packed, d.n, raw.width, raw.k_a, raw.beta)
+    return poly.mul_term(1, (0, 0, d.free_loops)) if d.free_loops else poly
 
-    A frontier pass over the crossings in the diagram's own order, or in a
-    greedy order (:func:`_greedy_order`) when the own order would carry more
-    than :data:`OPEN_ARC_CAP` open arcs at once; the sum does not depend on
-    the order.  Each partial curve ends on two open arcs (labels seen once so
-    far), so partial states merge by their matching of the open arcs: each
-    arc's partner, in an arc order all states share.  A matching carries one
-    packed int of state counts, a^(n-j) b^j d^k in slot alpha*j + beta*k for
-    n crossings (see :func:`_unpack`; the diagram must be planar, as
-    :func:`.diagram.parse_pd` checks).  A smoothing shifts it alpha slots if
-    it is B and beta slots per circle it closes, so the cost is set by the
-    number of matchings, which the width of the open boundary bounds.  The
-    f free loops multiply the unpacked sum by d^f once, at the end.
 
-    A crossing-free k-circle diagram gives d^k; every state of a nonempty
-    diagram carries at least one circle, so d divides the result.
+def _frontier_pass(d: Diagram) -> PackedSum:
+    """The packed raw sum of ``d``'s crossings by a frontier pass over them in
+    the diagram's own order, or in a greedy order (:func:`_greedy_order`)
+    when the own order would carry more than :data:`OPEN_ARC_CAP` open arcs
+    at once; the sum does not depend on the order.
+
+    Each partial curve ends on two open arcs (labels seen once so far), so
+    partial states merge by their matching of the open arcs, keyed by a tuple
+    over the key slots of :func:`_plan`: an open arc's partner, or a free
+    slot's own index.  A crossing copies the key, joins its ports' slots in
+    pairs and resets the slots it frees; a new arc's slot was free, so it is
+    its own end until joined (a kink's two ports share one slot, and joining
+    them closes a circle).  A matching carries one packed int of state
+    counts, a^(n-j) b^j d^k in slot alpha*j + beta*k for n crossings (see
+    :func:`_unpack`; the diagram must be planar, as :func:`.diagram.parse_pd`
+    checks).  A smoothing shifts it alpha slots if it is B and beta slots
+    per circle it closes, so the cost is set by the number of matchings,
+    which the width of the open boundary bounds.
     """
     steps, peak = _plan(d.crossings)
     if peak > OPEN_ARC_CAP:  # a greedy order, else a refusal before any state work
@@ -148,31 +160,33 @@ def bracket3_raw(d: Diagram) -> Polynomial:
                 f"{d.n} crossings need {min(peak, greedy_peak)} open arcs at once in the narrowest "
                 f"crossing order tried, over the frontier pass's cap of {OPEN_ARC_CAP}"
             )
-    n = d.n
     k_a, k_b = _extreme_circles(d.crossings)
-    width, beta = _layout(n, k_a, k_b)
+    width, beta = _layout(d.n, k_a, k_b)
     circle = width * beta
-    table: dict[tuple[int, ...], int] = {(): 1}
-    for port, ext, after, index in steps:
-        a, b, c, e = port
+    all_free = tuple(range(max((max(ports) + 1 for ports, _ in steps), default=0)))
+    table, sizes = {all_free: 1}, [1]
+    for (a, b, c, e), freed in steps:
         choices = ((0, ((a, b), (c, e))), (circle + width, ((a, e), (b, c))))
         nxt: dict[tuple[int, ...], int] = {}
         get = nxt.get
         for m, packed in table.items():
             for shift, joins in choices:
-                mate = [*m, *ext]
+                mate = list(m)
                 for x, y in joins:
                     fx, fy = mate[x], mate[y]
                     if fx == y:  # the join closes a circle; x and y are spent either way
                         shift += circle
                     mate[fx], mate[fy] = fy, fx
-                key = tuple([index[mate[node]] for node in after])
+                for s in freed:
+                    mate[s] = s
+                key = tuple(mate)
                 # a first arrival is stored as is: 0 + x would copy the bigint
                 x = packed << shift
                 prev = get(key)
                 nxt[key] = x if prev is None else prev + x
         table = nxt
-    return _unpack(table[()], n, width, k_a, beta).mul_term(1, (0, 0, d.free_loops))
+        sizes.append(len(table))
+    return PackedSum(table[all_free], sizes, k_a, width, beta)
 
 
 def _extreme_circles(crossings: tuple[Quad, ...]) -> tuple[int, int]:
@@ -235,8 +249,8 @@ def _identity_matching(n: int) -> Matching:
 
 class PackedSum:
     """A raw sum's packed state counts with their layout (see :func:`_unpack`),
-    and ``sizes``, the matchings the transfer pass carried at the start and
-    after each letter; its ``len()`` is the largest."""
+    and ``sizes``, the matchings a pass carried at the start and after each
+    letter or crossing; its ``len()`` is the largest."""
 
     def __init__(self, packed: int, sizes: list[int], k_a: int, width: int, beta: int):
         self.packed, self.sizes, self.k_a, self.width, self.beta = packed, sizes, k_a, width, beta

@@ -179,8 +179,8 @@ def bracket_from_raw(raw: Polynomial) -> LaurentPolynomial:
     state has a circle) becomes c*a^(i-j)*CIRCLE^(k-1).
 
     The terms are grouped by circle count k and folded by Horner's rule in
-    CIRCLE from the largest k down, then multiplied once by CIRCLE^(kmin-1),
-    so only one power of CIRCLE is ever built.
+    CIRCLE from the largest k down, then multiplied once by CIRCLE^(kmin-1)
+    where kmin is above 1, so at most one power of CIRCLE is ever built.
     """
     by_circles: dict[int, dict[int, int]] = {}
     for (i, j, k), coeff in raw:
@@ -195,13 +195,14 @@ def bracket_from_raw(raw: Polynomial) -> LaurentPolynomial:
             step[e - 2] = step.get(e - 2, 0) - c
             step[e + 2] = step.get(e + 2, 0) - c
         total = step
-    return LaurentPolynomial(total) * circle_power(low - 1)
+    bracket = LaurentPolynomial(total)
+    return bracket if low == 1 else bracket * circle_power(low - 1)
 
 
 def writhe_normalize(bracket: LaurentPolynomial, w: int) -> LaurentPolynomial:
     """(-a^3)^(-w) times the bracket of a writhe-w diagram: the f-invariant."""
     sign = -1 if w % 2 else 1
-    return bracket.shift(-3 * w) * sign
+    return LaurentPolynomial({e - 3 * w: c * sign for e, c in bracket._terms.items()})
 
 
 def f_invariant(d: Diagram) -> LaurentPolynomial:

@@ -9,6 +9,11 @@ the port graph (:func:`resolve_state_walk`).  The smoothing convention is
 the library's: for ``X(a,b,c,d)`` the A-smoothing joins a-b and c-d and the
 B-smoothing joins a-d and b-c.
 
+The frontier pass's tables have one too: :func:`prefix_matchings` smooths
+each prefix of the crossings state by state and collects the matchings of
+the open arcs that the states reach, where the library keys each partial
+state by its open arcs' slots.
+
 The ambient invariant has its definition as an oracle:
 :func:`ambient_from_normal` pads the normal form with one curl factor per
 unit of writhe and reduces after each by the Groebner basis, where the
@@ -126,6 +131,29 @@ def resolve_state_walk(d: Diagram, state: State) -> int:
             seen.add(step)
             cur = arc_partner[step]
     return cycles + d.free_loops
+
+
+def prefix_matchings(crossings: tuple[Quad, ...]) -> Iterator[set[frozenset[frozenset[int]]]]:
+    """For each prefix of ``crossings``, the empty one first, the matchings
+    of its open arcs (the labels it holds once) that its states reach: each
+    state's curves are merged in a disjoint-set forest on the labels, and
+    each open arc is paired with the other open arc on its curve."""
+    labels = 2 * len(crossings) + 1
+    for t in range(len(crossings) + 1):
+        prefix = crossings[:t]
+        seen = [label for quad in prefix for label in quad]
+        open_arcs = [label for label in set(seen) if seen.count(label) == 1]
+        matchings = set()
+        for state in itertools.product((0, 1), repeat=t):
+            uf = _UnionFind(labels)
+            for quad, choice in zip(prefix, state):
+                for x, y in smoothing_pairs(quad, choice):
+                    uf.union(x, y)
+            ends: dict[int, set[int]] = {}
+            for label in open_arcs:
+                ends.setdefault(uf.find(label), set()).add(label)
+            matchings.add(frozenset(frozenset(pair) for pair in ends.values()))
+        yield matchings
 
 
 def kauffman_bracket(d: Diagram) -> LaurentPolynomial:

@@ -7,6 +7,7 @@ import itertools
 import json
 import random
 import time
+import unittest.mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -31,8 +32,11 @@ from qbracket.bracket3 import (
     _close,
     _close_strands,
     _extreme_circles,
+    _frontier_pass,
+    _greedy_order,
     _identity_matching,
     _letter_order,
+    _plan,
     _unpack,
     _walk_letters,
 )
@@ -42,6 +46,7 @@ from qbracket.diagram import (
     BraidWord,
     Diagram,
     DiagramError,
+    Quad,
     add_kink,
     closure,
     conjugate,
@@ -210,6 +215,73 @@ def test_frontier_pass_equals_state_by_state_count_on_every_planar_arrangement(n
         assert_extremes(d, raw)
         checked += 1
     assert checked == planar
+
+
+def with_kink(crossings: tuple[Quad, ...], label: int, pair: int) -> tuple[Quad, ...]:
+    """``crossings`` with a first-move kink on the arc ``label``: a new last
+    crossing whose loop sits on ports ``pair`` and ``pair + 1`` (mod 4), and
+    whose other two ports take the arc and, past the kink, a new label for
+    the arc's second end."""
+    loop, past = 2 * len(crossings) + 1, 2 * len(crossings) + 2
+    flat = [x for quad in crossings for x in quad]
+    flat[max(i for i, x in enumerate(flat) if x == label)] = past
+    kink = tuple((loop, loop, label, past)[(s - pair) % 4] for s in range(4))
+    return (*(tuple(flat[4 * k:4 * k + 4]) for k in range(len(crossings))), kink)
+
+
+@st.composite
+def kinked_split_diagrams(draw) -> Diagram:
+    """One or two braid closures side by side, first-move kinks on drawn
+    arcs with their loops on drawn pairs of adjacent ports, free loops, and
+    the crossings shuffled: at most 10 crossings."""
+    crossings: tuple[Quad, ...] = ()
+    loops = draw(st.integers(min_value=0, max_value=2))
+    for word in draw(st.lists(braid_words(max_strands=3, max_letters=4, min_letters=1), min_size=1, max_size=2)):
+        d = closure(word)
+        crossings += tuple(tuple(x + 2 * len(crossings) for x in quad) for quad in d.crossings)
+        loops += d.free_loops
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        label = draw(st.integers(min_value=1, max_value=2 * len(crossings)))
+        crossings = with_kink(crossings, label, draw(st.integers(min_value=0, max_value=3)))
+    return Diagram(tuple(draw(st.permutations(crossings))), loops)
+
+
+#: The trefoil's closure with a kink on each pair of adjacent ports.
+KINKED_TREFOILS = [
+    Diagram(with_kink(closure(parse_braid("braid:2:1,1,1")).crossings, 1, pair)) for pair in range(4)
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(kinked_split_diagrams(), st.booleans())
+@example(KINKED_TREFOILS[0], False)
+@example(KINKED_TREFOILS[1], False)
+@example(KINKED_TREFOILS[2], True)
+@example(KINKED_TREFOILS[3], True)
+@example(Diagram(with_kink(closure(parse_braid("braid:3:1,-2,1,-2")).crossings, 3, 1), 1), True)
+@example(Diagram(with_kink(closure(parse_braid("braid:3:1,2,1,2,1,2")).crossings, 5, 2)), True)
+def test_frontier_pass_equals_state_by_state_count_on_kinks_split_pieces_and_free_loops(d, narrow):
+    # under a cap of 4 open arcs, a diagram wider than that in its own order
+    # takes the greedy order, and one wider in both is refused
+    expected = raw_state_by_state(d)
+    cap = 4 if narrow else OPEN_ARC_CAP
+    with unittest.mock.patch.object(bracket3_module, "OPEN_ARC_CAP", cap):
+        try:
+            assert bracket3_raw(d) == expected
+        except CapacityError:
+            assert min(_plan(d.crossings)[1], _plan(_greedy_order(d.crossings))[1]) > cap
+    assert_extremes(d, expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(kinked_split_diagrams(), pd_codes(max_strands=4, max_letters=9).map(lambda case: case[1])))
+@example(KINKED_TREFOILS[1])
+@example(closure(parse_braid("braid:4:1,-2,3,1,-2,3,-1,2,-3")))
+def test_frontier_tables_hold_one_entry_per_reachable_matching(d):
+    # a value test cannot see a key that two states with one matching do not
+    # share: it only grows the tables.  So after each crossing the table
+    # holds as many entries as the prefix's states reach open-arc matchings
+    assert _frontier_pass(d).sizes == [len(m) for m in state_oracle.prefix_matchings(d.crossings)]
 
 
 def test_depth_first_walk_equals_state_by_state_count_on_table_pd_entries():

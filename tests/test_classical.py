@@ -154,6 +154,16 @@ def test_bracket_from_raw_matches_per_term_oracle_and_state_sum(seed):
     assert bracket_from_raw(raw) == state_oracle.bracket_from_raw_per_term(raw) == state_oracle.kauffman_bracket(d)
 
 
+@pytest.mark.parametrize("text", ["braid:2:", "braid:3:1,1,1", "braid:4:1,-1", "braid:4:-2,-2"])
+def test_bracket_from_raw_where_every_state_has_more_than_one_circle(text):
+    # an untouched strand is a circle in every state, so the fold ends with a
+    # power of CIRCLE, which it skips where some state has one circle
+    d = closure(parse_braid(text))
+    raw = bracket3_raw(d)
+    assert min(k for _, _, k in raw.terms) > 1
+    assert bracket_from_raw(raw) == state_oracle.bracket_from_raw_per_term(raw) == state_oracle.kauffman_bracket(d)
+
+
 # -- move invariance ------------------------------------------------------------------
 
 @pytest.mark.parametrize("text", ["braid:3:1,-2", "braid:2:1,1", "braid:2:1,1,1", "braid:3:1,-2,1,-2"])
