@@ -45,10 +45,11 @@ bracket (:func:`.classical.bracket_from_raw`).
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 from collections.abc import Iterable
 
-from .diagram import BraidWord, Diagram, Quad, closure, count_cycles, port_mates, writhe
+from .diagram import BraidWord, Diagram, Quad, closure, writhe
 from .multipoly import Monomial, Polynomial, format_poly, parse_poly
 from .quotient import lift, normal_form
 
@@ -62,16 +63,17 @@ CONVENTION = (
     f"curl+:{format_poly(CURL_PLUS)};curl-:{format_poly(CURL_MINUS)}"
 )
 
-#: Open-arc cap of the frontier pass: the boundary of a 12-strand closure.
-OPEN_ARC_CAP = 24
-
 #: Strand cap for the transfer-matrix pass (its basis size is Catalan(n)).
 TL_STRAND_CAP = 12
+
+#: Open-arc cap of the frontier pass: the boundary of a closure on the cap's strands.
+OPEN_ARC_CAP = 2 * TL_STRAND_CAP
 
 #: Strands below which the transfer pass keeps a word's letter order: its table
 #: holds at most Catalan(n) matchings, 42 on 5 strands, too few to repay the plan
 #: and the rebuilt word (planned, 4- and 5-strand words of 20 letters took 1.64x
 #: and 1.33x the time of the given order, and of 40 letters 1.22x and 1.08x).
+#: The frontier pass plans its crossing order from twice as many open arcs.
 _TL_PLAN_FLOOR = 6
 
 
@@ -84,15 +86,17 @@ class CapacityError(RuntimeError):
 Step = tuple[tuple[int, int, int, int], tuple[int, ...]]
 
 
-def _plan(crossings: tuple[Quad, ...]) -> tuple[list[Step], int]:
+def _plan(crossings: tuple[Quad, ...]) -> tuple[list[Step], int, int, int]:
     """The state-independent part of the frontier pass over ``crossings`` in
-    the given order, and the peak number of open arcs it carries.  An arc
-    takes a free slot at the crossing that meets its first end and frees it
-    after the crossing that meets its second, so a kink, both of whose ends
-    are at one crossing, holds its slot for that crossing alone."""
+    the given order, its peak number of open arcs, and the circles of its
+    all-A and all-B states (free loops aside), joined as the pass joins a
+    state's but on arcs, never reused.  An arc takes a free slot at the
+    crossing that meets its first end and frees it after the one that meets
+    its second, so a kink, with both ends at one crossing, holds it there alone."""
     steps: list[Step] = []
     slots: dict[int, int] = {}  # each open arc's slot
     free: list[int] = []
+    (mate_a, mate_b), circles = [list(range(2 * len(crossings) + 1)) for _ in "AB"], [0, 0]  # on arcs 1..2n
     peak = 0
     for quad in crossings:
         ports, freed = [], []
@@ -103,23 +107,36 @@ def _plan(crossings: tuple[Quad, ...]) -> tuple[list[Step], int]:
             else:
                 freed.append(slot)
             ports.append(slot)
+        a, b, c, e = quad
+        for mate, x, y, state in ((mate_a, a, b, 0), (mate_a, c, e, 0), (mate_b, a, e, 1), (mate_b, b, c, 1)):
+            fx, fy = mate[x], mate[y]
+            if fx == y:  # the join closes a circle
+                circles[state] += 1
+            mate[fx], mate[fy] = fy, fx
         free += freed
         steps.append((tuple(ports), tuple(freed)))
         peak = max(peak, len(slots))
-    return steps, peak
+    return steps, peak, *circles
 
 
 def _greedy_order(crossings: tuple[Quad, ...]) -> tuple[Quad, ...]:
-    """The crossings reordered so that each next one has the most ports on
-    open arcs, ties going to the lowest input index."""
-    left = list(crossings)
-    order: list[Quad] = []
-    open_arcs: set[int] = set()
-    while left:
-        quad = left.pop(max(range(len(left)), key=lambda k: sum(arc in open_arcs for arc in left[k])))
-        order.append(quad)
+    """The crossings reordered so that each next one has the most ports on open
+    arcs, ties to the lowest input index.  Counts only grow, so of a waiting
+    crossing's (-count, index) entries, pushed at each rise, a heap pops the newest first."""
+    ends: dict[int, list[int]] = {}  # each arc's crossings, one per end
+    for k, quad in enumerate(crossings):
         for arc in quad:
-            open_arcs ^= {arc}
+            ends.setdefault(arc, []).append(k)
+    counts: list[int | None] = [0] * len(crossings)  # None once placed
+    heap, order = [(0, k) for k in range(len(crossings))], []  # sorted, so a heap
+    while heap:
+        k = heapq.heappop(heap)[1]
+        if counts[k] is not None:
+            counts[k] = None
+            order.append(crossings[k])
+            for j in (j for arc in crossings[k] for j in ends[arc] if counts[j] is not None):
+                counts[j] += 1  # the arc opens toward j
+                heapq.heappush(heap, (-counts[j], j))
     return tuple(order)
 
 
@@ -135,9 +152,9 @@ def bracket3_raw(d: Diagram) -> Polynomial:
 
 def _frontier_pass(d: Diagram) -> PackedSum:
     """The packed raw sum of ``d``'s crossings by a frontier pass over them in
-    the diagram's own order, or in a greedy order (:func:`_greedy_order`)
-    when the own order would carry more than :data:`OPEN_ARC_CAP` open arcs
-    at once; the sum does not depend on the order.
+    their own order or, from twice :data:`_TL_PLAN_FLOOR` open arcs on, in
+    the greedy one (:func:`_greedy_order`) unless that is wider; the order
+    kept is refused past :data:`OPEN_ARC_CAP`.  No order changes the sum.
 
     Each partial curve ends on two open arcs (labels seen once so far), so
     partial states merge by their matching of the open arcs, keyed by a tuple
@@ -152,15 +169,12 @@ def _frontier_pass(d: Diagram) -> PackedSum:
     per circle it closes, so the cost is set by the number of matchings,
     which the width of the open boundary bounds.
     """
-    steps, peak = _plan(d.crossings)
-    if peak > OPEN_ARC_CAP:  # a greedy order, else a refusal before any state work
-        steps, greedy_peak = _plan(_greedy_order(d.crossings))
-        if greedy_peak > OPEN_ARC_CAP:
-            raise CapacityError(
-                f"{d.n} crossings need {min(peak, greedy_peak)} open arcs at once in the narrowest "
-                f"crossing order tried, over the frontier pass's cap of {OPEN_ARC_CAP}"
-            )
-    k_a, k_b = _extreme_circles(d.crossings)
+    steps, peak, k_a, k_b = _plan(d.crossings)
+    if peak >= 2 * _TL_PLAN_FLOOR:  # as wide as a closure that tl plans: the greedy order, unless wider
+        steps, peak = min(_plan(_greedy_order(d.crossings))[:2], (steps, peak), key=lambda plan: plan[1])
+    if peak > OPEN_ARC_CAP:  # a refusal before any state work
+        raise CapacityError(f"{d.n} crossings need {peak} open arcs at once in the narrowest crossing order "
+                            f"tried, over the frontier pass's cap of {OPEN_ARC_CAP}")
     width, beta = _layout(d.n, k_a, k_b)
     circle = width * beta
     all_free = tuple(range(max((max(ports) + 1 for ports, _ in steps), default=0)))
@@ -187,16 +201,6 @@ def _frontier_pass(d: Diagram) -> PackedSum:
         table = nxt
         sizes.append(len(table))
     return PackedSum(table[all_free], sizes, k_a, width, beta)
-
-
-def _extreme_circles(crossings: tuple[Quad, ...]) -> tuple[int, int]:
-    """Circles of the all-A and of the all-B state of ``crossings``, free
-    loops aside.  Each circle is two cycles of "to the port the smoothing
-    joins, then along its arc": one per direction."""
-    mate = port_mates(crossings)
-    # the A-smoothing joins slots 0-1 and 2-3 (port ^ 1), the B-smoothing 0-3 and 1-2 (port ^ 3)
-    k_a, k_b = (count_cycles([mate[p ^ flip] for p in range(len(mate))]) // 2 for flip in (1, 3))
-    return k_a, k_b
 
 
 def _layout(n: int, k_a: int, k_b: int) -> tuple[int, int]:
@@ -241,10 +245,6 @@ Matching = tuple[int, ...]
 # boundary, n..2n-1 the current frontier (frontier position j is point n+j).
 # matching[x] is the partner of point x; the two points of a closed strand
 # are their own partners.
-
-
-def _identity_matching(n: int) -> Matching:
-    return tuple(list(range(n, 2 * n)) + list(range(n)))
 
 
 class PackedSum:
@@ -332,7 +332,7 @@ def tl_transfer(b: BraidWord) -> PackedSum:
     ends, k_a, k_b = _walk_letters(b)
     width, beta = _layout(len(letters), k_a, k_b)
     alpha, circle = width * (beta + 1), width * beta  # in bits, as the shifts below
-    matchings = [_identity_matching(n)]
+    matchings = [(*range(n, 2 * n), *range(n))]  # the identity
     ids, rows, sizes = {matchings[0]: 0}, [[] for _ in range(n)], [1]
     table = [1 << alpha * len([letter for letter in letters if letter < 0])]
     for letter, closing in zip(letters, ends):

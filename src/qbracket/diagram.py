@@ -252,7 +252,7 @@ def parse_pd(text: str) -> Diagram:
 
 # -- ports, faces and planarity ------------------------------------------------
 
-def port_mates(crossings: tuple[Quad, ...]) -> list[int]:
+def _port_mates(crossings: tuple[Quad, ...]) -> list[int]:
     """Port 4k+s is slot s of crossing k; entry p is the other port of p's
     arc, the other slot that carries its label."""
     mate = [0] * (4 * len(crossings))
@@ -265,7 +265,7 @@ def port_mates(crossings: tuple[Quad, ...]) -> list[int]:
     return mate
 
 
-def count_cycles(perm: list[int]) -> int:
+def _count_cycles(perm: list[int]) -> int:
     """The number of cycles of ``perm``, a permutation of range(len(perm))."""
     seen = [False] * len(perm)
     cycles = 0
@@ -287,8 +287,8 @@ def check_planar(d: Diagram) -> None:
     formula, n crossings in c connected pieces bound n + 2c faces in the
     plane and fewer on any surface of higher genus.
     """
-    mate = port_mates(d.crossings)
-    faces = count_cycles([q + 1 if q % 4 < 3 else q - 3 for q in mate])
+    mate = _port_mates(d.crossings)
+    faces = _count_cycles([q + 1 if q % 4 < 3 else q - 3 for q in mate])
     pieces = 0
     reached = [False] * d.n
     for k in range(d.n):
@@ -339,7 +339,7 @@ def orient(d: Diagram) -> Orientation:
     Inconsistencies raise DiagramError rather than guessing.
     """
     labels = [label for quad in d.crossings for label in quad]
-    mate = port_mates(d.crossings)
+    mate = _port_mates(d.crossings)
     signs = [0] * d.n
     entered = [False] * len(labels)
 

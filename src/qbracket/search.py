@@ -21,7 +21,7 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .bracket3 import CONVENTION, raw_bracket
+from .bracket3 import CONVENTION, bracket3_raw
 from .classical import bracket_from_raw, format_laurent, writhe_normalize
 from .diagram import BraidWord, Diagram, DiagramError, closure, parse_braid, parse_pd, writhe
 from .multipoly import format_poly
@@ -146,16 +146,16 @@ def fingerprint() -> str:
 
 
 def compute_record(entry: TableEntry, engine: str = "naive") -> InvariantRecord:
-    """Both invariants of one entry, from one raw sum via the named engine.
-
-    PD-only entries always use the naive engine.
-    """
-    used = "naive" if entry.word is None else engine
-    raw = raw_bracket(entry.diagram if used == "naive" else entry.word, used)
+    """Both invariants of one entry, from one frontier-pass raw sum.  Any
+    ``engine`` but ``naive`` raises ValueError; the parameter stays while the
+    benchmark passes it (ROADMAP item 1b)."""
+    if engine != "naive":
+        raise ValueError(f"a record runs the naive engine, not {engine!r}")
+    raw = bracket3_raw(entry.diagram)
     w = entry.writhe
     f_text = format_laurent(writhe_normalize(bracket_from_raw(raw), w))
     return InvariantRecord(
-        entry.name, entry.presentation, w, f_text, format_poly(lift(raw, w)), used, fingerprint()
+        entry.name, entry.presentation, w, f_text, format_poly(lift(raw, w)), engine, fingerprint()
     )
 
 

@@ -14,6 +14,11 @@ each prefix of the crossings state by state and collects the matchings of
 the open arcs that the states reach, where the library keys each partial
 state by its open arcs' slots.
 
+The frontier pass's plan has two: :func:`greedy_order` rescans every
+remaining crossing for each pick, where the library keeps a heap of counts,
+and :func:`extreme_circles` walks the cycles of the all-A and all-B states'
+port permutations, where the plan joins their arcs crossing by crossing.
+
 The ambient invariant has its definition as an oracle:
 :func:`ambient_from_normal` pads the normal form with one curl factor per
 unit of writhe and reduces after each by the Groebner basis, where the
@@ -35,7 +40,7 @@ from collections.abc import Iterator
 
 from qbracket.bracket3 import CURL_MINUS, CURL_PLUS, CapacityError, Matching
 from qbracket.classical import LaurentPolynomial, circle_power
-from qbracket.diagram import BraidWord, Diagram, Quad, writhe
+from qbracket.diagram import BraidWord, Diagram, Quad, _count_cycles, _port_mates, writhe
 from qbracket.multipoly import Monomial, Polynomial, remainder
 from qbracket.quotient import GROEBNER_BASIS
 
@@ -154,6 +159,31 @@ def prefix_matchings(crossings: tuple[Quad, ...]) -> Iterator[set[frozenset[froz
                 ends.setdefault(uf.find(label), set()).add(label)
             matchings.add(frozenset(frozenset(pair) for pair in ends.values()))
         yield matchings
+
+
+def greedy_order(crossings: tuple[Quad, ...]) -> tuple[Quad, ...]:
+    """The crossings reordered so that each next one has the most ports on
+    open arcs, ties going to the lowest input index, by a rescan of every
+    remaining crossing per pick."""
+    left = list(crossings)
+    order: list[Quad] = []
+    open_arcs: set[int] = set()
+    while left:
+        quad = left.pop(max(range(len(left)), key=lambda k: sum(arc in open_arcs for arc in left[k])))
+        order.append(quad)
+        for arc in quad:
+            open_arcs ^= {arc}
+    return tuple(order)
+
+
+def extreme_circles(crossings: tuple[Quad, ...]) -> tuple[int, int]:
+    """Circles of the all-A and of the all-B state of ``crossings``, free
+    loops aside.  Each circle is two cycles of "to the port the smoothing
+    joins, then along its arc": one per direction."""
+    mate = _port_mates(crossings)
+    # the A-smoothing joins slots 0-1 and 2-3 (port ^ 1), the B-smoothing 0-3 and 1-2 (port ^ 3)
+    k_a, k_b = (_count_cycles([mate[p ^ flip] for p in range(len(mate))]) // 2 for flip in (1, 3))
+    return k_a, k_b
 
 
 def kauffman_bracket(d: Diagram) -> LaurentPolynomial:

@@ -31,10 +31,8 @@ from qbracket.bracket3 import (
     _TL_PLAN_FLOOR,
     _close,
     _close_strands,
-    _extreme_circles,
     _frontier_pass,
     _greedy_order,
-    _identity_matching,
     _letter_order,
     _plan,
     _unpack,
@@ -57,7 +55,7 @@ from qbracket.diagram import (
     writhe,
 )
 from qbracket.multipoly import Polynomial, format_poly, parse_poly, remainder
-from qbracket.quotient import GROEBNER_BASIS, is_normal, normal_form, specialize_classical
+from qbracket.quotient import GROEBNER_BASIS, is_normal, lift, normal_form, specialize_classical
 from qbracket.search import bundled_table_path, compute_record, load_table, parse_presentation
 
 
@@ -130,12 +128,14 @@ def raw_state_by_state(d: Diagram) -> Polynomial:
 
 def assert_extremes(d: Diagram, raw: Polynomial) -> None:
     """The j = 0 and j = n terms of ``raw`` are a^n d^k_A and b^n d^k_B for
-    the circle counts that :func:`_extreme_circles` walks, which size the
-    packed slots (the free loops are counted on top)."""
+    the circle counts that :func:`_plan` walks, which size the packed slots
+    (the free loops are counted on top), and the port-cycle oracle counts
+    them alike."""
     n, f = d.n, d.free_loops
-    k_a, k_b = _extreme_circles(d.crossings)
+    k_a, k_b = _plan(d.crossings)[2:]
     extremes = {mono: c for mono, c in raw.terms.items() if mono[1] in (0, n)}
     assert extremes == {(n, 0, k_a + f): 1, (0, n, k_b + f): 1}
+    assert state_oracle.extreme_circles(d.crossings) == (k_a, k_b)
 
 
 @settings(max_examples=40, deadline=None)
@@ -154,7 +154,7 @@ def test_depth_first_walk_equals_state_by_state_count(word, unused):
     raw = raw_state_by_state(d)
     assert bracket3_raw(d) == raw == tl_evaluate(word)
     assert_extremes(d, raw)
-    k_a, k_b = _extreme_circles(d.crossings)
+    k_a, k_b = _plan(d.crossings)[2:]
     assert _walk_letters(word)[1:] == (k_a + d.free_loops, k_b + d.free_loops)
 
 
@@ -261,15 +261,16 @@ KINKED_TREFOILS = [
 @example(Diagram(with_kink(closure(parse_braid("braid:3:1,-2,1,-2")).crossings, 3, 1), 1), True)
 @example(Diagram(with_kink(closure(parse_braid("braid:3:1,2,1,2,1,2")).crossings, 5, 2)), True)
 def test_frontier_pass_equals_state_by_state_count_on_kinks_split_pieces_and_free_loops(d, narrow):
-    # under a cap of 4 open arcs, a diagram wider than that in its own order
-    # takes the greedy order, and one wider in both is refused
+    # under a cap of 4 open arcs and a plan floor of 2 strands, so that the
+    # pass plans from 4 open arcs, a diagram wider than the cap in its own
+    # order takes the greedy order, and one wider in both is refused
     expected = raw_state_by_state(d)
-    cap = 4 if narrow else OPEN_ARC_CAP
-    with unittest.mock.patch.object(bracket3_module, "OPEN_ARC_CAP", cap):
+    cap, floor = (4, 2) if narrow else (OPEN_ARC_CAP, _TL_PLAN_FLOOR)
+    with unittest.mock.patch.multiple(bracket3_module, OPEN_ARC_CAP=cap, _TL_PLAN_FLOOR=floor):
         try:
             assert bracket3_raw(d) == expected
         except CapacityError:
-            assert min(_plan(d.crossings)[1], _plan(_greedy_order(d.crossings))[1]) > cap
+            assert min(_plan(d.crossings)[1], _plan(state_oracle.greedy_order(d.crossings))[1]) > cap
     assert_extremes(d, expected)
 
 
@@ -280,8 +281,90 @@ def test_frontier_pass_equals_state_by_state_count_on_kinks_split_pieces_and_fre
 def test_frontier_tables_hold_one_entry_per_reachable_matching(d):
     # a value test cannot see a key that two states with one matching do not
     # share: it only grows the tables.  So after each crossing the table
-    # holds as many entries as the prefix's states reach open-arc matchings
-    assert _frontier_pass(d).sizes == [len(m) for m in state_oracle.prefix_matchings(d.crossings)]
+    # holds as many entries as the prefix's states reach open-arc matchings,
+    # in the crossing order that the pass runs; under a plan floor of 2
+    # strands it plans from 4 open arcs, so most of these run planned
+    for floor in (_TL_PLAN_FLOOR, 2):
+        with unittest.mock.patch.object(bracket3_module, "_TL_PLAN_FLOOR", floor):
+            order = crossing_order_run(d.crossings)
+            assert _frontier_pass(d).sizes == [len(m) for m in state_oracle.prefix_matchings(order)]
+
+
+def crossing_order_run(crossings: tuple[Quad, ...]) -> tuple[Quad, ...]:
+    """The crossing order that the frontier pass runs, by its rule: the own
+    order, but from twice the plan floor of open arcs on, the oracle's greedy
+    order unless that is wider."""
+    own = _plan(crossings)[1]
+    if own < 2 * bracket3_module._TL_PLAN_FLOOR:
+        return crossings
+    greedy = state_oracle.greedy_order(crossings)
+    return greedy if _plan(greedy)[1] <= own else crossings
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    kinked_split_diagrams(),
+    pd_codes(max_strands=8, max_letters=40).map(lambda case: case[1]),
+    braid_words(max_strands=10, max_letters=40).map(closure),
+))
+@example(Diagram((), 2))
+@example(KINKED_TREFOILS[2])
+def test_greedy_order_and_plan_extremes_equal_their_oracles(d):
+    # the heap picks what a rescan of every waiting crossing picks, ties to
+    # the lowest index, and the plan's walk counts the extreme states'
+    # circles that the port cycles count
+    assert _greedy_order(d.crossings) == state_oracle.greedy_order(d.crossings)
+    assert _plan(d.crossings)[2:] == state_oracle.extreme_circles(d.crossings)
+
+
+#: A 6-strand word whose closure, in letter order, is 12 open arcs wide, the
+#: boundary of a closure on the plan floor, and 14 wide in the greedy order.
+WIDER_GREEDY = parse_braid(
+    "braid:6:1,-4,-2,-5,-1,-4,-4,2,5,2,-2,5,-4,-3,1,-2,-1,-3,-1,5,-4,-5,-1,3,4,-4,5,1,-3,2,-1,5,-4,-5,1,2,4,3"
+)
+
+
+def test_the_frontier_pass_plans_from_twice_the_plan_floor_and_keeps_the_narrower_order(monkeypatch):
+    planned: list[tuple[Quad, ...]] = []
+    monkeypatch.setattr(bracket3_module, "_greedy_order", lambda c: planned.append(c) or state_oracle.greedy_order(c))
+    d = closure(WIDER_GREEDY)
+    assert (_plan(d.crossings)[1], _plan(state_oracle.greedy_order(d.crossings))[1]) == (12, 14)
+    # under a cap of 12 the greedy order would be refused, so the own order runs
+    monkeypatch.setattr(bracket3_module, "OPEN_ARC_CAP", 12)
+    assert bracket3_raw(d) == tl_evaluate(WIDER_GREEDY)
+    assert planned == [d.crossings]
+
+
+def test_below_twice_the_plan_floor_the_own_crossing_order_runs(monkeypatch):
+    # every bundled entry and a seeded rewrite of each braid, as the bench's
+    # scan draws them, is narrower than 12 open arcs in its own order
+    def forbidden(crossings):
+        raise AssertionError("_greedy_order was called")
+
+    monkeypatch.setattr(bracket3_module, "_greedy_order", forbidden)
+    entries = load_table(bundled_table_path()).entries
+    for k, e in enumerate(entries):
+        raw = bracket3_raw(e.diagram)
+        if e.word is not None:
+            assert raw == tl_evaluate(e.word), e.name
+            variant = rewrite_moves(e.word, seed=k, count=7)
+            assert bracket3_raw(closure(variant)) == tl_evaluate(variant), variant.text
+
+
+def test_planning_a_2000_crossing_closure_is_fast():
+    # rescanning every waiting crossing for each pick took about 1.4 s on
+    # this closure (2 cores, Python 3.11); both plans with the heap of
+    # counts take 20-25 ms
+    crossings = list(closure(BraidWord(3, (1, -2) * 1000)).crossings)
+    random.Random(2000).shuffle(crossings)
+    shuffled = tuple(crossings)
+    elapsed = []
+    for _ in range(3):
+        start = time.perf_counter()
+        own, greedy = _plan(shuffled), _plan(_greedy_order(shuffled))
+        elapsed.append(time.perf_counter() - start)
+    assert own[1] > 24 and greedy[1] <= 6
+    assert min(elapsed) < 0.05, f"planning a shuffled 2,000-crossing closure took {min(elapsed):.3f}s"
 
 
 def test_depth_first_walk_equals_state_by_state_count_on_table_pd_entries():
@@ -359,9 +442,11 @@ def test_capacity_error_propagates(capsys, monkeypatch):
     assert elapsed < 1.0, f"refusing a 156-crossing diagram took {elapsed:.2f}s"
     assert main(["bracket3", pd]) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
-    # under a cap of 4 the figure-eight closure (6 wide in its own order, 4
+    # under a cap of 4, and a plan floor of 2 strands so that the pass plans
+    # from 4 open arcs, the figure-eight closure (6 wide in its own order, 4
     # greedy) still gets its value, and T(3,3) (6 wide in both) is refused
     monkeypatch.setattr(bracket3_module, "OPEN_ARC_CAP", 4)
+    monkeypatch.setattr(bracket3_module, "_TL_PLAN_FLOOR", 2)
     figure8 = parse_braid("braid:3:1,-2,1,-2")
     assert bracket3_raw(closure(figure8)) == tl_evaluate(figure8)
     with pytest.raises(CapacityError, match="^6 crossings need 6 open arcs .* cap of 4$"):
@@ -603,7 +688,7 @@ def test_poke_composition_locks_the_convention():
     with recorded_closings() as closings:
         raw = tl_transfer(word)
     ((matchings, table, strands, n, circle), _), = closings
-    assert matchings == [_identity_matching(2), (1, 0, 3, 2)] and strands == (0, 1)
+    assert matchings == [(2, 3, 0, 1), (1, 0, 3, 2)] and strands == (0, 1)  # the identity, the cup-cap
 
     def closed(m, packed):
         (one,) = _close_strands([m], [packed], strands, n, circle)[2]
@@ -762,7 +847,7 @@ def peak_closed_matchings(word: BraidWord) -> int:
     n, last = word.strands, state_oracle.last_letters(word)
     after: list[set] = [set() for _ in word.letters]
     for state in itertools.product((0, 1), repeat=len(word.letters)):
-        m = _identity_matching(n)
+        m = (*range(n, 2 * n), *range(n))  # the identity
         for t, (letter, cup) in enumerate(zip(word.letters, state)):
             if cup:
                 m = state_oracle.apply_cupcap(m, n + abs(letter) - 1, n + abs(letter))[0]
@@ -982,8 +1067,8 @@ def test_circle_variant_is_normal_without_reduction_on_every_table_entry(monkeyp
 
 def production_ambient3(text: str) -> set[str]:
     """ambient3 of one presentation as each production path lifts it:
-    :func:`ambient3`, the search record through each engine that takes the
-    input, and the ``bracket3`` command."""
+    :func:`ambient3`, the search record and the ``bracket3`` command; and,
+    for a braid, as it lifts off the transfer pass's raw sum."""
     entry = parse_presentation(text)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -991,7 +1076,7 @@ def production_ambient3(text: str) -> set[str]:
     values = {format_poly(ambient3(entry.diagram)), compute_record(entry).ambient3_text,
               json.loads(out.getvalue())["ambient3"]}
     if entry.word is not None:
-        values.add(compute_record(entry, "tl").ambient3_text)
+        values.add(format_poly(lift(tl_evaluate(entry.word), entry.writhe)))
     return values
 
 

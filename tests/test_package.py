@@ -6,6 +6,7 @@ import importlib
 import sys
 import types
 import warnings
+from collections.abc import Iterator
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qbracket"
@@ -106,15 +107,18 @@ OWN_MODULE_ONLY = {
 
 
 def _public_definitions(tree: ast.Module) -> set[str]:
-    names = set()
+    return {name for name, _ in _module_definitions(tree) if not name.startswith("_")}
+
+
+def _module_definitions(tree: ast.Module) -> Iterator[tuple[str, ast.stmt]]:
+    """Each module-level function, class and assigned name, with its statement."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names.add(node.name)
+            yield node.name, node
         elif isinstance(node, ast.Assign):
-            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+            yield from ((t.id, node) for t in node.targets if isinstance(t, ast.Name))
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            names.add(node.target.id)
-    return {name for name in names if not name.startswith("_")}
+            yield node.target.id, node
 
 
 def _references(tree: ast.Module) -> set[str]:
@@ -145,3 +149,64 @@ def test_every_public_name_is_used_outside_its_module_or_listed():
     assert unreferenced - OWN_MODULE_ONLY.keys() == set()
     # and an entry goes once another module or the benchmark uses the name
     assert OWN_MODULE_ONLY.keys() - unreferenced == set()
+
+
+#: Public functions that no command reaches, each named by the benchmark
+#: (``bench/tracing.py`` wraps them and its gates call some).  They go when
+#: the benchmark measures the command-line readouts instead (ROADMAP item
+#: 1b): deleting this set is item 9.
+BENCH_ONLY = {
+    "bracket3.ambient3",
+    "bracket3.ambient3_with_circle_factors",
+    "bracket3.bracket3",
+    "bracket3.raw_bracket",
+    "classical.f_invariant",
+    "classical.kauffman_bracket",
+    "classical.parse_laurent",
+    "diagram.add_kink",
+    "diagram.components",
+    "multipoly.buchberger",
+    "quotient.is_normal",
+    "quotient.specialize_classical",
+}
+
+
+def _reads(node: ast.AST, bound: frozenset[str] = frozenset()) -> set[str]:
+    """The names that ``node`` reads from its module scope: every loaded
+    name but a function's own parameters and locals."""
+    if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+        stored = {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        bound = bound | stored | {a.arg for a in params if a}
+    if isinstance(node, ast.Name):
+        return {node.id} if isinstance(node.ctx, ast.Load) and node.id not in bound else set()
+    return set().union(*(_reads(child, bound) for child in ast.iter_child_nodes(node)))
+
+
+def test_every_public_function_is_reached_from_the_command_line_or_listed():
+    # the package's own call graph: each module-level definition, as
+    # module.name, to the definitions it reads, its module's own or those it
+    # imports by name; a readout that no command runs is dead in the package
+    graph: dict[str, set[str]] = {}
+    public: set[str] = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        module, tree = path.stem, ast.parse(path.read_text(encoding="utf-8"))
+        scope = {alias.asname or alias.name: f"{node.module}.{alias.name}" for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names}
+        scope |= {name: f"{module}.{name}" for name, _ in _module_definitions(tree)}
+        for name, node in _module_definitions(tree):
+            graph[f"{module}.{name}"] = {scope[read] for read in _reads(node) if read in scope}
+            if isinstance(node, ast.FunctionDef) and not name.startswith("_"):
+                public.add(f"{module}.{name}")
+    reached, todo = set(), ["cli.main"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += graph[name]
+    assert public - reached - BENCH_ONLY == set()
+    # an entry goes once a command reaches it, and each is the benchmark's
+    assert BENCH_ONLY - (public - reached) == set()
+    bench = set().union(*(_references(ast.parse(path.read_text(encoding="utf-8"))) for path in BENCH.glob("*.py")))
+    assert {name.split(".")[1] for name in BENCH_ONLY} <= bench

@@ -8,12 +8,15 @@ from pathlib import Path
 
 import pytest
 
-import qbracket.bracket3 as bracket3_module
 import qbracket.classical as classical
 import qbracket.quotient as quotient
 import qbracket.search as search
+from qbracket.bracket3 import tl_evaluate
+from qbracket.classical import bracket_from_raw, format_laurent, writhe_normalize
 from qbracket.cli import main
 from qbracket.diagram import closure, parse_braid, parse_pd, rewrite_moves, writhe
+from qbracket.multipoly import format_poly
+from qbracket.quotient import lift
 from qbracket.search import (
     InvariantRecord,
     RecordCache,
@@ -116,26 +119,30 @@ def test_specialization_consistent_for_every_table_entry():
 
 # -- records and cache ------------------------------------------------------------
 
+def record_texts_by_tl(e: TableEntry) -> tuple[str, str]:
+    """A braid entry's f and ambient3 texts read off the transfer pass's raw
+    sum of its word, as a record reads them off the frontier pass's."""
+    raw, w = tl_evaluate(e.word), e.writhe
+    return format_laurent(writhe_normalize(bracket_from_raw(raw), w)), format_poly(lift(raw, w))
+
+
 def test_record_engines_agree():
     e = entry("trefoil", "braid:2:1,1,1")
-    naive = compute_record(e, "naive")
-    tl = compute_record(e, "tl")
-    assert naive.f_text == tl.f_text
-    assert naive.ambient3_text == tl.ambient3_text
-    assert (naive.engine, tl.engine) == ("naive", "tl")
+    rec = compute_record(e)
+    assert rec == compute_record(e, "naive") and rec.engine == "naive"
+    assert (rec.f_text, rec.ambient3_text) == record_texts_by_tl(e)
 
 
 def test_record_engines_agree_on_every_table_braid_and_a_rewrite_of_each():
-    # the scan's inputs: on braids the naive record is the frontier pass over
-    # the closure, the tl record the planar-matching transfer over the word
+    # the scan's inputs: a record is the frontier pass over the closure,
+    # checked against the planar-matching transfer over the word
     braids = [e for e in load_table(bundled_table_path()).entries if e.word is not None]
     assert braids
     for k, e in enumerate(braids):
         variant = rewrite_moves(e.word, seed=k, count=3)
         for name, word in ((e.name, e.word), (f"{e.name}~v", variant)):
-            naive = compute_record(entry(name, word.text), "naive")
-            tl = compute_record(entry(name, word.text), "tl")
-            assert (naive.f_text, naive.ambient3_text) == (tl.f_text, tl.ambient3_text), word.text
+            rec = compute_record(entry(name, word.text))
+            assert (rec.f_text, rec.ambient3_text) == record_texts_by_tl(entry(name, word.text)), word.text
 
 
 def test_record_reproducible():
@@ -297,24 +304,24 @@ def _forbid(name):
     return forbidden
 
 
-def test_tl_record_runs_no_enumeration(monkeypatch, forbid_closure):
+def test_record_refuses_every_engine_but_naive(monkeypatch, forbid_closure):
+    # before any work: no closure and no raw sum
     forbid_closure()
-    monkeypatch.setattr(bracket3_module, "bracket3_raw", _forbid("bracket3_raw"))
-    monkeypatch.setattr(classical, "kauffman_bracket", _forbid("kauffman_bracket"))
-    rec = compute_record(entry("trefoil", "braid:2:1,1,1"), "tl")
-    assert rec.engine == "tl"
-    assert rec.f_text == "+1*a^-4 +1*a^-12 -1*a^-16"
+    monkeypatch.setattr(search, "bracket3_raw", _forbid("bracket3_raw"))
+    for engine in ("tl", "", "NAIVE"):
+        with pytest.raises(ValueError, match=f"not {engine!r}$"):
+            compute_record(entry("trefoil", "braid:2:1,1,1"), engine)
 
 
 def test_naive_record_enumerates_once(monkeypatch):
     calls: list[int] = []
-    real = bracket3_module.bracket3_raw
+    real = search.bracket3_raw
 
     def counting(d, *args, **kwargs):
         calls.append(d.n)
         return real(d, *args, **kwargs)
 
-    monkeypatch.setattr(bracket3_module, "bracket3_raw", counting)
+    monkeypatch.setattr(search, "bracket3_raw", counting)
     monkeypatch.setattr(classical, "kauffman_bracket", _forbid("kauffman_bracket"))
     compute_record(entry("fig8", "braid:3:1,-2,1,-2"), "naive")
     assert calls == [4]
@@ -329,9 +336,8 @@ def test_record_takes_no_normal_form(monkeypatch):
             patched.append(name)
     assert {"qbracket.quotient", "qbracket.bracket3", "qbracket.cli"} <= set(patched)
     for text in ("braid:2:1,1,1", "braid:4:1,-2,3,-2,-2", "PD[X(1,5,2,4),X(3,1,4,6),X(5,3,6,2),O]"):
-        for engine in ("naive", "tl"):
-            rec = compute_record(entry("x", text), engine)
-            assert rec.ambient3_text.startswith(("+", "-")), text
+        rec = compute_record(entry("x", text))
+        assert rec.ambient3_text.startswith(("+", "-")), text
 
 
 # -- bucketing -----------------------------------------------------------------------
@@ -381,11 +387,9 @@ def test_scan_deterministic_over_bundled_subset():
 def _stub_records(table, calls):
     def stub(entry_, engine="naive"):
         calls[entry_.name] += 1
-        # like compute_record, a PD-only entry always runs the naive engine
-        used = "naive" if entry_.word is None else engine
         f_text, ambient = table[entry_.name]
         return InvariantRecord(
-            entry_.name, entry_.presentation, 0, f_text, ambient, used, fingerprint(),
+            entry_.name, entry_.presentation, 0, f_text, ambient, engine, fingerprint(),
         )
 
     return stub
